@@ -365,8 +365,8 @@ def _parse_float(text, row, column):
         v = float(text)
     except ValueError:
         raise SchemaError(f"column {column!r} is not numeric: {text!r}", row=row) from None
-    if math.isnan(v):
-        raise SchemaError(f"NaN in column {column!r}", row=row)
+    if not math.isfinite(v):
+        raise SchemaError(f"non-finite value {text!r} in column {column!r}", row=row)
     return v
 
 

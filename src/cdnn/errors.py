@@ -61,4 +61,5 @@ class InvalidPerturbationError(CdnnError, ValueError):
 
 
 class IdentityViolationError(CdnnError, RuntimeError):
-    """An exact algebraic identity failed beyond tolerance (broken oracle)."""
+    """An exact identity or contract failed: a broken oracle, or stage-1
+    treatment edges that moved away from 0."""

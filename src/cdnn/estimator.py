@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
-from .errors import ConfigError, DegenerateTreatmentError, ShapeError
+from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationError, ShapeError
 
 VARIANTS = ("explicit_residual", "freezing")
 CHECKPOINT_FORMAT = 1
@@ -188,7 +188,8 @@ def fit_stage1(data, config, validation=None, seed_stream=0):
         validation=val,
     )
     model = Stage1Model(net, log)
-    assert model.treatment_edges_zero(), "treatment edges moved during stage 1"
+    if not model.treatment_edges_zero():
+        raise IdentityViolationError("stage-1 treatment edges moved away from exactly 0")
     return model
 
 
@@ -320,7 +321,10 @@ def fit(data, variant, config):
                     stage1, train, config, validation=validation, seed_stream=member
                 )
         except Exception as err:
-            raise type(err)(f"ensemble member {member}: {err}") from err
+            # name the member on the original exception, so its type and
+            # attributes (a divergence's epoch and step) reach the caller
+            err.args = (f"ensemble member {member}: {err}",)
+            raise
         members.append((stage1, stage2))
     return CdnnEstimator(members, variant, config)
 

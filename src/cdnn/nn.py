@@ -246,7 +246,8 @@ class Network:
         for i, spec in enumerate(self.layers):
             if i > 0 and self.concat_inputs:
                 a = np.concatenate([a, u], axis=1)
-            z = a @ self.params[2 * i] + self.params[2 * i + 1]
+            z = a @ self.params[2 * i]
+            z += self.params[2 * i + 1]
             inputs.append(a)
             preacts.append(z)
             if spec.activation == "swish":
@@ -286,8 +287,13 @@ def backward(net, cache, loss_gradient):
         spec = net.layers[i]
         z = cache.preacts[i]
         if spec.activation == "swish":
+            # delta * (s * (1 + z*(1 - s))), evaluated in place in that order
             s = cache.sigmoids[i]
-            dz = delta * (s * (1.0 + z * (1.0 - s)))
+            dz = 1.0 - s
+            dz *= z
+            dz += 1.0
+            dz *= s
+            dz *= delta
         else:
             dz = delta
         a = cache.inputs[i]
@@ -369,7 +375,9 @@ class OptimizerState:
     algorithm "sgd_momentum": velocity v <- momentum*v + g, p <- p - lr*v.
     algorithm "adaptive_moment": bias-corrected first/second moment rule with
     a first-step magnitude of ~lr regardless of the gradient scale.
-    Accumulator entries of frozen parameters are never touched and stay 0.
+    Each slot is one flat buffer over all parameters (`buffers`); `slots[s][k]`
+    is the view of buffer s shaped like parameter k. Accumulator entries of
+    frozen parameters are never touched.
     """
 
     algorithm: str
@@ -380,6 +388,7 @@ class OptimizerState:
     epsilon: float = 1e-8
     step_count: int = 0
     slots: list = field(default_factory=list)
+    buffers: list = field(default_factory=list)
 
     @classmethod
     def create(cls, net, algorithm="adaptive_moment", learning_rate=1e-3, **kwargs):
@@ -389,42 +398,69 @@ class OptimizerState:
             raise ShapeError("learning rate must be positive")
         state = cls(algorithm, float(learning_rate), **kwargs)
         n_slots = 1 if algorithm == "sgd_momentum" else 2
-        state.slots = [
-            [np.zeros(p.shape) for p in net.params] for _ in range(n_slots)
-        ]
+        state.buffers = [np.zeros(net.n_params()) for _ in range(n_slots)]
+        state.slots = [_param_views(buf, net.params) for buf in state.buffers]
         return state
 
 
+def _param_views(flat, params):
+    """Views of a flat vector shaped like each parameter, in parameter order."""
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    return views
+
+
 def step(net, grads, mask, opt):
-    """Apply one optimizer update in place; frozen entries stay bitwise put."""
+    """Apply one optimizer update in place; frozen entries stay bitwise put.
+
+    The update runs once over the concatenation of all parameters.
+    Accumulators are written only where the mask is free, and the update of
+    a frozen entry is set to exactly 0, so `p - 0.0` leaves it unchanged. The
+    mask is read afresh on every call.
+    """
     mask.check_shapes(net)
-    if len(grads) != len(net.params):
+    if len(grads) != len(net.params) or any(
+        g.shape != p.shape for g, p in zip(grads, net.params)
+    ):
         raise ShapeError("gradient list does not match parameters")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError(
-                f"non-finite gradient at optimizer step {opt.step_count}",
-                step=opt.step_count,
-            )
+    g = np.concatenate(grads, axis=None, dtype=float)
+    if not np.isfinite(g).all():
+        raise TrainingDivergenceError(
+            f"non-finite gradient at optimizer step {opt.step_count}",
+            step=opt.step_count,
+        )
+    frozen = np.concatenate(mask.arrays, axis=None)
+    free = ~frozen
     opt.step_count += 1
     t = opt.step_count
     lr = opt.learning_rate
-    for k, (p, g, m) in enumerate(zip(net.params, grads, mask.arrays)):
-        free = ~m
-        if not free.any():
-            continue
-        gk = g[free]
-        if opt.algorithm == "sgd_momentum":
-            v = opt.slots[0][k]
-            v[free] = opt.momentum * v[free] + gk
-            p[free] -= lr * v[free]
-        else:
-            m1, m2 = opt.slots[0][k], opt.slots[1][k]
-            m1[free] = opt.beta1 * m1[free] + (1.0 - opt.beta1) * gk
-            m2[free] = opt.beta2 * m2[free] + (1.0 - opt.beta2) * gk * gk
-            mhat = m1[free] / (1.0 - opt.beta1**t)
-            vhat = m2[free] / (1.0 - opt.beta2**t)
-            p[free] -= lr * mhat / (np.sqrt(vhat) + opt.epsilon)
+    if opt.algorithm == "sgd_momentum":
+        (v,) = opt.buffers
+        np.multiply(v, opt.momentum, out=v, where=free)
+        np.add(v, g, out=v, where=free)
+        update = np.multiply(v, lr, out=g)
+    else:
+        m1, m2 = opt.buffers
+        b1, b2 = opt.beta1, opt.beta2
+        tmp = np.multiply(g, 1.0 - b1)
+        np.multiply(m1, b1, out=m1, where=free)
+        np.add(m1, tmp, out=m1, where=free)
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        np.multiply(m2, b2, out=m2, where=free)
+        np.add(m2, tmp, out=m2, where=free)
+        # (lr * mhat) / (sqrt(vhat) + eps), with mhat in tmp and vhat in g
+        update = np.divide(m1, 1.0 - b1**t, out=tmp)
+        np.divide(m2, 1.0 - b2**t, out=g)
+        np.sqrt(g, out=g)
+        g += opt.epsilon
+        update *= lr
+        update /= g
+    np.copyto(update, 0.0, where=frozen)
+    for p, u in zip(net.params, _param_views(update, net.params)):
+        p -= u
     net.version += 1
     return net
 
@@ -505,11 +541,12 @@ def fit_network(
     wait = patience
     for epoch in range(epochs):
         order = rng.permutation(n)
+        Xe, Te, Ye = X[order], T[order], Y[order]
         epoch_losses = []
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            preds, cache = net.forward_batch(X[idx], T[idx])
-            loss, dpred = mse_loss(preds, Y[idx])
+            batch = slice(start, start + batch_size)
+            preds, cache = net.forward_batch(Xe[batch], Te[batch])
+            loss, dpred = mse_loss(preds, Ye[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cdnn import bench
-from cdnn.data import generate, named_dgp, write_csv
+from cdnn.data import generate, named_dgp, oracle_of, write_csv
 from cdnn.errors import ConfigError
+from cdnn.theory import standard_perturbations
 
 
 def quick_config(**overrides):
@@ -192,3 +193,36 @@ class TestVerify:
             bench.verify_orthogonality(n_x=2, n_samples=20_000)
         ]
         assert all(r.passed for r in results)
+
+
+class TestOrthogonalityProbePoints:
+    def _points(self, seed):
+        spec = named_dgp("confound-hetero", seed=seed)
+        oracle = oracle_of(spec)
+        directions = standard_perturbations(spec.d)
+        plain = np.random.default_rng(seed).standard_normal((20, spec.d))
+        xs = bench._probe_points(oracle, directions, np.random.default_rng(seed), 20, spec.d)
+        return oracle, directions, plain, xs
+
+    def test_admissible_points_are_kept(self):
+        _, _, plain, xs = self._points(0)
+        assert np.array_equal(xs, plain)
+
+    def test_only_inadmissible_points_are_redrawn(self):
+        # seed 23 draws a point where a direction pushes the propensity to -0.0147
+        oracle, directions, plain, xs = self._points(23)
+        kept = [bench._admissible(oracle, directions, x) for x in plain]
+        assert kept.count(False) == 1
+        for x_plain, x, ok in zip(plain, xs, kept):
+            assert np.array_equal(x_plain, x) == ok
+            assert bench._admissible(oracle, directions, x)
+
+    def test_seed_0_report_unchanged(self):
+        result = bench.verify_orthogonality(seed=0)
+        assert result.passed
+        assert result.lines[:4] == [
+            "finite-difference probes: 200 (20 points x 10 directions, 100000 samples each)",
+            "within 3 MC stderr of 0: 200/200 (100.0%, need >= 95%)",
+            "analytic closed form exactly 0 on all probes: True",
+            "negative control rejected 0 at 3 sigma: 15/15",
+        ]

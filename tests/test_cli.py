@@ -64,6 +64,12 @@ class TestVerify:
         assert main(["verify", "gradients"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
 
+    def test_orthogonality_seed_with_an_extreme_point_passes(self, capsys):
+        # seed 23 used to exit 2: one random probe point made a perturbed
+        # propensity leave [0.001, 0.999]
+        assert main(["verify", "orthogonality", "--seed", "23"]) == 0
+        assert "[PASS] verify orthogonality" in capsys.readouterr().out
+
     def test_failed_check_returns_1(self, capsys, monkeypatch):
         from cdnn import bench
 
@@ -105,6 +111,12 @@ class TestFitAndScore:
         np.savez(bad, meta=np.frombuffer(b'{"format": 99}', dtype=np.uint8))
         assert main(["score", "--model", str(bad), "--data", str(data_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_fit_infinite_value_returns_2(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("t,y,x0\n0,1,2\n1,inf,3\n")
+        assert main(["fit", "--data", str(data_path), "--out", str(tmp_path / "m.npz")]) == 2
+        assert "non-finite value 'inf' in column 'y' (row 2)" in capsys.readouterr().err
 
     def test_fit_bad_hidden_returns_2(self, tmp_path):
         data_path = tmp_path / "d.csv"

@@ -218,6 +218,14 @@ class TestCsv:
             load_csv(path)
         assert info.value.row == 1
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "-1e999"])
+    def test_infinity_rejected_with_row(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,y,x0\n0,1,2\n1,3,{text}\n")
+        with pytest.raises(SchemaError, match="non-finite") as info:
+            load_csv(path)
+        assert info.value.row == 2
+
     def test_inconsistent_factual_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,y,y1,y0,x0\n1,3.5,3,1,0.5\n")

@@ -15,7 +15,12 @@ from cdnn.data import (
     named_dgp,
     oracle_of,
 )
-from cdnn.errors import ConfigError, DegenerateTreatmentError
+from cdnn.errors import (
+    ConfigError,
+    DegenerateTreatmentError,
+    IdentityViolationError,
+    TrainingDivergenceError,
+)
 
 FAST = est.CdnnConfig(ensemble_size=1, seed=3)
 
@@ -95,6 +100,20 @@ class TestFitStage1:
         p0, _ = model.network.forward_batch(X, np.zeros(200))
         p1, _ = model.network.forward_batch(X, np.ones(200))
         assert np.array_equal(p0, p1)
+
+    def test_moved_treatment_edge_raises(self, monkeypatch):
+        # the suppression contract is an explicit check, not an assert that -O strips
+        real_fit_network = nn.fit_network
+
+        def fit_then_nudge(net, *args, **kwargs):
+            log = real_fit_network(net, *args, **kwargs)
+            net.params[0][net.treatment_input_row(0), 0] = 1e-12
+            return log
+
+        monkeypatch.setattr(nn, "fit_network", fit_then_nudge)
+        data = generate(make_spec(1.0, seed=23), 100)
+        with pytest.raises(IdentityViolationError, match="treatment edges"):
+            est.fit_stage1(data, est.CdnnConfig(ensemble_size=1, epochs=2, seed=4))
 
 
 class TestComputeResiduals:
@@ -283,6 +302,32 @@ class TestFit:
         forced = Dataset(data.x, np.zeros(len(data), dtype=int), data.y)
         with pytest.raises(DegenerateTreatmentError):
             est.fit(forced, "freezing", FAST)
+
+    def test_divergence_reaches_caller_with_epoch(self):
+        data = generate(make_spec(1.0, seed=45), 200)
+        huge = Dataset(data.x, data.t, data.y * 1e150)
+        cfg = est.CdnnConfig(
+            ensemble_size=1, epochs=50, seed=3, optimizer="sgd_momentum", learning_rate=1e6
+        )
+        with pytest.raises(TrainingDivergenceError, match="ensemble member 0: ") as info:
+            est.fit(huge, "freezing", cfg)
+        assert info.value.epoch is not None
+
+    def test_member_error_keeps_its_type_and_attributes(self, monkeypatch):
+        class CodedError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"code {code}: {detail}")
+                self.code = code
+
+        def failing_stage1(*args, **kwargs):
+            raise CodedError(7, "no luck")
+
+        monkeypatch.setattr(est, "fit_stage1", failing_stage1)
+        data = generate(make_spec(1.0, seed=46), 200)
+        with pytest.raises(CodedError) as info:
+            est.fit(data, "freezing", FAST)
+        assert info.value.code == 7
+        assert str(info.value) == "ensemble member 0: code 7: no luck"
 
     def test_unknown_variant_rejected(self):
         data = generate(make_spec(1.0, seed=44), 200)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdnn import nn
 from cdnn.errors import ShapeError, StaleCacheError, TrainingDivergenceError
@@ -299,3 +301,144 @@ class TestFitNetwork:
                 optimizer="sgd_momentum", learning_rate=1e6, epochs=50,
             )
         assert info.value.epoch is not None
+
+
+def reference_step(net, grads, mask, opt):
+    """The per-array fancy-indexing update that nn.step replaced, kept as its
+    oracle: it gathers the free entries of every array, updates them and
+    scatters them back, touching nothing frozen."""
+    mask.check_shapes(net)
+    if len(grads) != len(net.params):
+        raise ShapeError("gradient list does not match parameters")
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise TrainingDivergenceError(
+                f"non-finite gradient at optimizer step {opt.step_count}",
+                step=opt.step_count,
+            )
+    opt.step_count += 1
+    t = opt.step_count
+    lr = opt.learning_rate
+    for k, (p, g, m) in enumerate(zip(net.params, grads, mask.arrays)):
+        free = ~m
+        if not free.any():
+            continue
+        gk = g[free]
+        if opt.algorithm == "sgd_momentum":
+            v = opt.slots[0][k]
+            v[free] = opt.momentum * v[free] + gk
+            p[free] -= lr * v[free]
+        else:
+            m1, m2 = opt.slots[0][k], opt.slots[1][k]
+            m1[free] = opt.beta1 * m1[free] + (1.0 - opt.beta1) * gk
+            m2[free] = opt.beta2 * m2[free] + (1.0 - opt.beta2) * gk * gk
+            mhat = m1[free] / (1.0 - opt.beta1**t)
+            vhat = m2[free] / (1.0 - opt.beta2**t)
+            p[free] -= lr * mhat / (np.sqrt(vhat) + opt.epsilon)
+    net.version += 1
+    return net
+
+
+def _reference_state(net, algorithm, learning_rate, momentum):
+    """Optimizer state with separate per-parameter slot arrays."""
+    n_slots = 1 if algorithm == "sgd_momentum" else 2
+    slots = [[np.zeros(p.shape) for p in net.params] for _ in range(n_slots)]
+    return nn.OptimizerState(algorithm, learning_rate, momentum=momentum, slots=slots)
+
+
+def _random_mask(net, mode, rng):
+    if mode == "free":
+        return nn.FreezeMask.none(net)
+    if mode == "frozen":
+        return nn.FreezeMask.all(net)
+    return nn.FreezeMask([rng.random(p.shape) < 0.5 for p in net.params])
+
+
+def _assert_bitwise(net, ref_net, opt, ref_opt):
+    assert opt.step_count == ref_opt.step_count
+    assert net.version == ref_net.version
+    for p, q in zip(net.params, ref_net.params):
+        assert p.tobytes() == q.tobytes()
+    for slot, ref_slot in zip(opt.slots, ref_opt.slots):
+        for a, b in zip(slot, ref_slot):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+class TestStepMatchesReference:
+    """nn.step updates every parameter and accumulator bit for bit as the
+    per-array fancy-indexing reference does."""
+
+    def _run(self, d, hidden, concat, algorithm, lr, steps, masks, seed, edits=()):
+        rng = np.random.default_rng(seed)
+        net = nn.Network.build(
+            d, hidden, concat_inputs=concat, rng=rng, treatment_scale=0.1
+        )
+        ref_net = net.clone()
+        opt = nn.OptimizerState.create(net, algorithm, learning_rate=lr, momentum=0.9)
+        ref_opt = _reference_state(ref_net, algorithm, lr, 0.9)
+        mask = _random_mask(net, masks, rng)
+        for k in range(steps):
+            if k in edits:
+                mask = _random_mask(net, "mixed", rng)
+            scale = 10.0 ** rng.uniform(-4, 3)
+            grads = [scale * rng.standard_normal(p.shape) for p in net.params]
+            nn.step(net, grads, mask, opt)
+            reference_step(ref_net, [g.copy() for g in grads], mask, ref_opt)
+            _assert_bitwise(net, ref_net, opt, ref_opt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        hidden=st.lists(st.integers(1, 6), max_size=3).map(tuple),
+        concat=st.booleans(),
+        algorithm=st.sampled_from(nn.OPTIMIZERS),
+        lr=st.sampled_from([1e-3, 3e-2, 0.5]),
+        steps=st.integers(5, 9),
+        masks=st.sampled_from(["free", "frozen", "mixed"]),
+        edit=st.one_of(st.none(), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bitwise_equal(
+        self, d, hidden, concat, algorithm, lr, steps, masks, edit, seed
+    ):
+        edits = () if edit is None else (edit,)
+        self._run(d, hidden, concat, algorithm, lr, steps, masks, seed, edits)
+
+    @pytest.mark.parametrize("masks", ["free", "mixed"])
+    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
+    def test_default_widths(self, algorithm, masks):
+        self._run(5, (64, 64, 64), False, algorithm, 1e-3, 6, masks, 3)
+
+    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
+    def test_mask_edited_between_steps_is_honoured(self, algorithm):
+        net = nn.Network.build(3, (6, 5), rng=4, treatment_scale=0.1)
+        ref_net = net.clone()
+        opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.05)
+        ref_opt = _reference_state(ref_net, algorithm, 0.05, 0.9)
+        mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
+        rng = np.random.default_rng(0)
+
+        def both_step():
+            grads = [rng.standard_normal(p.shape) for p in net.params]
+            nn.step(net, grads, mask, opt)
+            reference_step(ref_net, grads, mask, ref_opt)
+            _assert_bitwise(net, ref_net, opt, ref_opt)
+
+        for _ in range(3):
+            both_step()
+        # freeze the trained encoder, release the treatment row
+        mask.freeze_input_encoder(net)
+        row = net.treatment_input_row(0)
+        mask.arrays[0][row, :] = False
+        encoder = net.weight(0)[:row].copy()
+        encoder_moments = [slot[0][:row].copy() for slot in opt.slots]
+        treatment_row = net.weight(0)[row].copy()
+        both_step()
+        assert np.array_equal(net.weight(0)[:row], encoder)
+        for slot, before in zip(opt.slots, encoder_moments):
+            assert np.array_equal(slot[0][:row], before)
+            assert np.any(before != 0.0)  # trained moments, left exactly as they were
+        assert np.all(net.weight(0)[row] != treatment_row)
+        for _ in range(2):
+            both_step()
