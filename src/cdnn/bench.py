@@ -23,6 +23,7 @@ from .data import (
     DGP_FAMILIES,
     ReplicationSet,
     SplitSpec,
+    _derived_seed,
     concat_datasets,
     generate,
     load_csv,
@@ -60,11 +61,6 @@ _CDNN_PARAM_KEYS = {
     "freeze_depth",
 }
 _DML_PARAM_KEYS = {"folds", "crossfit", "ridge_lambda", "clamp"}
-
-
-def _derived_seed(*parts):
-    ss = np.random.SeedSequence([int(p) for p in parts])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,18 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        self.t = np.asarray(self.t, dtype=int)
+        if self.x.ndim != 2:
+            raise SchemaError(f"covariates must be a 2-d (n, d) array, got shape {self.x.shape}")
+        t = np.asarray(self.t)
+        if not np.all((t == 0) | (t == 1)):
+            raise SchemaError("treatment must be 0 or 1 in every row")
+        self.t = t.astype(int)
         self.y = np.asarray(self.y, dtype=float)
+        n = self.x.shape[0]
+        if self.t.shape != (n,) or self.y.shape != (n,):
+            raise SchemaError(
+                f"t {self.t.shape} and y {self.y.shape} must be vectors as long as x ({n} rows)"
+            )
         if self.theta is None and self.y1 is not None and self.y0 is not None:
             self.theta = self.y1 - self.y0
 
@@ -434,8 +444,8 @@ def load_csv(path):
 # replications
 
 
-def _derived_seed(base_seed, index, salt=0):
-    ss = np.random.SeedSequence([int(base_seed), int(index), int(salt)])
+def _derived_seed(*parts):
+    ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
@@ -468,9 +478,9 @@ class ReplicationSet:
             raise ConfigError(f"replication index {i} out of range")
         if i == 0:
             return self.base
-        spec = replace(self.base, seed=_derived_seed(self.base.seed, i))
+        spec = replace(self.base, seed=_derived_seed(self.base.seed, i, 0))
         if self.redraw_baseline and isinstance(self.base.baseline, AffineSurface):
-            rng = np.random.default_rng(_derived_seed(self.base.seed, i, salt=1))
+            rng = np.random.default_rng(_derived_seed(self.base.seed, i, 1))
             slopes = np.asarray(self.base.baseline.slopes) + rng.normal(0.0, 0.3, self.base.d)
             intercept = self.base.baseline.intercept + rng.normal(0.0, 0.3)
             spec = replace(spec, baseline=AffineSurface(float(intercept), tuple(slopes)))

@@ -18,8 +18,10 @@ train/validation splits.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,7 +74,7 @@ class Stage1Model:
 
     def predict(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        preds, _ = self.network.forward_batch(X, np.zeros(X.shape[0]))
+        preds, _ = self.network.forward_batch(X, np.zeros(X.shape[0]), keep_cache=False)
         return preds
 
     def treatment_edges_zero(self):
@@ -109,7 +111,9 @@ class Stage2Model:
 
     def predict(self, X, t):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        preds, _ = self.network.forward_batch(X, np.full(X.shape[0], float(t)))
+        preds, _ = self.network.forward_batch(
+            X, np.full(X.shape[0], float(t)), keep_cache=False
+        )
         return preds
 
     def ite(self, X):
@@ -298,18 +302,70 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     return Stage2Model("freezing", net, mask, "outcome", log)
 
 
+# Stage 1 never reads these fields, so fits that differ only in them share
+# stage-1 members. Every other field, present or future, is part of the key.
+_STAGE2_ONLY_FIELDS = ("treatment_scale", "freeze_depth", "ensemble_size")
+
+# (key, {member index: Stage1Model}) of the most recent fit: freezing and
+# explicit fits of one dataset run back to back, so one key is enough. A new
+# key replaces the whole pair, so a fit only ever stores into the dict of its
+# own key.
+_stage1_memo = (None, {})
+
+
+def _stage1_key(data, config):
+    """SHA-256 over the arrays training reads and the stage-1 settings."""
+    h = hashlib.sha256()
+    for a in (data.x, data.t, data.y):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    settings = {k: v for k, v in asdict(config).items() if k not in _STAGE2_ONLY_FIELDS}
+    h.update(repr(sorted(settings.items())).encode())
+    return h.hexdigest()
+
+
+def _stage1_members(key):
+    """The memo's member dict for key, emptied first when key is new."""
+    global _stage1_memo
+    memo = _stage1_memo
+    if memo[0] != key:
+        memo = (key, {})
+        _stage1_memo = memo
+    return memo[1]
+
+
+def _copy_stage1(model):
+    return Stage1Model(model.network.clone(), copy.deepcopy(model.training_log))
+
+
 def fit(data, variant, config):
     """Train the full ensemble: k separate train/validation splits, two
-    stages each."""
+    stages each.
+
+    Stage-1 members are reused, as copies, from the previous fit when the
+    data (x, t, y) and every config field stage 1 reads are the same, so
+    fitting both variants of one dataset trains stage 1 once; the results
+    are bitwise those of a fresh fit.
+    """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     _require_both_arms(data, "fit")
+    trained = _stage1_members(_stage1_key(data, config))
     members = []
     for member in range(config.ensemble_size):
         try:
             rng = _member_rng(config, member, 0)
             train, validation = _carve_validation(data, config, rng)
-            stage1 = fit_stage1(train, config, validation=validation, seed_stream=member)
+            if member in trained:
+                stage1 = _copy_stage1(trained[member])
+                if not stage1.treatment_edges_zero():
+                    raise IdentityViolationError(
+                        "reused stage-1 treatment edges are not exactly 0"
+                    )
+            else:
+                stage1 = fit_stage1(train, config, validation=validation, seed_stream=member)
+                trained[member] = _copy_stage1(stage1)
             if variant == "explicit_residual":
                 res_train = compute_residuals(stage1, train)
                 res_val = None if validation is None else compute_residuals(stage1, validation)
@@ -382,29 +438,53 @@ def save_checkpoint(estimator, path):
     return path
 
 
-def _rebuild_network(meta, params):
-    layers = [nn.LayerSpec(i, o, a) for i, o, a in meta["layers"]]
-    return nn.Network(layers, params, meta["covariate_width"], meta["concat_inputs"])
+def _required(mapping, key):
+    """mapping[key] of a checkpoint's metadata or arrays; ConfigError if absent."""
+    if key not in mapping:
+        raise ConfigError(f"malformed checkpoint: missing {key!r}")
+    return mapping[key]
+
+
+def _rebuild_network(meta, blob, prefix):
+    layers = [nn.LayerSpec(i, o, a) for i, o, a in _required(meta, "layers")]
+    params = [_required(blob, f"{prefix}.p{k}") for k in range(2 * len(layers))]
+    return nn.Network(
+        layers, params, _required(meta, "covariate_width"), _required(meta, "concat_inputs")
+    )
+
+
+def _load_config(cfg):
+    names = {f.name for f in fields(CdnnConfig)}
+    keys = set(cfg) if isinstance(cfg, dict) else set()
+    if keys != names:
+        raise ConfigError(
+            "malformed checkpoint config: "
+            f"unknown keys {sorted(keys - names)}, missing keys {sorted(names - keys)}"
+        )
+    return CdnnConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
 
 
 def load_checkpoint(path):
+    """Load a save_checkpoint file; a malformed one raises ConfigError."""
     with np.load(path) as blob:
-        meta = json.loads(bytes(blob["meta"]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {meta.get('format')!r}")
-        cfg = meta["config"]
-        cfg["hidden_widths"] = tuple(cfg["hidden_widths"])
-        config = CdnnConfig(**cfg)
+        meta = json.loads(bytes(_required(blob, "meta")).decode("utf-8"))
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ConfigError(f"unsupported checkpoint format {fmt!r}")
+        config = _load_config(_required(meta, "config"))
+        variant = _required(meta, "variant")
+        stage1_meta, stage2_meta = _required(meta, "stage1"), _required(meta, "stage2")
+        n_members = _required(meta, "members")
+        if not len(stage1_meta) == len(stage2_meta) == n_members:
+            raise ConfigError("malformed checkpoint: stage metadata does not match member count")
         members = []
-        for m in range(meta["members"]):
-            p1 = [blob[f"m{m}.s1.p{k}"] for k in range(2 * len(meta["stage1"][m]["layers"]))]
-            net1 = _rebuild_network(meta["stage1"][m], p1)
-            p2 = [blob[f"m{m}.s2.p{k}"] for k in range(2 * len(meta["stage2"][m]["layers"]))]
-            net2 = _rebuild_network(meta["stage2"][m], p2)
-            mask = nn.FreezeMask([blob[f"m{m}.s2.mask{k}"] for k in range(len(p2))])
+        for m in range(n_members):
+            net1 = _rebuild_network(stage1_meta[m], blob, f"m{m}.s1")
+            net2 = _rebuild_network(stage2_meta[m], blob, f"m{m}.s2")
+            n_params = len(net2.params)
+            mask = nn.FreezeMask([_required(blob, f"m{m}.s2.mask{k}") for k in range(n_params)])
             stage1 = Stage1Model(net1, nn.TrainingLog())
-            stage2 = Stage2Model(
-                meta["variant"], net2, mask, meta["stage2"][m]["target_kind"], nn.TrainingLog()
-            )
+            target_kind = _required(stage2_meta[m], "target_kind")
+            stage2 = Stage2Model(variant, net2, mask, target_kind, nn.TrainingLog())
             members.append((stage1, stage2))
-    return CdnnEstimator(members, meta["variant"], config)
+    return CdnnEstimator(members, variant, config)

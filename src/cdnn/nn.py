@@ -224,10 +224,13 @@ class Network:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, X, T):
+    def forward_batch(self, X, T, keep_cache=True):
         """Run the network on a batch.
 
         X: (n, covariate_width), T: (n,). Returns (predictions (n,), cache).
+        With keep_cache=False the cache is None and each layer's values are
+        dropped once the next layer has read them: prediction needs no
+        backward, and on large batches the cache dominates memory.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.covariate_width:
@@ -248,16 +251,14 @@ class Network:
                 a = np.concatenate([a, u], axis=1)
             z = a @ self.params[2 * i]
             z += self.params[2 * i + 1]
-            inputs.append(a)
-            preacts.append(z)
-            if spec.activation == "swish":
-                s = expit(z)
+            s = expit(z) if spec.activation == "swish" else None
+            if keep_cache:
+                inputs.append(a)
+                preacts.append(z)
                 sigmoids.append(s)
-                a = z * s
-            else:
-                sigmoids.append(None)
-                a = z
-        return a[:, 0], ForwardCache(self.version, inputs, preacts, sigmoids)
+            a = z if s is None else z * s
+        cache = ForwardCache(self.version, inputs, preacts, sigmoids) if keep_cache else None
+        return a[:, 0], cache
 
 
 def forward(net, x, t):
@@ -562,7 +563,7 @@ def fit_network(
 
         if validation is not None:
             Xv, Tv, Yv = validation
-            vpred, _ = net.forward_batch(Xv, Tv)
+            vpred, _ = net.forward_batch(Xv, Tv, keep_cache=False)
             vmse, _ = mse_loss(vpred, Yv)
             log.val_mse.append(vmse)
             if vmse < best:

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from cdnn.cli import main
 from cdnn.data import load_csv
@@ -111,6 +112,29 @@ class TestFitAndScore:
         np.savez(bad, meta=np.frombuffer(b'{"format": 99}', dtype=np.uint8))
         assert main(["score", "--model", str(bad), "--data", str(data_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("corruption", ["unknown-config-key", "missing-array"])
+    def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
+        data_path = tmp_path / "d.csv"
+        main(["generate", "--family", "confound-linear", "--n", "60",
+              "--out", str(data_path)])
+        model_path = tmp_path / "model.npz"
+        assert main(["fit", "--data", str(data_path), "--out", str(model_path),
+                     "--epochs", "2", "--ensemble-size", "1", "--hidden", "4"]) == 0
+        with np.load(model_path) as blob:
+            arrays = dict(blob)
+        if corruption == "missing-array":
+            del arrays["m0.s2.p1"]
+        else:
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            meta["config"]["bogus"] = 1
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        capsys.readouterr()
+        assert main(["score", "--model", str(bad), "--data", str(data_path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "error: malformed checkpoint" in capsys.readouterr().err
 
     def test_fit_infinite_value_returns_2(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"

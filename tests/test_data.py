@@ -8,6 +8,7 @@ from cdnn.baselines import dml_ate
 from cdnn.data import (
     AffineSurface,
     ConstantPropensity,
+    Dataset,
     DgpSpec,
     LogisticPropensity,
     ReplicationSet,
@@ -231,6 +232,29 @@ class TestCsv:
         path.write_text("t,y,y1,y0,x0\n1,3.5,3,1,0.5\n")
         with pytest.raises(SchemaError):
             load_csv(path)
+
+
+class TestDatasetValidation:
+    def test_valid_arrays_accepted(self):
+        ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, True], np.zeros(3))
+        assert ds.t.dtype.kind == "i" and list(ds.t) == [0, 1, 1]
+
+    @pytest.mark.parametrize("t", [[0, 0.5, 1], [0, 2, 1], [0, -1, 1], [0, np.nan, 1]])
+    def test_non_binary_treatment_rejected(self, t):
+        with pytest.raises(SchemaError, match="treatment must be 0 or 1"):
+            Dataset(np.zeros((3, 2)), t, np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1), ()])
+    def test_covariates_must_be_2d(self, shape):
+        with pytest.raises(SchemaError, match="2-d"):
+            Dataset(np.zeros(shape), [0, 1, 0], np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "t, y", [([0, 1], np.zeros(3)), ([0, 1, 0], np.zeros(4)), ([[0], [1], [0]], np.zeros(3))]
+    )
+    def test_unequal_lengths_rejected(self, t, y):
+        with pytest.raises(SchemaError, match="as long as x"):
+            Dataset(np.zeros((3, 2)), t, y)
 
 
 class TestReplications:

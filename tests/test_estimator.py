@@ -1,5 +1,8 @@
 """Two-stage estimator: suppression, residuals, freezing contract, ensembles."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -335,6 +338,146 @@ class TestFit:
             est.fit(data, "implicit", FAST)
 
 
+REUSE = est.CdnnConfig(hidden_widths=(8, 8), epochs=12, patience=5, ensemble_size=2, seed=11)
+
+
+def count_stage1_training(monkeypatch):
+    """The member index of every stage 1 that fit() trains, in order."""
+    trained = []
+    real = est.fit_stage1
+
+    def counting(*args, **kwargs):
+        trained.append(kwargs["seed_stream"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(est, "fit_stage1", counting)
+    return trained
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_bitwise_equal_fits(a, b):
+    assert len(a.members) == len(b.members)
+    for (s1a, s2a), (s1b, s2b) in zip(a.members, b.members):
+        for pa, pb in zip(s1a.network.params + s2a.network.params,
+                          s1b.network.params + s2b.network.params):
+            assert same_bits(pa, pb)
+        assert s1a.training_log == s1b.training_log
+        assert s2a.training_log == s2b.training_log
+
+
+class TestStage1Reuse:
+    """fit() reuses the stage-1 members of the previous fit when the data and
+    the stage-1 settings repeat."""
+
+    # every test fits data no other test fits, so each starts with a miss
+
+    @pytest.mark.parametrize(
+        "seed, first, second",
+        [(70, "freezing", "explicit_residual"), (71, "explicit_residual", "freezing")],
+    )
+    def test_warm_fit_is_bitwise_a_cold_fit(self, monkeypatch, seed, first, second):
+        data = generate(make_spec(1.0, sigma=0.3, seed=seed), 200)
+        other = generate(make_spec(1.0, sigma=0.3, seed=seed + 100), 200)
+        trained = count_stage1_training(monkeypatch)
+        est.fit(data, first, REUSE)
+        warm = est.fit(data, second, REUSE)
+        assert trained == [0, 1]  # the second variant trained no stage 1
+        est.fit(other, first, REUSE)  # evicts data's members
+        del trained[:]
+        cold = est.fit(data, second, REUSE)
+        assert trained == [0, 1]
+        assert_bitwise_equal_fits(warm, cold)
+        probe = other.x[:50]
+        assert same_bits(est.predict_ite(warm, probe), est.predict_ite(cold, probe))
+
+    def test_outcome_edited_in_place_misses(self, monkeypatch):
+        data = generate(make_spec(1.0, sigma=0.3, seed=72), 200)
+        trained = count_stage1_training(monkeypatch)
+        est.fit(data, "freezing", REUSE)
+        data.y[0] += 1.0
+        est.fit(data, "explicit_residual", REUSE)
+        assert trained == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "seed, change",
+        [
+            (74, {"seed": 12}),
+            (75, {"learning_rate": 2e-3}),
+            (76, {"validation_fraction": 0.25}),
+            (77, {"hidden_widths": (8, 4)}),
+        ],
+    )
+    def test_stage1_setting_change_misses(self, monkeypatch, seed, change):
+        data = generate(make_spec(1.0, sigma=0.3, seed=seed), 200)
+        trained = count_stage1_training(monkeypatch)
+        est.fit(data, "freezing", REUSE)
+        est.fit(data, "freezing", replace(REUSE, **change))
+        assert trained == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "seed, change",
+        [(78, {"treatment_scale": 0.05}), (79, {"freeze_depth": 2}), (80, {"ensemble_size": 1})],
+    )
+    def test_stage2_only_setting_change_hits(self, monkeypatch, seed, change):
+        data = generate(make_spec(1.0, sigma=0.3, seed=seed), 200)
+        trained = count_stage1_training(monkeypatch)
+        a = est.fit(data, "freezing", REUSE)
+        b = est.fit(data, "freezing", replace(REUSE, **change))
+        assert trained == [0, 1]
+        for (s1a, _), (s1b, _) in zip(a.members, b.members):
+            for pa, pb in zip(s1a.network.params, s1b.network.params):
+                assert same_bits(pa, pb)
+
+    def test_growing_the_ensemble_trains_only_new_members(self, monkeypatch):
+        data = generate(make_spec(1.0, sigma=0.3, seed=81), 200)
+        trained = count_stage1_training(monkeypatch)
+        est.fit(data, "freezing", REUSE)
+        grown = est.fit(data, "explicit_residual", replace(REUSE, ensemble_size=4))
+        assert trained == [0, 1, 2, 3]
+        assert len(grown.members) == 4
+
+    def test_estimators_share_no_mutable_stage1_state(self, monkeypatch):
+        data = generate(make_spec(1.0, sigma=0.3, seed=82), 200)
+        trained = count_stage1_training(monkeypatch)
+        a = est.fit(data, "freezing", REUSE)
+        b = est.fit(data, "explicit_residual", REUSE)
+        s1a, s1b = a.members[0][0], b.members[0][0]
+        assert s1a.network is not s1b.network
+        expected = [p.copy() for p in s1b.network.params]
+        epochs = len(s1b.training_log.train_mse)
+        s1a.network.params[2] += 1.0
+        s1a.training_log.train_mse.append(0.0)
+        assert all(same_bits(p, q) for p, q in zip(s1b.network.params, expected))
+        assert len(s1b.training_log.train_mse) == epochs
+        for p in s1b.network.params:
+            p[...] = 0.0
+        c = est.fit(data, "freezing", REUSE)
+        assert trained == [0, 1]
+        assert all(same_bits(p, q) for p, q in zip(c.members[0][0].network.params, expected))
+        assert len(c.members[0][0].training_log.train_mse) == epochs
+
+    def test_only_the_latest_data_is_held(self, monkeypatch):
+        first = generate(make_spec(1.0, sigma=0.3, seed=83), 200)
+        second = generate(make_spec(1.0, sigma=0.3, seed=84), 200)
+        trained = count_stage1_training(monkeypatch)
+        est.fit(first, "freezing", REUSE)
+        est.fit(second, "freezing", REUSE)
+        est.fit(first, "freezing", REUSE)
+        assert trained == [0, 1] * 3
+
+    def test_reused_member_with_moved_treatment_edge_raises(self):
+        data = generate(make_spec(1.0, sigma=0.3, seed=85), 200)
+        est.fit(data, "freezing", REUSE)
+        _, stored = est._stage1_memo
+        net = stored[0].network
+        net.params[0][net.treatment_input_row(0), 0] = 1e-12
+        with pytest.raises(IdentityViolationError, match="ensemble member 0: reused"):
+            est.fit(data, "explicit_residual", REUSE)
+
+
 class TestArmRelabelingAntisymmetry:
     def test_noiseless_constant_effect(self):
         spec = DgpSpec(
@@ -398,6 +541,46 @@ class TestCheckpoint:
                 assert np.array_equal(ma, mb)
         X = data.x[:20]
         assert np.array_equal(est.predict_ite(model, X), est.predict_ite(loaded, X))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda meta, arrays: meta["config"].update(bogus=1),
+            lambda meta, arrays: meta["config"].pop("patience"),
+            lambda meta, arrays: meta.pop("variant"),
+            lambda meta, arrays: meta.pop("members"),
+            lambda meta, arrays: meta["stage1"][0].pop("layers"),
+            lambda meta, arrays: meta["stage2"][0].pop("target_kind"),
+            lambda meta, arrays: arrays.pop("m0.s1.p0"),
+            lambda meta, arrays: arrays.pop("m0.s2.mask3"),
+            lambda meta, arrays: arrays.pop("meta"),
+        ],
+        ids=[
+            "unknown-config-key",
+            "missing-config-key",
+            "missing-variant",
+            "missing-members",
+            "missing-layers",
+            "missing-target-kind",
+            "missing-parameter-array",
+            "missing-mask-array",
+            "missing-meta",
+        ],
+    )
+    def test_malformed_checkpoint_raises_config_error(self, tmp_path, corrupt):
+        data = generate(make_spec(1.0, sigma=0.4, seed=52), 100)
+        cfg = est.CdnnConfig(hidden_widths=(4,), ensemble_size=1, epochs=2, seed=8)
+        path = est.save_checkpoint(est.fit(data, "freezing", cfg), tmp_path / "model.npz")
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        corrupt(meta, arrays)
+        if "meta" in arrays:
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(ConfigError, match="malformed checkpoint"):
+            est.load_checkpoint(bad)
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -87,6 +87,21 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward_batch(np.zeros((2, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "activation, concat", [("swish", False), ("swish", True), ("identity", False)]
+    )
+    def test_prediction_without_cache_is_bitwise_equal(self, activation, concat):
+        net = nn.Network.build(
+            3, (8, 8), activation=activation, concat_inputs=concat, rng=4, treatment_scale=0.1
+        )
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((500, 3))
+        T = rng.integers(0, 2, 500).astype(float)
+        cached, cache = net.forward_batch(X, T)
+        bare, none = net.forward_batch(X, T, keep_cache=False)
+        assert cache is not None and none is None
+        assert cached.dtype == bare.dtype and cached.tobytes() == bare.tobytes()
+
     def test_zero_treatment_edges_make_treatment_irrelevant(self):
         net = nn.Network.build(4, (8, 8), rng=7, treatment_scale=0.0)
         X = np.random.default_rng(0).standard_normal((50, 4))
