@@ -306,10 +306,13 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
 # stage-1 members. Every other field, present or future, is part of the key.
 _STAGE2_ONLY_FIELDS = ("treatment_scale", "freeze_depth", "ensemble_size")
 
-# (key, {member index: Stage1Model}) of the most recent fit: freezing and
-# explicit fits of one dataset run back to back, so one key is enough. A new
-# key replaces the whole pair, so a fit only ever stores into the dict of its
-# own key.
+# (key, {member index: Stage1Model}): copies of the stage-1 members the most
+# recent fit trained, which the next fit with the same key takes instead of
+# training them. Freezing and explicit fits of one dataset run back to back,
+# so one key is enough. A member is handed out once, so the fit after the
+# pair trains again and a repeated run does the same work as the first.
+# Callers fit each variant with its own fit() call and share stage 1 without
+# passing it along, so this is module state and not an argument.
 _stage1_memo = (None, {})
 
 
@@ -325,47 +328,41 @@ def _stage1_key(data, config):
     return h.hexdigest()
 
 
-def _stage1_members(key):
-    """The memo's member dict for key, emptied first when key is new."""
-    global _stage1_memo
-    memo = _stage1_memo
-    if memo[0] != key:
-        memo = (key, {})
-        _stage1_memo = memo
-    return memo[1]
-
-
-def _copy_stage1(model):
-    return Stage1Model(model.network.clone(), copy.deepcopy(model.training_log))
-
-
 def fit(data, variant, config):
     """Train the full ensemble: k separate train/validation splits, two
     stages each.
 
-    Stage-1 members are reused, as copies, from the previous fit when the
+    The stage-1 members the previous fit trained are taken over when the
     data (x, t, y) and every config field stage 1 reads are the same, so
     fitting both variants of one dataset trains stage 1 once; the results
     are bitwise those of a fresh fit.
     """
+    global _stage1_memo
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     _require_both_arms(data, "fit")
-    trained = _stage1_members(_stage1_key(data, config))
+    key = _stage1_key(data, config)
+    held_key, spare = _stage1_memo
+    if held_key != key:
+        spare = {}
+    trained = {}
+    _stage1_memo = (key, trained)
     members = []
     for member in range(config.ensemble_size):
         try:
             rng = _member_rng(config, member, 0)
             train, validation = _carve_validation(data, config, rng)
-            if member in trained:
-                stage1 = _copy_stage1(trained[member])
+            if member in spare:
+                stage1 = spare.pop(member)
                 if not stage1.treatment_edges_zero():
                     raise IdentityViolationError(
                         "reused stage-1 treatment edges are not exactly 0"
                     )
             else:
                 stage1 = fit_stage1(train, config, validation=validation, seed_stream=member)
-                trained[member] = _copy_stage1(stage1)
+                trained[member] = Stage1Model(
+                    stage1.network.clone(), copy.deepcopy(stage1.training_log)
+                )
             if variant == "explicit_residual":
                 res_train = compute_residuals(stage1, train)
                 res_val = None if validation is None else compute_residuals(stage1, validation)

@@ -369,10 +369,8 @@ def assert_bitwise_equal_fits(a, b):
 
 
 class TestStage1Reuse:
-    """fit() reuses the stage-1 members of the previous fit when the data and
-    the stage-1 settings repeat."""
-
-    # every test fits data no other test fits, so each starts with a miss
+    """fit() takes over the stage-1 members the previous fit trained when the
+    data and the stage-1 settings repeat."""
 
     @pytest.mark.parametrize(
         "seed, first, second",
@@ -443,21 +441,35 @@ class TestStage1Reuse:
         data = generate(make_spec(1.0, sigma=0.3, seed=82), 200)
         trained = count_stage1_training(monkeypatch)
         a = est.fit(data, "freezing", REUSE)
-        b = est.fit(data, "explicit_residual", REUSE)
-        s1a, s1b = a.members[0][0], b.members[0][0]
-        assert s1a.network is not s1b.network
-        expected = [p.copy() for p in s1b.network.params]
-        epochs = len(s1b.training_log.train_mse)
+        s1a = a.members[0][0]
+        expected = [p.copy() for p in s1a.network.params]
+        epochs = len(s1a.training_log.train_mse)
         s1a.network.params[2] += 1.0
         s1a.training_log.train_mse.append(0.0)
+        b = est.fit(data, "explicit_residual", REUSE)
+        s1b = b.members[0][0]
+        assert trained == [0, 1]
+        assert s1a.network is not s1b.network
         assert all(same_bits(p, q) for p, q in zip(s1b.network.params, expected))
         assert len(s1b.training_log.train_mse) == epochs
         for p in s1b.network.params:
             p[...] = 0.0
+        assert same_bits(s1a.network.params[2], expected[2] + 1.0)
         c = est.fit(data, "freezing", REUSE)
-        assert trained == [0, 1]
+        assert trained == [0, 1, 0, 1]
         assert all(same_bits(p, q) for p, q in zip(c.members[0][0].network.params, expected))
         assert len(c.members[0][0].training_log.train_mse) == epochs
+
+    def test_each_trained_member_is_taken_over_once(self, monkeypatch):
+        data = generate(make_spec(1.0, sigma=0.3, seed=86), 200)
+        trained = count_stage1_training(monkeypatch)
+        runs = []
+        for _ in range(2):
+            start = len(trained)
+            runs.append([est.fit(data, v, REUSE) for v in ("freezing", "explicit_residual")])
+            assert trained[start:] == [0, 1]  # a repeated pair does the same work
+        for first, again in zip(*runs):
+            assert_bitwise_equal_fits(first, again)
 
     def test_only_the_latest_data_is_held(self, monkeypatch):
         first = generate(make_spec(1.0, sigma=0.3, seed=83), 200)
