@@ -35,8 +35,8 @@ print("treatment suppression: predictions at t=0 and t=1 identical ->",
       bool(np.array_equal(p0, p1)))
 
 residuals = cdnn.compute_residuals(stage1, pool)
-print(f"residual mean {np.mean(residuals.residuals):+.4f} "
-      f"(sd {np.std(residuals.residuals):.3f})")
+print(f"residual mean {np.mean(residuals.y):+.4f} "
+      f"(sd {np.std(residuals.y):.3f})")
 print()
 
 # ---- stage 2, both variants ------------------------------------------------

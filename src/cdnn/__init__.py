@@ -8,7 +8,6 @@ from .data import (
     Dataset,
     DgpSpec,
     LogisticPropensity,
-    QuadraticSurface,
     ReplicationSet,
     SigmoidSurface,
     SplitSpec,
@@ -23,7 +22,6 @@ from .data import (
 from .estimator import (
     CdnnConfig,
     CdnnEstimator,
-    ResidualDataset,
     Stage1Model,
     Stage2Model,
     compute_residuals,

@@ -42,21 +42,6 @@ class AffineSurface:
 
 
 @dataclass(frozen=True)
-class QuadraticSurface:
-    intercept: float
-    slopes: tuple
-    curvatures: tuple
-
-    def values(self, X):
-        X = np.asarray(X, dtype=float)
-        return (
-            self.intercept
-            + X @ np.asarray(self.slopes, dtype=float)
-            + (X * X) @ np.asarray(self.curvatures, dtype=float)
-        )
-
-
-@dataclass(frozen=True)
 class SigmoidSurface:
     scale: float
     slopes: tuple
@@ -97,11 +82,8 @@ class LogisticPropensity:
 
 
 def _surface_dimension_ok(surface, d):
-    for name in ("slopes", "curvatures"):
-        coefs = getattr(surface, name, None)
-        if coefs is not None and len(coefs) != d:
-            return False
-    return True
+    slopes = getattr(surface, "slopes", None)
+    return slopes is None or len(slopes) == d
 
 
 # ---------------------------------------------------------------------------

@@ -82,24 +82,6 @@ class Stage1Model:
 
 
 @dataclass
-class ResidualDataset:
-    """A dataset paired with stage-1 residuals y - g(x)."""
-
-    base: Dataset
-    residuals: np.ndarray
-
-    def __post_init__(self):
-        self.residuals = np.asarray(self.residuals, dtype=float)
-        if self.residuals.shape != (len(self.base),):
-            raise ShapeError("residual vector length != dataset length")
-        if not np.all(np.isfinite(self.residuals)):
-            raise ShapeError("non-finite residuals")
-
-    def __len__(self):
-        return len(self.base)
-
-
-@dataclass
 class Stage2Model:
     """Treatment-aware model; predicts residuals or outcomes per variant."""
 
@@ -153,6 +135,26 @@ def _require_both_arms(data, context):
         raise DegenerateTreatmentError(f"{context}: both treatment arms are required")
 
 
+def _train(net, mask, data, validation, rng, config):
+    """Minibatch-train `net` in place on (x, t) -> y; every stage fit goes here.
+
+    Training early-stops on `validation` when one is given.
+    """
+    return nn.fit_network(
+        net,
+        mask,
+        *_as_arrays(data),
+        rng=rng,
+        optimizer=config.optimizer,
+        learning_rate=config.learning_rate,
+        momentum=config.momentum,
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        patience=config.patience,
+        validation=None if validation is None else _as_arrays(validation),
+    )
+
+
 def fit_stage1(data, config, validation=None, seed_stream=0):
     """Train the covariate-only outcome model.
 
@@ -174,53 +176,33 @@ def fit_stage1(data, config, validation=None, seed_stream=0):
         rng=rng,
     )
     mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
-    X, T, Y = _as_arrays(data)
-    val = None if validation is None else _as_arrays(validation)
-    log = nn.fit_network(
-        net,
-        mask,
-        X,
-        T,
-        Y,
-        rng=rng,
-        optimizer=config.optimizer,
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        patience=config.patience,
-        validation=val,
-    )
-    model = Stage1Model(net, log)
+    model = Stage1Model(net, _train(net, mask, data, validation, rng, config))
     if not model.treatment_edges_zero():
         raise IdentityViolationError("stage-1 treatment edges moved away from exactly 0")
     return model
 
 
 def compute_residuals(model, data):
-    """Residuals y - g(x) of a trained stage-1 model."""
-    return ResidualDataset(data, data.y - model.predict(data.x))
+    """The dataset (x, t) with its outcome replaced by the stage-1 residual y - g(x)."""
+    residuals = data.y - model.predict(data.x)
+    if not np.all(np.isfinite(residuals)):
+        raise ShapeError("non-finite residuals")
+    return Dataset(data.x, data.t, residuals)
 
 
 def fit_stage2_explicit(residuals, config, validation=None, seed_stream=0):
     """Regress the stage-1 residual on (x, t) with a fresh network.
 
     All weights are re-initialized; treatment edges start at small random
-    values and are trainable. validation, when given, is a ResidualDataset.
+    values and are trainable. `residuals` and validation, when given, are
+    compute_residuals datasets.
     """
-    data = residuals.base
-    _require_both_arms(data, "explicit-residual stage 2")
+    _require_both_arms(residuals, "explicit-residual stage 2")
     rng = _member_rng(config, seed_stream, 2)
-    if validation is None and config.validation_fraction > 0:
-        n = len(data)
-        n_val = int(np.floor(config.validation_fraction * n))
-        perm = rng.permutation(n)
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        validation = ResidualDataset(data.subset(val_idx), residuals.residuals[val_idx])
-        residuals = ResidualDataset(data.subset(train_idx), residuals.residuals[train_idx])
-        data = residuals.base
+    if validation is None:
+        residuals, validation = _carve_validation(residuals, config, rng)
     net = nn.Network.build(
-        data.d,
+        residuals.d,
         config.hidden_widths,
         activation=config.activation,
         concat_inputs=config.concat_inputs,
@@ -228,24 +210,7 @@ def fit_stage2_explicit(residuals, config, validation=None, seed_stream=0):
         rng=rng,
     )
     mask = nn.FreezeMask.none(net)
-    val = None
-    if validation is not None:
-        val = (validation.base.x, validation.base.t.astype(float), validation.residuals)
-    log = nn.fit_network(
-        net,
-        mask,
-        data.x,
-        data.t.astype(float),
-        residuals.residuals,
-        rng=rng,
-        optimizer=config.optimizer,
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        patience=config.patience,
-        validation=val,
-    )
+    log = _train(net, mask, residuals, validation, rng, config)
     return Stage2Model("explicit_residual", net, mask, "residual", log)
 
 
@@ -282,23 +247,7 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     for layer in range(1, min(config.freeze_depth, net.n_layers - 1)):
         mask.freeze_layer(net, layer)
 
-    X, T, Y = _as_arrays(data)
-    val = None if validation is None else _as_arrays(validation)
-    log = nn.fit_network(
-        net,
-        mask,
-        X,
-        T,
-        Y,
-        rng=rng,
-        optimizer=config.optimizer,
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        patience=config.patience,
-        validation=val,
-    )
+    log = _train(net, mask, data, validation, rng, config)
     return Stage2Model("freezing", net, mask, "outcome", log)
 
 

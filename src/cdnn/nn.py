@@ -185,15 +185,6 @@ class Network:
             return self.layers[layer_index].input_width - 1
         return None
 
-    def covariate_input_rows(self, layer_index):
-        """Slice of weight rows fed directly by the raw covariates."""
-        if layer_index == 0:
-            return slice(0, self.covariate_width)
-        if self.concat_inputs:
-            start = self.layers[layer_index - 1].output_width
-            return slice(start, start + self.covariate_width)
-        return None
-
     def treatment_weights(self):
         """List of (layer_index, 1-d view) of all treatment-edge weights."""
         out = []
@@ -364,9 +355,6 @@ class FreezeMask:
             if row is not None:
                 self.arrays[2 * layer_index][row, :] = False
         return self
-
-    def frozen_count(self):
-        return int(sum(m.sum() for m in self.arrays))
 
 
 @dataclass

@@ -136,6 +136,33 @@ def _check_perturbed_propensity(e0x, delta_ex, taus):
             )
 
 
+def _perturbed_nuisances(oracle, perturbation, x, n_samples, step):
+    """x as floats and (g0, e0, theta0, delta_g, delta_e) at x; checks the inputs."""
+    if n_samples < 10_000:
+        raise ConfigError("need n_samples >= 10000")
+    x = np.asarray(x, dtype=float)
+    e0x, de = oracle.e0(x), perturbation.delta_e(x)
+    _check_perturbed_propensity(e0x, de, (-step, step, 1.0))
+    return x, oracle.g0(x), e0x, oracle.theta0(x), perturbation.delta_g(x), de
+
+
+def _score_derivative(score, oracle, perturbation, x, n_samples, step, seed):
+    """(estimate, mc_stderr) of d/dtau E[score(t, y, g0 + tau*dg, e0 + tau*de,
+    theta0)] by central difference over n_samples draws at x (common random
+    numbers)."""
+    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, n_samples, step)
+    rng = np.random.default_rng(seed)
+    t, y = oracle.sample_observations(x, n_samples, rng)
+
+    def psi_at(tau):
+        return score(t, y, g0x + tau * dg, e0x + tau * de, theta0x)
+
+    per_sample = (psi_at(step) - psi_at(-step)) / (2.0 * step)
+    estimate = float(np.mean(per_sample))
+    stderr = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))
+    return estimate, stderr
+
+
 def gateaux_derivative(
     oracle,
     perturbation,
@@ -158,37 +185,20 @@ def gateaux_derivative(
     with the conditional expectations taken exactly from the oracle, where
     they vanish; its stderr is 0.
     """
-    if n_samples < 10_000:
-        raise ConfigError("need n_samples >= 10000")
     if method not in ("finite_difference", "analytic"):
         raise ConfigError(f"unknown method {method!r}")
-    x = np.asarray(x, dtype=float)
-    g0x = oracle.g0(x)
-    e0x = oracle.e0(x)
-    theta0x = oracle.theta0(x)
-    dg = perturbation.delta_g(x)
-    de = perturbation.delta_e(x)
-    _check_perturbed_propensity(e0x, de, (-step, step, 1.0))
-
-    if method == "analytic":
-        exp_t_resid = oracle.e0(x) - e0x
-        exp_y_resid = marginal_outcome(oracle, x) - g0x
-        estimate = (-dg + theta0x * de) * exp_t_resid + (-de) * (
-            exp_y_resid - theta0x * exp_t_resid
+    if method == "finite_difference":
+        return _score_derivative(
+            lambda t, y, g, e, theta: (y - g - theta * (t - e)) * (t - e),
+            oracle, perturbation, x, n_samples, step, seed,
         )
-        return estimate + 0.0, 0.0  # +0.0 normalizes a signed zero
-
-    rng = np.random.default_rng(seed)
-    t, y = oracle.sample_observations(x, n_samples, rng)
-
-    def psi_at(tau):
-        resid_t = t - (e0x + tau * de)
-        return (y - (g0x + tau * dg) - theta0x * resid_t) * resid_t
-
-    per_sample = (psi_at(step) - psi_at(-step)) / (2.0 * step)
-    estimate = float(np.mean(per_sample))
-    stderr = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))
-    return estimate, stderr
+    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, n_samples, step)
+    exp_t_resid = oracle.e0(x) - e0x
+    exp_y_resid = marginal_outcome(oracle, x) - g0x
+    estimate = (-dg + theta0x * de) * exp_t_resid + (-de) * (
+        exp_y_resid - theta0x * exp_t_resid
+    )
+    return estimate + 0.0, 0.0  # +0.0 normalizes a signed zero
 
 
 def non_orthogonal_control(oracle, perturbation, x, n_samples=100_000, step=1e-4, seed=0):
@@ -198,26 +208,10 @@ def non_orthogonal_control(oracle, perturbation, x, n_samples=100_000, step=1e-4
     constant shift delta_g = c the derivative is -c * e0(x). Returns
     (estimate, mc_stderr) so callers can test rejection of zero.
     """
-    if n_samples < 10_000:
-        raise ConfigError("need n_samples >= 10000")
-    x = np.asarray(x, dtype=float)
-    g0x = oracle.g0(x)
-    e0x = oracle.e0(x)
-    theta0x = oracle.theta0(x)
-    dg = perturbation.delta_g(x)
-    de = perturbation.delta_e(x)
-    _check_perturbed_propensity(e0x, de, (-step, step, 1.0))
-
-    rng = np.random.default_rng(seed)
-    t, y = oracle.sample_observations(x, n_samples, rng)
-
-    def psi_naive_at(tau):
-        return (y - (g0x + tau * dg) - theta0x * t) * t
-
-    per_sample = (psi_naive_at(step) - psi_naive_at(-step)) / (2.0 * step)
-    estimate = float(np.mean(per_sample))
-    stderr = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))
-    return estimate, stderr
+    return _score_derivative(
+        lambda t, y, g, e, theta: (y - g - theta * t) * t,
+        oracle, perturbation, x, n_samples, step, seed,
+    )
 
 
 def constant_perturbation(c_g, c_e=0.0):

@@ -22,6 +22,7 @@ from cdnn.errors import (
     ConfigError,
     DegenerateTreatmentError,
     IdentityViolationError,
+    ShapeError,
     TrainingDivergenceError,
 )
 
@@ -130,7 +131,7 @@ class TestComputeResiduals:
         X = rng.standard_normal((50, 2))
         data = Dataset(X, rng.integers(0, 2, 50), 2.0 * X[:, 0] - X[:, 1])
         res = est.compute_residuals(model, data)
-        assert np.all(res.residuals == 0.0)
+        assert np.all(res.y == 0.0)
 
     def test_zero_model_returns_outcomes(self):
         net = nn.Network.build(2, (4,), rng=1)
@@ -139,13 +140,34 @@ class TestComputeResiduals:
         model = est.Stage1Model(net, nn.TrainingLog())
         data = generate(make_spec(1.0, sigma=0.5, seed=3), 100)
         res = est.compute_residuals(model, data)
-        assert np.array_equal(res.residuals, data.y)
+        assert np.array_equal(res.y, data.y)
 
     def test_converged_fit_has_near_zero_residual_mean(self):
         data = generate(make_spec(1.0, sigma=0.2, seed=6), 2500)
         model = est.fit_stage1(data, FAST)
         res = est.compute_residuals(model, data)
-        assert abs(float(np.mean(res.residuals))) <= 0.05
+        assert abs(float(np.mean(res.y))) <= 0.05
+
+
+    def test_residual_dataset_keeps_covariates_and_treatment(self):
+        net = nn.Network.build(2, (4,), rng=2)
+        model = est.Stage1Model(net, nn.TrainingLog())
+        data = generate(make_spec(1.0, sigma=0.5, seed=3), 50)
+        res = est.compute_residuals(model, data)
+        assert isinstance(res, Dataset)
+        assert np.array_equal(res.x, data.x) and np.array_equal(res.t, data.t)
+        assert np.array_equal(res.y, data.y - model.predict(data.x))
+        assert not res.has_ground_truth
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_residual_raises(self, bad):
+        net = nn.Network.build(2, (4,), rng=1)
+        model = est.Stage1Model(net, nn.TrainingLog())
+        data = generate(make_spec(1.0, seed=3), 20)
+        y = data.y.copy()
+        y[7] = bad
+        with pytest.raises(ShapeError, match="non-finite residuals"):
+            est.compute_residuals(model, Dataset(data.x, data.t, y))
 
 
 class TestFitStage2Explicit:
@@ -247,6 +269,28 @@ class TestFitStage2Freezing:
         other = generate(make_spec(1.0, d=3, seed=35), 300)
         with pytest.raises(ConfigError):
             est.fit_stage2_freezing(s1, other, FAST)
+
+
+class TestValidationCarveTooSmall:
+    """floor(validation_fraction * n) == 0: each stage trains on every row
+    with no validation part, for both variants alike."""
+
+    DATA = Dataset([[0.0, 1.0], [1.0, -1.0], [2.0, 0.5]], [0, 1, 1], [0.5, 1.5, 2.0])
+    CONFIG = est.CdnnConfig(hidden_widths=(4,), epochs=5, seed=0)
+
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    def test_fit_succeeds(self, variant):
+        model = est.fit(self.DATA, variant, self.CONFIG)
+        ite = est.predict_ite(model, self.DATA.x)
+        assert ite.shape == (3,) and np.all(np.isfinite(ite))
+        for s1, s2 in model.members:
+            assert s1.training_log.val_mse == [] and s2.training_log.val_mse == []
+
+    def test_explicit_stage2_called_directly(self):
+        s1 = est.fit_stage1(self.DATA, self.CONFIG)
+        s2 = est.fit_stage2_explicit(est.compute_residuals(s1, self.DATA), self.CONFIG)
+        assert np.all(np.isfinite(s2.ite(self.DATA.x)))
+        assert len(s2.training_log.train_mse) == 5 and s2.training_log.val_mse == []
 
 
 class TestPredictIte:
