@@ -171,6 +171,8 @@ class Dataset:
             raise SchemaError(
                 f"t {self.t.shape} and y {self.y.shape} must be vectors as long as x ({n} rows)"
             )
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise SchemaError("covariates and outcomes must be finite (no NaN or inf)")
         if self.theta is None and self.y1 is not None and self.y0 is not None:
             self.theta = self.y1 - self.y0
 

@@ -7,6 +7,13 @@ parameters still participate in the forward pass but are never updated, and
 their optimizer accumulators stay at zero. All randomness comes from
 explicitly passed generators, so identical seed + config + data gives
 bitwise identical parameters on one platform.
+
+The swish logistic is computed with numpy's vectorised `exp`, whose bits
+depend on the CPU's instruction set (numpy picks a SIMD kernel at run time),
+so "one platform" includes the CPU family. For pre-activations below about
+-709, `exp(-z)` overflows to inf and the logistic saturates to exactly 0;
+`forward_batch`, `swish` and `swish_prime` silence overflow warnings (and
+only those) around it.
 """
 
 from __future__ import annotations
@@ -14,12 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError, StaleCacheError, TrainingDivergenceError
 
 ACTIVATIONS = ("swish", "identity")
 OPTIMIZERS = ("sgd_momentum", "adaptive_moment")
+
+
+def _logistic(z):
+    """1 / (1 + exp(-z)) as a fresh float array, computed in place.
+
+    For z below about -709, exp(-z) overflows to inf and the result is
+    exactly 0; callers hold np.errstate(over="ignore") around it.
+    """
+    s = np.negative(z, out=np.empty_like(z))
+    np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def swish(z):
@@ -30,13 +48,16 @@ def swish(z):
     than a NaN. Accepts scalars or arrays.
     """
     z = np.asarray(z, dtype=float)
-    out = z * expit(z)
+    with np.errstate(over="ignore"):
+        out = z * _logistic(z)
     return float(out) if out.ndim == 0 else out
 
 
 def swish_prime(z):
     """Derivative of swish: logistic(z) * (1 + z * (1 - logistic(z)))."""
-    s = expit(z)
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        s = _logistic(z)
     return s * (1.0 + z * (1.0 - s))
 
 
@@ -237,17 +258,20 @@ class Network:
         u = np.concatenate([X, T[:, None]], axis=1)
         a = u
         inputs, preacts, sigmoids = [], [], []
-        for i, spec in enumerate(self.layers):
-            if i > 0 and self.concat_inputs:
-                a = np.concatenate([a, u], axis=1)
-            z = a @ self.params[2 * i]
-            z += self.params[2 * i + 1]
-            s = expit(z) if spec.activation == "swish" else None
-            if keep_cache:
-                inputs.append(a)
-                preacts.append(z)
-                sigmoids.append(s)
-            a = z if s is None else z * s
+        # entered once per call, not per layer: entering it (~2 us) costs
+        # more than a whole layer of a small network
+        with np.errstate(over="ignore"):
+            for i, spec in enumerate(self.layers):
+                if i > 0 and self.concat_inputs:
+                    a = np.concatenate([a, u], axis=1)
+                z = a @ self.params[2 * i]
+                z += self.params[2 * i + 1]
+                s = _logistic(z) if spec.activation == "swish" else None
+                if keep_cache:
+                    inputs.append(a)
+                    preacts.append(z)
+                    sigmoids.append(s)
+                a = z if s is None else z * s
         cache = ForwardCache(self.version, inputs, preacts, sigmoids) if keep_cache else None
         return a[:, 0], cache
 
@@ -306,7 +330,8 @@ def mse_loss(predictions, targets):
     if predictions.size == 0:
         raise ShapeError("empty batch")
     diff = predictions - targets
-    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+    # bitwise np.mean for float64, without its Python-level overhead
+    return float(np.add.reduce(diff * diff) / diff.size), 2.0 * diff / diff.size
 
 
 @dataclass
@@ -473,9 +498,9 @@ def gradient_check(net, batch, step_size=1e-5):
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step_size
-            lp, _ = mse_loss(net.forward_batch(X, T)[0], targets)
+            lp, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
             flat[j] = orig - step_size
-            lm, _ = mse_loss(net.forward_batch(X, T)[0], targets)
+            lm, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
             flat[j] = orig
             fd = (lp - lm) / (2.0 * step_size)
             err = abs(gflat[j] - fd) / max(abs(gflat[j]) + abs(fd), 1e-2)

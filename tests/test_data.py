@@ -256,6 +256,18 @@ class TestDatasetValidation:
         with pytest.raises(SchemaError, match="as long as x"):
             Dataset(np.zeros((3, 2)), t, y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcome_rejected(self, bad):
+        with pytest.raises(SchemaError, match="finite"):
+            Dataset(np.zeros((3, 2)), [0, 1, 0], [0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariate_rejected(self, bad):
+        x = np.zeros((3, 2))
+        x[2, 1] = bad
+        with pytest.raises(SchemaError, match="finite"):
+            Dataset(x, [0, 1, 0], np.zeros(3))
+
 
 class TestReplications:
     def test_count_one_is_the_base_spec(self):

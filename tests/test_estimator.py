@@ -22,6 +22,7 @@ from cdnn.errors import (
     ConfigError,
     DegenerateTreatmentError,
     IdentityViolationError,
+    SchemaError,
     ShapeError,
     TrainingDivergenceError,
 )
@@ -161,13 +162,13 @@ class TestComputeResiduals:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_residual_raises(self, bad):
+        # a Dataset rejects a non-finite y, so the stage-1 prediction is the bad value
         net = nn.Network.build(2, (4,), rng=1)
+        net.bias(net.n_layers - 1)[:] = bad
         model = est.Stage1Model(net, nn.TrainingLog())
         data = generate(make_spec(1.0, seed=3), 20)
-        y = data.y.copy()
-        y[7] = bad
         with pytest.raises(ShapeError, match="non-finite residuals"):
-            est.compute_residuals(model, Dataset(data.x, data.t, y))
+            est.compute_residuals(model, data)
 
 
 class TestFitStage2Explicit:
@@ -375,6 +376,16 @@ class TestFit:
             est.fit(data, "freezing", FAST)
         assert info.value.code == 7
         assert str(info.value) == "ensemble member 0: code 7: no luck"
+
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    @pytest.mark.parametrize("column, bad", [("y", np.nan), ("x", np.inf)])
+    def test_non_finite_data_is_a_schema_error(self, variant, column, bad):
+        # edited in place after construction: the carve's subsets re-validate,
+        # so the fit fails as a data error, not as a training divergence
+        data = generate(named_dgp("confound-hetero", seed=2), 60)
+        getattr(data, column)[5] = bad
+        with pytest.raises(SchemaError, match="finite"):
+            est.fit(data, variant, FAST)
 
     def test_unknown_variant_rejected(self):
         data = generate(make_spec(1.0, seed=44), 200)

@@ -1,5 +1,7 @@
 """Network engine tests: activations, forward/backward, masks, optimizers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,52 @@ class TestSwish:
         h = 1e-6
         fd = (nn.swish(z + h) - nn.swish(z - h)) / (2 * h)
         assert np.max(np.abs(nn.swish_prime(z) - fd)) < 1e-8
+
+
+class TestLogistic:
+    """Saturation without warnings; any warning escaping fails the test."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("z", [710.0, 1e308, np.inf, -710.0, -1e308, -np.inf])
+    def test_logistic_saturates_exactly(self, z):
+        expected = 1.0 if z > 0 else 0.0
+        # callers of _logistic hold this errstate; exp(710) overflows to inf
+        with np.errstate(over="ignore"):
+            assert nn._logistic(np.asarray(z)) == expected
+            assert nn._logistic(np.array([z, z]))[1] == expected
+
+    @pytest.mark.parametrize("z", [710.0, 1e308, np.inf, -710.0, -1e308])
+    def test_swish_saturates_without_warning(self, z):
+        expected = z if z > 0 else 0.0
+        assert nn.swish(z) == expected
+        assert np.array_equal(nn.swish(np.array([z])), [expected])
+
+    def test_nan_stays_nan(self):
+        with np.errstate(over="ignore"):
+            assert np.isnan(nn._logistic(np.array([np.nan, 0.0]))[0])
+        assert np.isnan(nn.swish(np.nan))
+        assert np.isnan(nn.swish_prime(np.array([np.nan]))[0])
+
+    def test_swish_prime_saturates_without_warning(self):
+        z = np.array([-710.0, -1e308, 710.0, 1e308])
+        assert np.array_equal(nn.swish_prime(z)[:2], [0.0, 0.0])
+        assert np.array_equal(nn.swish_prime(z)[2:], [1.0, 1.0])
+
+    def test_huge_weights_give_finite_predictions(self):
+        net = nn.Network.build(3, (8, 8), rng=2, treatment_scale=0.5)
+        net.set_params([p * 1e4 for p in net.params])
+        X = np.random.default_rng(0).standard_normal((200, 3))
+        T = np.arange(200) % 2
+        preds, cache = net.forward_batch(X, T)
+        assert min(z.min() for z in cache.preacts) < -709.0
+        assert np.isfinite(preds).all()
+        bare, _ = net.forward_batch(X, T, keep_cache=False)
+        assert bare.tobytes() == preds.tobytes()
 
 
 class TestForward:
@@ -234,6 +282,14 @@ class TestMseLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ShapeError):
             nn.mse_loss([], [])
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 600, 100_000])
+    def test_loss_is_bitwise_numpy_mean(self, n):
+        rng = np.random.default_rng(n)
+        preds, targets = rng.standard_normal(n) * 3.0, rng.standard_normal(n)
+        loss, _ = nn.mse_loss(preds, targets)
+        diff = preds - targets
+        assert loss == float(np.mean(diff * diff))
 
 
 class TestGradientCheck:
