@@ -20,12 +20,13 @@ print(f"g0(x)                           = {oracle.g0(x):.12f}")
 print()
 
 print("== residual decomposition h(t,x) = theta(x) (t - e(x)) ==")
+direct = {}
 for t in (1, 0):
-    forms = cdnn.residualized_h(oracle, t, x)
-    print(f"t={t}: f(t,x) - g0(x) = {forms.direct:+.12f}   "
-          f"theta0(x)(t - e0(x)) = {forms.factored:+.12f}")
+    direct[t], factored = cdnn.residualized_h(oracle, t, x)
+    print(f"t={t}: f(t,x) - g0(x) = {direct[t]:+.12f}   "
+          f"theta0(x)(t - e0(x)) = {factored:+.12f}")
 print(f"arm difference recovers the effect: "
-      f"{cdnn.residualized_h(oracle, 1, x).direct - cdnn.residualized_h(oracle, 0, x).direct:.12f}"
+      f"{direct[1] - direct[0]:.12f}"
       f" vs theta0(x) = {oracle.theta0(x):.12f}")
 print()
 

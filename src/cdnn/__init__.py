@@ -41,7 +41,6 @@ from .nn import (
     Network,
     OptimizerState,
     backward,
-    forward,
     gradient_check,
     mse_loss,
     step,

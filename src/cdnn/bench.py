@@ -421,17 +421,6 @@ def emit(report, path, format="csv", include_runtime=False):
     raise ConfigError(f"unknown report format {format!r}")
 
 
-def read_report_rows(path):
-    """Parse an emitted CSV back into (data_rows, aggregate_rows)."""
-    data_rows, agg_rows = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            target = agg_rows if rec["replication"] in ("mean", "sd") else data_rows
-            target.append(rec)
-    return data_rows, agg_rows
-
-
 def run(config):
     """Execute the experiment; deterministic for a fixed config and seed.
 
@@ -510,8 +499,8 @@ def verify_lemma(seed=0, oracles=1000, tolerance=1e-12):
         oracle = oracle_of(spec)
         x = rng.standard_normal(spec.d)
         t = int(rng.integers(0, 2))
-        forms = residualized_h(oracle, t, x, tol=tolerance)
-        worst_h = max(worst_h, abs(forms.direct - forms.factored))
+        direct, factored = residualized_h(oracle, t, x, tol=tolerance)
+        worst_h = max(worst_h, abs(direct - factored))
         worst_mix = max(worst_mix, abs(marginal_outcome(oracle, x) - oracle.g0(x)))
     elapsed = time.perf_counter() - t0
     passed = worst_h <= tolerance and worst_mix <= tolerance

@@ -171,13 +171,17 @@ class Dataset:
             raise SchemaError(
                 f"t {self.t.shape} and y {self.y.shape} must be vectors as long as x ({n} rows)"
             )
-        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
-            raise SchemaError("covariates and outcomes must be finite (no NaN or inf)")
+        self.check_finite()
         if self.theta is None and self.y1 is not None and self.y0 is not None:
             self.theta = self.y1 - self.y0
 
     def __len__(self):
         return self.x.shape[0]
+
+    def check_finite(self):
+        """SchemaError unless x and y are finite; run again after in-place edits."""
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise SchemaError("covariates and outcomes must be finite (no NaN or inf)")
 
     @property
     def d(self):

@@ -238,10 +238,8 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
         data, validation = _carve_validation(data, config, rng)
 
     net = stage1.network.clone()
-    for i, _ in net.treatment_weights():
-        row = net.treatment_input_row(i)
-        draws = rng.uniform(-1.0, 1.0, size=net.layers[i].output_width)
-        net.params[2 * i][row, :] = config.treatment_scale * draws
+    for _, w in net.treatment_weights():
+        w[:] = config.treatment_scale * rng.uniform(-1.0, 1.0, size=w.size)
 
     mask = nn.FreezeMask.none(net).freeze_input_encoder(net)
     for layer in range(1, min(config.freeze_depth, net.n_layers - 1)):
@@ -289,6 +287,7 @@ def fit(data, variant, config):
     global _stage1_memo
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    data.check_finite()
     _require_both_arms(data, "fit")
     key = _stage1_key(data, config)
     held_key, spare = _stage1_memo
@@ -391,12 +390,22 @@ def _required(mapping, key):
     return mapping[key]
 
 
+def _required_array(blob, key, kind):
+    """blob[key]; ConfigError unless its dtype is of kind `kind`."""
+    a = _required(blob, key)
+    if a.dtype.kind != kind:
+        raise ConfigError(f"malformed checkpoint: {key!r} has dtype {a.dtype}, not kind {kind!r}")
+    return a
+
+
 def _rebuild_network(meta, blob, prefix):
     layers = [nn.LayerSpec(i, o, a) for i, o, a in _required(meta, "layers")]
-    params = [_required(blob, f"{prefix}.p{k}") for k in range(2 * len(layers))]
-    return nn.Network(
-        layers, params, _required(meta, "covariate_width"), _required(meta, "concat_inputs")
-    )
+    params = [_required_array(blob, f"{prefix}.p{k}", "f") for k in range(2 * len(layers))]
+    width, concat = _required(meta, "covariate_width"), _required(meta, "concat_inputs")
+    try:
+        return nn.Network(layers, params, width, concat)
+    except ShapeError as err:
+        raise ConfigError(f"malformed checkpoint: {prefix}: {err}") from None
 
 
 def _load_config(cfg):
@@ -428,7 +437,10 @@ def load_checkpoint(path):
             net1 = _rebuild_network(stage1_meta[m], blob, f"m{m}.s1")
             net2 = _rebuild_network(stage2_meta[m], blob, f"m{m}.s2")
             n_params = len(net2.params)
-            mask = nn.FreezeMask([_required(blob, f"m{m}.s2.mask{k}") for k in range(n_params)])
+            masks = [_required_array(blob, f"m{m}.s2.mask{k}", "b") for k in range(n_params)]
+            if [a.shape for a in masks] != [p.shape for p in net2.params]:
+                raise ConfigError(f"malformed checkpoint: m{m}.s2 mask shapes differ from params")
+            mask = nn.FreezeMask(net2, np.concatenate(masks, axis=None))
             stage1 = Stage1Model(net1, nn.TrainingLog())
             target_kind = _required(stage2_meta[m], "target_kind")
             stage2 = Stage2Model(variant, net2, mask, target_kind, nn.TrainingLog())

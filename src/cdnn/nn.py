@@ -2,22 +2,30 @@
 
 Everything runs in double precision on numpy arrays. A network maps a
 covariate vector plus a scalar treatment indicator to one real output.
-Per-parameter boolean masks let callers pin any subset of weights: frozen
-parameters still participate in the forward pass but are never updated, and
-their optimizer accumulators stay at zero. All randomness comes from
-explicitly passed generators, so identical seed + config + data gives
-bitwise identical parameters on one platform.
+
+Each network keeps all its parameters in one flat float64 vector,
+`net.theta`, laid out as [W0, b0, W1, b1, ...] with every weight matrix in C
+order; `net.params[k]` are reshaped views into it and `net.views(flat)`
+gives the same views of any vector of that length. Gradients, freeze masks,
+optimizer accumulators and snapshots are flat vectors in this layout, so the
+optimizer step, a snapshot or a restore is one array operation. A freeze
+mask is a flat bool vector, True = frozen: frozen parameters still take part
+in the forward pass but are never updated, and their optimizer accumulators
+stay at zero. All randomness comes from explicitly passed generators, so
+identical seed + config + data gives bitwise identical parameters on one
+platform.
 
 The swish logistic is computed with numpy's vectorised `exp`, whose bits
 depend on the CPU's instruction set (numpy picks a SIMD kernel at run time),
 so "one platform" includes the CPU family. For pre-activations below about
 -709, `exp(-z)` overflows to inf and the logistic saturates to exactly 0;
-`forward_batch`, `swish` and `swish_prime` silence overflow warnings (and
-only those) around it.
+`forward_batch` and `swish` silence overflow warnings (and only those)
+around it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,20 +53,14 @@ def swish(z):
 
     Stable over the whole double range: the logistic factor saturates instead
     of overflowing, so swish(-700.0) is a clean denormal-scale value rather
-    than a NaN. Accepts scalars or arrays.
+    than a NaN, and swish(-inf) is -0.0 like swish(-710.0). Accepts scalars
+    or arrays.
     """
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore"):
-        out = z * _logistic(z)
+        # -inf * 0.0 would be NaN; the largest finite negative gives -0.0
+        out = np.maximum(z, -np.finfo(float).max) * _logistic(z)
     return float(out) if out.ndim == 0 else out
-
-
-def swish_prime(z):
-    """Derivative of swish: logistic(z) * (1 + z * (1 - logistic(z)))."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        s = _logistic(z)
-    return s * (1.0 + z * (1.0 - s))
 
 
 @dataclass(frozen=True)
@@ -98,42 +100,56 @@ class ForwardCache:
 class Network:
     """Dense MLP over (covariates, treatment) with an identity output layer.
 
-    Parameters are stored as a flat list [W0, b0, W1, b1, ...] with weight
-    matrices shaped (input_width, output_width). The final layer must have
-    identity activation and width 1 (scalar regression output).
+    All parameters live in one flat float64 vector `theta`; `params` is the
+    list [W0, b0, W1, b1, ...] of views into it, with weight matrices shaped
+    (input_width, output_width). Edit parameters in place (through either);
+    rebinding `theta` or a `params` entry detaches it from the network. The
+    constructor copies the given arrays into a fresh `theta`. The final layer
+    must have identity activation and width 1 (scalar regression output).
     """
 
     def __init__(self, layers, params, covariate_width, concat_inputs=False):
         self.layers = list(layers)
-        self.params = list(params)
         self.covariate_width = int(covariate_width)
         self.concat_inputs = bool(concat_inputs)
         self.version = 0
-        self._validate()
+        self._layout = self._validate(params)
+        self.theta = np.concatenate(params, axis=None, dtype=float)
+        self.params = self.views(self.theta)
 
-    def _validate(self):
+    def _validate(self, params):
+        """Check the layer chain and the shapes of `params` against it.
+
+        Returns the layout: (start, stop, shape) of each parameter in theta.
+        """
         if not self.layers:
             raise ShapeError("network needs at least one layer")
-        if len(self.params) != 2 * len(self.layers):
+        if len(params) != 2 * len(self.layers):
             raise ShapeError("parameter list does not match layer count")
-        d = self.covariate_width
-        extra = d + 1
+        extra = self.covariate_width + 1
         prev = extra
+        layout, start = [], 0
         for i, spec in enumerate(self.layers):
             expected_in = prev if i == 0 else prev + (extra if self.concat_inputs else 0)
             if spec.input_width != expected_in:
                 raise ShapeError(
                     f"layer {i} expects input width {expected_in}, spec says {spec.input_width}"
                 )
-            W, b = self.params[2 * i], self.params[2 * i + 1]
-            if W.shape != (spec.input_width, spec.output_width):
-                raise ShapeError(f"layer {i} weight shape {W.shape} != spec")
-            if b.shape != (spec.output_width,):
-                raise ShapeError(f"layer {i} bias shape {b.shape} != spec")
+            shapes = ((spec.input_width, spec.output_width), (spec.output_width,))
+            for kind, shape, p in zip(("weight", "bias"), shapes, params[2 * i : 2 * i + 2]):
+                if np.shape(p) != shape:
+                    raise ShapeError(f"layer {i} {kind} shape {np.shape(p)} != spec")
+                layout.append((start, start + math.prod(shape), shape))
+                start += math.prod(shape)
             prev = spec.output_width
         out = self.layers[-1]
         if out.output_width != 1 or out.activation != "identity":
             raise ShapeError("output layer must be width 1 with identity activation")
+        return layout
+
+    def views(self, flat):
+        """Views of a vector laid out like theta, shaped [W0, b0, W1, b1, ...]."""
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @classmethod
     def build(
@@ -171,16 +187,10 @@ class Network:
             b = np.zeros(spec.output_width)
             params.extend([W, b])
         net = cls(layers, params, d, concat_inputs)
-        for i in range(len(layers)):
-            row = net.treatment_input_row(i)
-            if row is None:
-                continue
-            draws = rng.uniform(-1.0, 1.0, size=layers[i].output_width)
-            W = net.params[2 * i]
-            if treatment_scale == 0.0:
-                W[row, :] = 0.0
-            else:
-                W[row, :] = treatment_scale * draws
+        for _, w in net.treatment_weights():
+            draws = rng.uniform(-1.0, 1.0, size=w.size)
+            # a 0.0 scale pins +0.0, not the -0.0 of 0.0 times a negative draw
+            w[:] = 0.0 if treatment_scale == 0.0 else treatment_scale * draws
         return net
 
     # -- structure helpers -------------------------------------------------
@@ -215,24 +225,19 @@ class Network:
                 out.append((i, self.params[2 * i][row, :]))
         return out
 
-    def n_params(self):
-        return sum(p.size for p in self.params)
-
     def copy_params(self):
-        return [p.copy() for p in self.params]
+        """A copy of theta."""
+        return self.theta.copy()
 
-    def set_params(self, params):
-        if len(params) != len(self.params):
-            raise ShapeError("parameter list length mismatch")
-        for dst, src in zip(self.params, params):
-            if dst.shape != src.shape:
-                raise ShapeError("parameter shape mismatch")
-            np.copyto(dst, src)
+    def set_params(self, theta):
+        """Copy a flat vector shaped like theta into theta."""
+        if np.shape(theta) != self.theta.shape:
+            raise ShapeError(f"parameter vector shape {np.shape(theta)} != {self.theta.shape}")
+        np.copyto(self.theta, theta)
         self.version += 1
 
     def clone(self):
-        net = Network(self.layers, self.copy_params(), self.covariate_width, self.concat_inputs)
-        return net
+        return Network(self.layers, self.params, self.covariate_width, self.concat_inputs)
 
     # -- forward -----------------------------------------------------------
 
@@ -276,19 +281,12 @@ class Network:
         return a[:, 0], cache
 
 
-def forward(net, x, t):
-    """Score a single observation; returns (prediction, cache)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    preds, cache = net.forward_batch(x[None, :], np.asarray([t], dtype=float))
-    return float(preds[0]), cache
-
-
 def backward(net, cache, loss_gradient):
     """Exact reverse-mode gradients of loss_gradient . predictions.
 
     loss_gradient is dL/dprediction: a scalar for a single-sample cache or a
-    length-n vector for a batch cache. Returns gradients in the same flat
-    [W0, b0, W1, b1, ...] layout as net.params.
+    length-n vector for a batch cache. Returns a fresh flat gradient vector
+    laid out like net.theta; net.views(grad) splits it per parameter.
     """
     if cache.version != net.version:
         raise StaleCacheError("forward cache is stale: parameters changed since forward")
@@ -297,7 +295,8 @@ def backward(net, cache, loss_gradient):
     if lg.shape[0] != n:
         raise ShapeError(f"loss gradient length {lg.shape[0]} != batch size {n}")
 
-    grads = [None] * len(net.params)
+    grad = np.empty_like(net.theta)
+    blocks = net.views(grad)
     delta = lg[:, None]
     for i in reversed(range(net.n_layers)):
         spec = net.layers[i]
@@ -313,12 +312,12 @@ def backward(net, cache, loss_gradient):
         else:
             dz = delta
         a = cache.inputs[i]
-        grads[2 * i] = a.T @ dz
-        grads[2 * i + 1] = dz.sum(axis=0)
+        np.matmul(a.T, dz, out=blocks[2 * i])
+        np.add.reduce(dz, axis=0, out=blocks[2 * i + 1])
         if i > 0:
             da = dz @ net.params[2 * i].T
             delta = da[:, : net.layers[i - 1].output_width]
-    return grads
+    return grad
 
 
 def mse_loss(predictions, targets):
@@ -334,26 +333,26 @@ def mse_loss(predictions, targets):
     return float(np.add.reduce(diff * diff) / diff.size), 2.0 * diff / diff.size
 
 
-@dataclass
 class FreezeMask:
-    """Per-parameter booleans, True = frozen (used in forward, never updated)."""
+    """One flat bool vector over a network's theta, True = frozen (used in
+    forward, never updated).
 
-    arrays: list
+    `frozen` is the vector and `arrays[k]` its view shaped like
+    net.params[k]; the freeze_* methods and in-place edits of either change
+    both. Without `frozen` every parameter starts free.
+    """
+
+    def __init__(self, net, frozen=None):
+        self.frozen = np.zeros(net.theta.size, dtype=bool) if frozen is None else frozen
+        self.arrays = net.views(self.frozen)
 
     @classmethod
     def none(cls, net):
-        return cls([np.zeros(p.shape, dtype=bool) for p in net.params])
-
-    @classmethod
-    def all(cls, net):
-        return cls([np.ones(p.shape, dtype=bool) for p in net.params])
+        return cls(net)
 
     def check_shapes(self, net):
-        if len(self.arrays) != len(net.params):
-            raise ShapeError("mask length does not match parameter list")
-        for m, p in zip(self.arrays, net.params):
-            if m.shape != p.shape:
-                raise ShapeError("mask shape does not match parameter shape")
+        if self.frozen.shape != net.theta.shape:
+            raise ShapeError("mask shape does not match parameter vector")
 
     def freeze_treatment_edges(self, net):
         for i in range(net.n_layers):
@@ -372,26 +371,27 @@ class FreezeMask:
         self.arrays[1][:] = True
         return self
 
-    def freeze_layer(self, net, layer_index, keep_treatment_trainable=True):
+    def freeze_layer(self, net, layer_index):
+        """Freeze a layer's weights and bias, all but its treatment row."""
         self.arrays[2 * layer_index][:] = True
         self.arrays[2 * layer_index + 1][:] = True
-        if keep_treatment_trainable:
-            row = net.treatment_input_row(layer_index)
-            if row is not None:
-                self.arrays[2 * layer_index][row, :] = False
+        row = net.treatment_input_row(layer_index)
+        if row is not None:
+            self.arrays[2 * layer_index][row, :] = False
         return self
 
 
 @dataclass
 class OptimizerState:
-    """Update rule plus per-parameter accumulators.
+    """Update rule plus flat accumulators laid out like the network's theta.
 
     algorithm "sgd_momentum": velocity v <- momentum*v + g, p <- p - lr*v.
     algorithm "adaptive_moment": bias-corrected first/second moment rule with
     a first-step magnitude of ~lr regardless of the gradient scale.
-    Each slot is one flat buffer over all parameters (`buffers`); `slots[s][k]`
-    is the view of buffer s shaped like parameter k. Accumulator entries of
-    frozen parameters are never touched.
+    Each slot is one flat buffer (`buffers`); `slots[s][k]` is the view of
+    buffer s shaped like parameter k. `scratch` holds as many flat work
+    vectors as there are slots, for `step`. Accumulator entries of frozen
+    parameters are never touched.
     """
 
     algorithm: str
@@ -403,6 +403,7 @@ class OptimizerState:
     step_count: int = 0
     slots: list = field(default_factory=list)
     buffers: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)
 
     @classmethod
     def create(cls, net, algorithm="adaptive_moment", learning_rate=1e-3, **kwargs):
@@ -412,40 +413,30 @@ class OptimizerState:
             raise ShapeError("learning rate must be positive")
         state = cls(algorithm, float(learning_rate), **kwargs)
         n_slots = 1 if algorithm == "sgd_momentum" else 2
-        state.buffers = [np.zeros(net.n_params()) for _ in range(n_slots)]
-        state.slots = [_param_views(buf, net.params) for buf in state.buffers]
+        state.buffers = [np.zeros(net.theta.size) for _ in range(n_slots)]
+        state.slots = [net.views(buf) for buf in state.buffers]
+        state.scratch = [np.empty(net.theta.size) for _ in range(n_slots)]
         return state
 
 
-def _param_views(flat, params):
-    """Views of a flat vector shaped like each parameter, in parameter order."""
-    views, start = [], 0
-    for p in params:
-        views.append(flat[start : start + p.size].reshape(p.shape))
-        start += p.size
-    return views
-
-
-def step(net, grads, mask, opt):
+def step(net, grad, mask, opt):
     """Apply one optimizer update in place; frozen entries stay bitwise put.
 
-    The update runs once over the concatenation of all parameters.
+    grad is a flat vector laid out like net.theta (what `backward` returns)
+    and is only read. The update runs once over the whole vector.
     Accumulators are written only where the mask is free, and the update of
-    a frozen entry is set to exactly 0, so `p - 0.0` leaves it unchanged. The
-    mask is read afresh on every call.
+    a frozen entry is set to exactly 0, so `theta - 0.0` leaves it unchanged.
+    The mask is read afresh on every call.
     """
     mask.check_shapes(net)
-    if len(grads) != len(net.params) or any(
-        g.shape != p.shape for g, p in zip(grads, net.params)
-    ):
-        raise ShapeError("gradient list does not match parameters")
-    g = np.concatenate(grads, axis=None, dtype=float)
-    if not np.isfinite(g).all():
+    if not isinstance(grad, np.ndarray) or grad.shape != net.theta.shape:
+        raise ShapeError("gradient must be a flat vector shaped like net.theta")
+    if not np.isfinite(grad).all():
         raise TrainingDivergenceError(
             f"non-finite gradient at optimizer step {opt.step_count}",
             step=opt.step_count,
         )
-    frozen = np.concatenate(mask.arrays, axis=None)
+    frozen = mask.frozen
     free = ~frozen
     opt.step_count += 1
     t = opt.step_count
@@ -453,28 +444,28 @@ def step(net, grads, mask, opt):
     if opt.algorithm == "sgd_momentum":
         (v,) = opt.buffers
         np.multiply(v, opt.momentum, out=v, where=free)
-        np.add(v, g, out=v, where=free)
-        update = np.multiply(v, lr, out=g)
+        np.add(v, grad, out=v, where=free)
+        update = np.multiply(v, lr, out=opt.scratch[0])
     else:
         m1, m2 = opt.buffers
+        tmp, denom = opt.scratch
         b1, b2 = opt.beta1, opt.beta2
-        tmp = np.multiply(g, 1.0 - b1)
+        np.multiply(grad, 1.0 - b1, out=tmp)
         np.multiply(m1, b1, out=m1, where=free)
         np.add(m1, tmp, out=m1, where=free)
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
+        np.multiply(grad, 1.0 - b2, out=tmp)
+        tmp *= grad
         np.multiply(m2, b2, out=m2, where=free)
         np.add(m2, tmp, out=m2, where=free)
-        # (lr * mhat) / (sqrt(vhat) + eps), with mhat in tmp and vhat in g
+        # (lr * mhat) / (sqrt(vhat) + eps), with mhat in tmp and vhat in denom
         update = np.divide(m1, 1.0 - b1**t, out=tmp)
-        np.divide(m2, 1.0 - b2**t, out=g)
-        np.sqrt(g, out=g)
-        g += opt.epsilon
+        np.divide(m2, 1.0 - b2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += opt.epsilon
         update *= lr
-        update /= g
+        update /= denom
     np.copyto(update, 0.0, where=frozen)
-    for p, u in zip(net.params, _param_views(update, net.params)):
-        p -= u
+    net.theta -= update
     net.version += 1
     return net
 
@@ -489,23 +480,21 @@ def gradient_check(net, batch, step_size=1e-5):
     X, T, targets = batch
     preds, cache = net.forward_batch(X, T)
     _, dpred = mse_loss(preds, targets)
-    grads = backward(net, cache, dpred)
+    grad = backward(net, cache, dpred)
 
+    theta = net.theta
     worst = 0.0
-    for k, p in enumerate(net.params):
-        flat = p.reshape(-1)
-        gflat = grads[k].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step_size
-            lp, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
-            flat[j] = orig - step_size
-            lm, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
-            flat[j] = orig
-            fd = (lp - lm) / (2.0 * step_size)
-            err = abs(gflat[j] - fd) / max(abs(gflat[j]) + abs(fd), 1e-2)
-            if err > worst:
-                worst = err
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + step_size
+        lp, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
+        theta[j] = orig - step_size
+        lm, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
+        theta[j] = orig
+        fd = (lp - lm) / (2.0 * step_size)
+        err = abs(grad[j] - fd) / max(abs(grad[j]) + abs(fd), 1e-2)
+        if err > worst:
+            worst = err
     return worst
 
 
@@ -551,7 +540,7 @@ def fit_network(
     log = TrainingLog()
 
     best = np.inf
-    best_params = None
+    best_theta = None
     wait = patience
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -565,9 +554,9 @@ def fit_network(
                 raise TrainingDivergenceError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch
                 )
-            grads = backward(net, cache, dpred)
+            grad = backward(net, cache, dpred)
             try:
-                step(net, grads, mask, opt)
+                step(net, grad, mask, opt)
             except TrainingDivergenceError as err:
                 err.epoch = epoch
                 raise
@@ -581,7 +570,7 @@ def fit_network(
             log.val_mse.append(vmse)
             if vmse < best:
                 best = vmse
-                best_params = net.copy_params()
+                best_theta = net.copy_params()
                 log.best_epoch = epoch
                 wait = patience
             else:
@@ -589,6 +578,6 @@ def fit_network(
                 if wait <= 0:
                     log.stopped_early = True
                     break
-    if best_params is not None:
-        net.set_params(best_params)
+    if best_theta is not None:
+        net.set_params(best_theta)
     return log

@@ -20,7 +20,7 @@ control so the checker's power is itself testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -93,11 +93,6 @@ class NuisancePerturbation:
     label: str = ""
 
 
-class HForms(NamedTuple):
-    direct: float
-    factored: float
-
-
 def marginal_outcome(oracle, x):
     """Propensity mixture of the arm means; equals g0(x)."""
     e = oracle.e0(x)
@@ -105,7 +100,7 @@ def marginal_outcome(oracle, x):
 
 
 def residualized_h(oracle, t, x, tol=CONSISTENCY_TOL):
-    """h(t,x) computed both ways; raises if the two routes disagree.
+    """h(t,x) computed both ways, as (direct, factored); raises if they disagree.
 
     direct: f(t,x) - g0(x). factored: theta0(x) * (t - e0(x)).
     """
@@ -115,7 +110,7 @@ def residualized_h(oracle, t, x, tol=CONSISTENCY_TOL):
         raise IdentityViolationError(
             f"residual decomposition violated at t={t}: {direct!r} vs {factored!r}"
         )
-    return HForms(direct, factored)
+    return direct, factored
 
 
 def score_psi(w, theta, g, e):

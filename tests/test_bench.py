@@ -1,5 +1,7 @@
 """Experiment runner, report emission, verification suites."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,16 @@ from cdnn import bench
 from cdnn.data import generate, named_dgp, oracle_of, write_csv
 from cdnn.errors import ConfigError
 from cdnn.theory import standard_perturbations
+
+
+def read_report_rows(path):
+    """Parse an emitted CSV back into (data_rows, aggregate_rows)."""
+    data_rows, agg_rows = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for rec in csv.DictReader(fh):
+            target = agg_rows if rec["replication"] in ("mean", "sd") else data_rows
+            target.append(rec)
+    return data_rows, agg_rows
 
 
 def quick_config(**overrides):
@@ -128,7 +140,7 @@ class TestReport:
         report = bench.run(cfg)
         path = tmp_path / "report.csv"
         report.to_csv(path)
-        data_rows, agg_rows = bench.read_report_rows(path)
+        data_rows, agg_rows = read_report_rows(path)
         for name in report.estimator_order:
             values = [
                 float(r["sqrt_pehe"])

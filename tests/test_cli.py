@@ -113,7 +113,10 @@ class TestFitAndScore:
         assert main(["score", "--model", str(bad), "--data", str(data_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
-    @pytest.mark.parametrize("corruption", ["unknown-config-key", "missing-array"])
+    @pytest.mark.parametrize(
+        "corruption",
+        ["unknown-config-key", "missing-array", "wrong-shape-mask", "wrong-dtype-array"],
+    )
     def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
         data_path = tmp_path / "d.csv"
         main(["generate", "--family", "confound-linear", "--n", "60",
@@ -125,6 +128,10 @@ class TestFitAndScore:
             arrays = dict(blob)
         if corruption == "missing-array":
             del arrays["m0.s2.p1"]
+        elif corruption == "wrong-shape-mask":
+            arrays["m0.s2.mask0"] = np.zeros((2, 2), dtype=bool)
+        elif corruption == "wrong-dtype-array":
+            arrays["m0.s1.p0"] = arrays["m0.s1.p0"].astype(int)
         else:
             meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
             meta["config"]["bogus"] = 1

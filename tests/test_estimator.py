@@ -380,12 +380,21 @@ class TestFit:
     @pytest.mark.parametrize("variant", est.VARIANTS)
     @pytest.mark.parametrize("column, bad", [("y", np.nan), ("x", np.inf)])
     def test_non_finite_data_is_a_schema_error(self, variant, column, bad):
-        # edited in place after construction: the carve's subsets re-validate,
-        # so the fit fails as a data error, not as a training divergence
+        # edited in place after construction: fit re-checks the arrays, so
+        # the fit fails as a data error, not as a training divergence
         data = generate(named_dgp("confound-hetero", seed=2), 60)
         getattr(data, column)[5] = bad
         with pytest.raises(SchemaError, match="finite"):
             est.fit(data, variant, FAST)
+
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    @pytest.mark.parametrize("column, bad", [("y", np.nan), ("x", np.inf)])
+    def test_non_finite_data_without_a_carve_is_a_schema_error(self, variant, column, bad):
+        # no validation carve, so no subset re-validates the edited arrays
+        data = generate(named_dgp("confound-hetero", seed=2), 60)
+        getattr(data, column)[5] = bad
+        with pytest.raises(SchemaError, match="finite"):
+            est.fit(data, variant, replace(FAST, validation_fraction=0.0))
 
     def test_unknown_variant_rejected(self):
         data = generate(make_spec(1.0, seed=44), 200)
@@ -621,6 +630,10 @@ class TestCheckpoint:
             lambda meta, arrays: arrays.pop("m0.s1.p0"),
             lambda meta, arrays: arrays.pop("m0.s2.mask3"),
             lambda meta, arrays: arrays.pop("meta"),
+            lambda meta, arrays: arrays.update({"m0.s2.mask0": np.zeros((2, 2), dtype=bool)}),
+            lambda meta, arrays: arrays.update({"m0.s2.mask1": arrays["m0.s2.mask1"] * 1.0}),
+            lambda meta, arrays: arrays.update({"m0.s1.p0": arrays["m0.s1.p0"][:-1]}),
+            lambda meta, arrays: arrays.update({"m0.s2.p2": arrays["m0.s2.p2"] != 0.0}),
         ],
         ids=[
             "unknown-config-key",
@@ -632,6 +645,10 @@ class TestCheckpoint:
             "missing-parameter-array",
             "missing-mask-array",
             "missing-meta",
+            "wrong-shape-mask",
+            "wrong-dtype-mask",
+            "wrong-shape-parameter",
+            "wrong-dtype-parameter",
         ],
     )
     def test_malformed_checkpoint_raises_config_error(self, tmp_path, corrupt):

@@ -1,5 +1,6 @@
 """Network engine tests: activations, forward/backward, masks, optimizers."""
 
+import io
 import warnings
 
 import numpy as np
@@ -7,8 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdnn import estimator as est
 from cdnn import nn
 from cdnn.errors import ShapeError, StaleCacheError, TrainingDivergenceError
+
+def swish_prime(z):
+    """Derivative of swish: logistic(z) * (1 + z * (1 - logistic(z)))."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        s = nn._logistic(z)
+    return s * (1.0 + z * (1.0 - s))
+
+
+def forward(net, x, t):
+    """Score a single observation; returns (prediction, cache)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    preds, cache = net.forward_batch(x[None, :], np.asarray([t], dtype=float))
+    return float(preds[0]), cache
+
+
+def all_frozen(net):
+    return nn.FreezeMask(net, np.ones(net.theta.size, dtype=bool))
+
 
 # frozen from a 40-digit mpmath evaluation of z / (1 + exp(-z))
 SWISH_ORACLE = {
@@ -40,7 +61,7 @@ class TestSwish:
         z = np.linspace(-8.0, 8.0, 101)
         h = 1e-6
         fd = (nn.swish(z + h) - nn.swish(z - h)) / (2 * h)
-        assert np.max(np.abs(nn.swish_prime(z) - fd)) < 1e-8
+        assert np.max(np.abs(swish_prime(z) - fd)) < 1e-8
 
 
 class TestLogistic:
@@ -60,26 +81,35 @@ class TestLogistic:
             assert nn._logistic(np.asarray(z)) == expected
             assert nn._logistic(np.array([z, z]))[1] == expected
 
-    @pytest.mark.parametrize("z", [710.0, 1e308, np.inf, -710.0, -1e308])
+    @pytest.mark.parametrize("z", [710.0, 1e308, np.inf, -710.0, -1e308, -np.inf])
     def test_swish_saturates_without_warning(self, z):
         expected = z if z > 0 else 0.0
         assert nn.swish(z) == expected
         assert np.array_equal(nn.swish(np.array([z])), [expected])
 
+    def test_swish_of_finite_inputs_is_bitwise_z_times_logistic(self):
+        z = np.concatenate(
+            [[-1e308, -745.0, -710.0, -709.5, -0.0, 0.0, 1e308], np.linspace(-40.0, 40.0, 801)]
+        )
+        with np.errstate(over="ignore"):
+            expected = z * nn._logistic(z)
+        assert nn.swish(z).tobytes() == expected.tobytes()
+        assert np.signbit(nn.swish(-710.0)) and np.signbit(nn.swish(-np.inf))
+
     def test_nan_stays_nan(self):
         with np.errstate(over="ignore"):
             assert np.isnan(nn._logistic(np.array([np.nan, 0.0]))[0])
         assert np.isnan(nn.swish(np.nan))
-        assert np.isnan(nn.swish_prime(np.array([np.nan]))[0])
+        assert np.isnan(swish_prime(np.array([np.nan]))[0])
 
     def test_swish_prime_saturates_without_warning(self):
         z = np.array([-710.0, -1e308, 710.0, 1e308])
-        assert np.array_equal(nn.swish_prime(z)[:2], [0.0, 0.0])
-        assert np.array_equal(nn.swish_prime(z)[2:], [1.0, 1.0])
+        assert np.array_equal(swish_prime(z)[:2], [0.0, 0.0])
+        assert np.array_equal(swish_prime(z)[2:], [1.0, 1.0])
 
     def test_huge_weights_give_finite_predictions(self):
         net = nn.Network.build(3, (8, 8), rng=2, treatment_scale=0.5)
-        net.set_params([p * 1e4 for p in net.params])
+        net.set_params(net.theta * 1e4)
         X = np.random.default_rng(0).standard_normal((200, 3))
         T = np.arange(200) % 2
         preds, cache = net.forward_batch(X, T)
@@ -97,14 +127,14 @@ class TestForward:
         W[:] = 0.0
         W[0, 0] = 1.0
         W[1, 0] = 1.0
-        pred, _ = nn.forward(net, [1.0, 2.0], 0)
+        pred, _ = forward(net, [1.0, 2.0], 0)
         assert pred == 3.0
 
     def test_all_zero_parameters_give_zero(self):
         net = nn.Network.build(3, (4, 4), rng=1)
         for p in net.params:
             p[:] = 0.0
-        pred, _ = nn.forward(net, [0.3, -1.0, 2.0], 1)
+        pred, _ = forward(net, [0.3, -1.0, 2.0], 1)
         assert pred == 0.0
 
     def test_matches_hand_rolled_matrix_arithmetic(self):
@@ -117,21 +147,21 @@ class TestForward:
         z1 = u @ net.weight(0) + net.bias(0)
         h1 = z1 / (1.0 + np.exp(-z1)) * 1.0  # z*sigmoid(z)
         expected = float((h1 @ net.weight(1) + net.bias(1))[0])
-        pred, _ = nn.forward(net, x, t)
+        pred, _ = forward(net, x, t)
         assert pred == pytest.approx(expected, rel=1e-14)
 
     def test_concat_wiring_reinjects_raw_input(self):
         net = nn.Network.build(2, (3, 3), concat_inputs=True, rng=5, treatment_scale=0.1)
         assert net.layers[1].input_width == 3 + 2 + 1
         assert net.treatment_input_row(1) == 5
-        pred0, _ = nn.forward(net, [0.1, 0.2], 0)
-        pred1, _ = nn.forward(net, [0.1, 0.2], 1)
+        pred0, _ = forward(net, [0.1, 0.2], 0)
+        pred1, _ = forward(net, [0.1, 0.2], 1)
         assert pred0 != pred1  # nonzero treatment edges reach deep layers
 
     def test_dimension_mismatch_raises(self):
         net = nn.Network.build(3, (4,), rng=0)
         with pytest.raises(ShapeError):
-            nn.forward(net, [1.0, 2.0], 0)
+            forward(net, [1.0, 2.0], 0)
         with pytest.raises(ShapeError):
             net.forward_batch(np.zeros((2, 3)), np.zeros(3))
 
@@ -164,9 +194,9 @@ class TestBackward:
         net = nn.Network.build(1, (), activation="identity", rng=0)
         net.weight(0)[:] = [[0.5], [0.0]]
         net.bias(0)[:] = 0.0
-        pred, cache = nn.forward(net, [3.0], 0)
+        pred, cache = forward(net, [3.0], 0)
         grads = nn.backward(net, cache, 1.0)
-        assert grads[0][0, 0] == 3.0
+        assert net.views(grads)[0][0, 0] == 3.0
 
     def test_matches_finite_differences_many_seeds(self):
         for seed in range(20):
@@ -184,10 +214,10 @@ class TestBackward:
 
     def test_stale_cache_rejected(self):
         net = nn.Network.build(2, (3,), rng=3)
-        _, cache = nn.forward(net, [1.0, 2.0], 0)
+        _, cache = forward(net, [1.0, 2.0], 0)
         mask = nn.FreezeMask.none(net)
         opt = nn.OptimizerState.create(net)
-        grads = [np.ones_like(p) for p in net.params]
+        grads = np.ones_like(net.theta)
         nn.step(net, grads, mask, opt)
         with pytest.raises(StaleCacheError):
             nn.backward(net, cache, 1.0)
@@ -205,7 +235,7 @@ class TestBackward:
             _, dpred = nn.mse_loss(preds, Y)
             grads = nn.backward(net, cache, dpred)
             # the gradient is computed for frozen edges too ...
-            assert grads[0].shape == net.weight(0).shape
+            assert net.views(grads)[0].shape == net.weight(0).shape
             nn.step(net, grads, mask, opt)
         # ... but the update never touches them
         assert np.all(net.weight(0)[3, :] == 0.0)
@@ -215,8 +245,8 @@ class TestStep:
     def test_plain_sgd_arithmetic(self):
         net = nn.Network.build(1, (), activation="identity", rng=0)
         net.weight(0)[0, 0] = 0.5
-        grads = [np.zeros_like(p) for p in net.params]
-        grads[0][0, 0] = 1.0
+        grads = np.zeros_like(net.theta)
+        net.views(grads)[0][0, 0] = 1.0
         opt = nn.OptimizerState.create(net, "sgd_momentum", learning_rate=0.1, momentum=0.0)
         nn.step(net, grads, nn.FreezeMask.none(net), opt)
         assert net.weight(0)[0, 0] == pytest.approx(0.4, abs=1e-15)
@@ -225,19 +255,18 @@ class TestStep:
         net = nn.Network.build(2, (4,), rng=9, treatment_scale=0.01)
         before = net.copy_params()
         opt = nn.OptimizerState.create(net)
-        grads = [np.full(p.shape, 3.14) for p in net.params]
+        grads = np.full(net.theta.shape, 3.14)
         for _ in range(5):
-            nn.step(net, grads, nn.FreezeMask.all(net), opt)
-        for b, p in zip(before, net.params):
-            assert np.array_equal(b, p)
+            nn.step(net, grads, all_frozen(net), opt)
+        assert np.array_equal(before, net.theta)
 
     @pytest.mark.parametrize("g", [1e-3, 1.0, 1e3])
     def test_adaptive_moment_first_step_magnitude_is_lr(self, g):
         # hand evaluation at step 1: lr * g / (|g| + eps) ~ lr * sign(g)
         net = nn.Network.build(1, (), activation="identity", rng=0)
         net.weight(0)[0, 0] = 1.0
-        grads = [np.zeros_like(p) for p in net.params]
-        grads[0][0, 0] = g
+        grads = np.zeros_like(net.theta)
+        net.views(grads)[0][0, 0] = g
         lr = 1e-3
         opt = nn.OptimizerState.create(net, "adaptive_moment", learning_rate=lr)
         nn.step(net, grads, nn.FreezeMask.none(net), opt)
@@ -247,7 +276,7 @@ class TestStep:
         net = nn.Network.build(2, (4,), rng=2, treatment_scale=0.0)
         mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
         opt = nn.OptimizerState.create(net)
-        grads = [np.ones_like(p) for p in net.params]
+        grads = np.ones_like(net.theta)
         for _ in range(3):
             nn.step(net, grads, mask, opt)
         row = net.treatment_input_row(0)
@@ -256,8 +285,8 @@ class TestStep:
 
     def test_non_finite_gradient_raises_with_step(self):
         net = nn.Network.build(1, (2,), rng=0)
-        grads = [np.zeros_like(p) for p in net.params]
-        grads[0][0, 0] = np.nan
+        grads = np.zeros_like(net.theta)
+        net.views(grads)[0][0, 0] = np.nan
         opt = nn.OptimizerState.create(net)
         with pytest.raises(TrainingDivergenceError) as info:
             nn.step(net, grads, nn.FreezeMask.none(net), opt)
@@ -325,6 +354,76 @@ class TestGradientCheck:
         )
         err = nn.gradient_check(net, batch)
         assert err <= 1e-4
+
+
+class TestFlatLayout:
+    """One flat float64 theta per network; params, masks, gradients, clones
+    and checkpoints all follow its layout."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        hidden=st.lists(st.integers(1, 7), max_size=3).map(tuple),
+        concat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_views_clone_and_checkpoint(self, d, hidden, concat, seed):
+        rng = np.random.default_rng(seed)
+        net = nn.Network.build(d, hidden, concat_inputs=concat, rng=rng, treatment_scale=0.1)
+        mask = nn.FreezeMask(net, rng.random(net.theta.size) < 0.5)
+        assert net.theta.dtype == np.float64 and net.theta.flags.c_contiguous
+        for flat, views in ((net.theta, net.params), (mask.frozen, mask.arrays)):
+            assert len(views) == 2 * net.n_layers
+            assert all(np.shares_memory(v, flat) for v in views)
+            assert np.concatenate([v.reshape(-1) for v in views]).tobytes() == flat.tobytes()
+        net.theta[:] = np.arange(net.theta.size)  # in order: each view reads its own slice
+        assert np.array_equal(np.concatenate([p.reshape(-1) for p in net.params]), net.theta)
+        net.theta[:] = rng.standard_normal(net.theta.size)
+
+        twin = net.clone()
+        assert twin.theta.tobytes() == net.theta.tobytes()
+        assert not np.shares_memory(twin.theta, net.theta)
+        assert not any(np.shares_memory(p, net.theta) for p in twin.params)
+        assert all(np.shares_memory(p, twin.theta) for p in twin.params)
+
+        cfg = est.CdnnConfig(hidden_widths=hidden, concat_inputs=concat, ensemble_size=1)
+        stage2 = est.Stage2Model("freezing", twin, mask, "outcome", nn.TrainingLog())
+        stage1 = est.Stage1Model(net, nn.TrainingLog())
+        model = est.CdnnEstimator([(stage1, stage2)], "freezing", cfg)
+        buf = io.BytesIO()
+        est.save_checkpoint(model, buf)
+        buf.seek(0)
+        (s1, s2), = est.load_checkpoint(buf).members
+        assert s1.network.theta.tobytes() == net.theta.tobytes()
+        assert s2.network.theta.tobytes() == twin.theta.tobytes()
+        assert s2.mask.frozen.tobytes() == mask.frozen.tobytes()
+        assert all(np.shares_memory(m, s2.mask.frozen) for m in s2.mask.arrays)
+
+    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
+    def test_step_leaves_the_gradient_unchanged(self, algorithm):
+        net = nn.Network.build(3, (6, 5), rng=4, treatment_scale=0.1)
+        mask = nn.FreezeMask.none(net).freeze_input_encoder(net)
+        opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.05)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            preds, cache = net.forward_batch(rng.standard_normal((16, 3)), np.arange(16) % 2)
+            _, dpred = nn.mse_loss(preds, rng.standard_normal(16))
+            grad = nn.backward(net, cache, dpred)
+            before = grad.copy()
+            nn.step(net, grad, mask, opt)
+            assert grad.tobytes() == before.tobytes()
+
+    def test_backward_returns_a_fresh_vector_per_call(self):
+        net = nn.Network.build(2, (4, 4), rng=6, treatment_scale=0.1)
+        rng = np.random.default_rng(3)
+        _, cache = net.forward_batch(rng.standard_normal((8, 2)), np.arange(8) % 2)
+        first = nn.backward(net, cache, rng.standard_normal(8))
+        kept = first.copy()
+        second = nn.backward(net, cache, rng.standard_normal(8))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, net.theta)
+        assert first.tobytes() == kept.tobytes()
+        assert second.shape == net.theta.shape
 
 
 class TestFitNetwork:
@@ -421,8 +520,8 @@ def _random_mask(net, mode, rng):
     if mode == "free":
         return nn.FreezeMask.none(net)
     if mode == "frozen":
-        return nn.FreezeMask.all(net)
-    return nn.FreezeMask([rng.random(p.shape) < 0.5 for p in net.params])
+        return all_frozen(net)
+    return nn.FreezeMask(net, rng.random(net.theta.size) < 0.5)
 
 
 def _assert_bitwise(net, ref_net, opt, ref_opt):
@@ -453,9 +552,9 @@ class TestStepMatchesReference:
             if k in edits:
                 mask = _random_mask(net, "mixed", rng)
             scale = 10.0 ** rng.uniform(-4, 3)
-            grads = [scale * rng.standard_normal(p.shape) for p in net.params]
+            grads = scale * rng.standard_normal(net.theta.size)
             nn.step(net, grads, mask, opt)
-            reference_step(ref_net, [g.copy() for g in grads], mask, ref_opt)
+            reference_step(ref_net, net.views(grads.copy()), mask, ref_opt)
             _assert_bitwise(net, ref_net, opt, ref_opt)
 
     @settings(max_examples=60, deadline=None)
@@ -491,9 +590,9 @@ class TestStepMatchesReference:
         rng = np.random.default_rng(0)
 
         def both_step():
-            grads = [rng.standard_normal(p.shape) for p in net.params]
+            grads = rng.standard_normal(net.theta.size)
             nn.step(net, grads, mask, opt)
-            reference_step(ref_net, grads, mask, ref_opt)
+            reference_step(ref_net, net.views(grads), mask, ref_opt)
             _assert_bitwise(net, ref_net, opt, ref_opt)
 
         for _ in range(3):

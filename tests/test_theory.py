@@ -58,8 +58,8 @@ class TestMarginalOutcome:
 class TestResidualizedH:
     def test_quarter_propensity_values(self):
         oracle = flat_oracle(theta=1.0, e=0.25)
-        assert residualized_h(oracle, 1, X0).factored == pytest.approx(0.75, abs=1e-15)
-        assert residualized_h(oracle, 0, X0).factored == pytest.approx(-0.25, abs=1e-15)
+        assert residualized_h(oracle, 1, X0)[1] == pytest.approx(0.75, abs=1e-15)
+        assert residualized_h(oracle, 0, X0)[1] == pytest.approx(-0.25, abs=1e-15)
 
     def test_arm_difference_recovers_effect(self):
         rng = np.random.default_rng(3)
@@ -67,16 +67,16 @@ class TestResidualizedH:
             spec = random_dgp(rng)
             oracle = oracle_of(spec)
             x = rng.standard_normal(spec.d)
-            h1 = residualized_h(oracle, 1, x).direct
-            h0 = residualized_h(oracle, 0, x).direct
+            h1, _ = residualized_h(oracle, 1, x)
+            h0, _ = residualized_h(oracle, 0, x)
             assert h1 - h0 == pytest.approx(oracle.theta0(x), rel=1e-12, abs=1e-12)
 
     def test_zero_effect_means_zero_h(self):
         oracle = flat_oracle(theta=0.0, e=0.7, base=2.0)
         for t in (0, 1):
-            forms = residualized_h(oracle, t, X0)
-            assert forms.direct == 0.0
-            assert forms.factored == 0.0
+            direct, factored = residualized_h(oracle, t, X0)
+            assert direct == 0.0
+            assert factored == 0.0
 
     def test_identity_over_many_random_oracles(self):
         rng = np.random.default_rng(11)
@@ -85,8 +85,8 @@ class TestResidualizedH:
             oracle = oracle_of(spec)
             x = rng.standard_normal(spec.d)
             t = int(rng.integers(0, 2))
-            forms = residualized_h(oracle, t, x)
-            assert abs(forms.direct - forms.factored) <= 1e-12
+            direct, factored = residualized_h(oracle, t, x)
+            assert abs(direct - factored) <= 1e-12
 
     def test_broken_oracle_is_detected(self):
         broken = NuisanceOracle(
