@@ -132,7 +132,9 @@ def _carve_validation(data, config, rng):
 def _require_both_arms(data, context):
     treated, control = data.arm_counts()
     if treated == 0 or control == 0:
-        raise DegenerateTreatmentError(f"{context}: both treatment arms are required")
+        raise DegenerateTreatmentError(
+            f"{context}: both treatment arms are required ({treated} treated, {control} control)"
+        )
 
 
 def _train(net, mask, data, validation, rng, config):
@@ -282,13 +284,20 @@ def fit(data, variant, config):
     The stage-1 members the previous fit trained are taken over when the
     data (x, t, y) and every config field stage 1 reads are the same, so
     fitting both variants of one dataset trains stage 1 once; the results
-    are bitwise those of a fresh fit.
+    are bitwise those of a fresh fit. Every member's training part must hold
+    both treatment arms, which is checked before any member trains.
     """
     global _stage1_memo
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     data.check_finite()
     _require_both_arms(data, "fit")
+    carves = [
+        _carve_validation(data, config, _member_rng(config, member, 0))
+        for member in range(config.ensemble_size)
+    ]
+    for member, (train, _) in enumerate(carves):
+        _require_both_arms(train, f"ensemble member {member}: training part")
     key = _stage1_key(data, config)
     held_key, spare = _stage1_memo
     if held_key != key:
@@ -296,10 +305,8 @@ def fit(data, variant, config):
     trained = {}
     _stage1_memo = (key, trained)
     members = []
-    for member in range(config.ensemble_size):
+    for member, (train, validation) in enumerate(carves):
         try:
-            rng = _member_rng(config, member, 0)
-            train, validation = _carve_validation(data, config, rng)
             if member in spare:
                 stage1 = spare.pop(member)
                 if not stage1.treatment_edges_zero():
@@ -399,7 +406,10 @@ def _required_array(blob, key, kind):
 
 
 def _rebuild_network(meta, blob, prefix):
-    layers = [nn.LayerSpec(i, o, a) for i, o, a in _required(meta, "layers")]
+    try:
+        layers = [nn.LayerSpec(i, o, a) for i, o, a in _required(meta, "layers")]
+    except (TypeError, ValueError, ShapeError) as err:
+        raise ConfigError(f"malformed checkpoint: {prefix} layers: {err}") from None
     params = [_required_array(blob, f"{prefix}.p{k}", "f") for k in range(2 * len(layers))]
     width, concat = _required(meta, "covariate_width"), _required(meta, "concat_inputs")
     try:

@@ -8,7 +8,11 @@ Each network keeps all its parameters in one flat float64 vector,
 order; `net.params[k]` are reshaped views into it and `net.views(flat)`
 gives the same views of any vector of that length. Gradients, freeze masks,
 optimizer accumulators and snapshots are flat vectors in this layout, so the
-optimizer step, a snapshot or a restore is one array operation. A freeze
+optimizer step, a snapshot or a restore is one array operation. The forward
+pass also runs over an (S, P) stack of such vectors, S networks of one
+architecture in one call; `gradient_check` puts all its +h probes in one
+stack and all its -h probes in another, chunked to a fixed byte budget, and
+matches probing one parameter at a time bit for bit. A freeze
 mask is a flat bool vector, True = frozen: frozen parameters still take part
 in the forward pass but are never updated, and their optimizer accumulators
 stay at zero. All randomness comes from explicitly passed generators, so
@@ -34,6 +38,9 @@ from .errors import ShapeError, StaleCacheError, TrainingDivergenceError
 
 ACTIVATIONS = ("swish", "identity")
 OPTIMIZERS = ("sgd_momentum", "adaptive_moment")
+# bytes of stacked probe parameters and activations per gradient_check
+# forward; probing ran as fast with 8 MiB chunks but raised peak memory more
+_PROBE_CHUNK_BYTES = 1 << 20
 
 
 def _logistic(z):
@@ -148,8 +155,12 @@ class Network:
         return layout
 
     def views(self, flat):
-        """Views of a vector laid out like theta, shaped [W0, b0, W1, b1, ...]."""
-        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
+        """Views of a vector laid out like theta, shaped [W0, b0, W1, b1, ...].
+
+        For an (S, P) stack of such vectors each view gains the leading S axis.
+        """
+        lead = flat.shape[:-1]
+        return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in self._layout]
 
     @classmethod
     def build(
@@ -259,26 +270,45 @@ class Network:
             raise ShapeError("covariate and treatment batch sizes differ")
         if X.shape[0] == 0:
             raise ShapeError("empty batch")
+        return _forward(self, self.params, X, T, keep_cache)
 
-        u = np.concatenate([X, T[:, None]], axis=1)
-        a = u
-        inputs, preacts, sigmoids = [], [], []
-        # entered once per call, not per layer: entering it (~2 us) costs
-        # more than a whole layer of a small network
-        with np.errstate(over="ignore"):
-            for i, spec in enumerate(self.layers):
-                if i > 0 and self.concat_inputs:
-                    a = np.concatenate([a, u], axis=1)
-                z = a @ self.params[2 * i]
-                z += self.params[2 * i + 1]
-                s = _logistic(z) if spec.activation == "swish" else None
-                if keep_cache:
-                    inputs.append(a)
-                    preacts.append(z)
-                    sigmoids.append(s)
-                a = z if s is None else z * s
-        cache = ForwardCache(self.version, inputs, preacts, sigmoids) if keep_cache else None
-        return a[:, 0], cache
+
+def _forward(net, params, X, T, keep_cache):
+    """The one forward body of `net`, on checked arrays X (n, d) and T (n,).
+
+    params are net.views(theta), or net.views of an (S, P) stack of parameter
+    vectors: then every activation gains a leading S axis, the stack shares
+    the raw input and the predictions are (S, n). Row s of a stacked run is
+    bitwise the run of stack[s] alone (each matmul slice is the same BLAS
+    call on the same strides). Only an unstacked cache feeds `backward`.
+    """
+    u = np.concatenate([X, T[:, None]], axis=1)
+    a = u
+    stacked = params[0].ndim == 3
+    if stacked and net.concat_inputs:
+        # a real copy per network, not a broadcast view: concatenating a view
+        # can give a strided result whose matmul rounds differently
+        u = np.tile(u, (len(params[0]), 1, 1))
+    inputs, preacts, sigmoids = [], [], []
+    # entered once per call, not per layer: entering it (~2 us) costs more
+    # than a whole layer of a small network
+    with np.errstate(over="ignore"):
+        for i, spec in enumerate(net.layers):
+            if i > 0 and net.concat_inputs:
+                a = np.concatenate([a, u], axis=-1)
+            z = a @ params[2 * i]
+            b = params[2 * i + 1]
+            # a stacked bias (S, out) broadcasts over rows as (S, 1, out); the
+            # unstacked add skips that view, which costs ~0.8 us per layer
+            z += b[:, None, :] if stacked else b
+            s = _logistic(z) if spec.activation == "swish" else None
+            if keep_cache:
+                inputs.append(a)
+                preacts.append(z)
+                sigmoids.append(s)
+            a = z if s is None else z * s
+    cache = ForwardCache(net.version, inputs, preacts, sigmoids) if keep_cache else None
+    return a[..., 0], cache
 
 
 def backward(net, cache, loss_gradient):
@@ -475,27 +505,38 @@ def gradient_check(net, batch, step_size=1e-5):
 
     batch is (X, T, targets); the checked scalar is the batch MSE. Every
     parameter is probed, frozen or not. The denominator floors at 1e-2 so
-    near-zero gradients are compared on an absolute scale.
+    near-zero gradients are compared on an absolute scale. A non-finite error
+    anywhere makes the result NaN, so a check against a tolerance fails.
+
+    Probe j moves theta[j] alone by +-step_size. The probes run as two stacked
+    forwards, all +h rows and all -h rows, in chunks that keep the stacked
+    parameters and activations under _PROBE_CHUNK_BYTES. A probe's loss
+    depends only on its own row, so the result is bitwise that of probing one
+    parameter at a time.
     """
     X, T, targets = batch
     preds, cache = net.forward_batch(X, T)
     _, dpred = mse_loss(preds, targets)
     grad = backward(net, cache, dpred)
 
-    theta = net.theta
-    worst = 0.0
-    for j in range(theta.size):
-        orig = theta[j]
-        theta[j] = orig + step_size
-        lp, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
-        theta[j] = orig - step_size
-        lm, _ = mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
-        theta[j] = orig
-        fd = (lp - lm) / (2.0 * step_size)
-        err = abs(grad[j] - fd) / max(abs(grad[j]) + abs(fd), 1e-2)
-        if err > worst:
-            worst = err
-    return worst
+    X = np.asarray(X, dtype=float)
+    T = np.asarray(T, dtype=float).reshape(-1)
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    theta, n = net.theta, X.shape[0]
+    widest = max(s.input_width + 3 * s.output_width for s in net.layers)
+    chunk = max(1, _PROBE_CHUNK_BYTES // (8 * (theta.size + n * widest)))
+    lp, lm = np.empty(theta.size), np.empty(theta.size)
+    for start in range(0, theta.size, chunk):
+        cols = np.arange(start, min(start + chunk, theta.size))
+        # x + (-h) is x - h exactly, so both stacks match the one-probe loop
+        for losses, h in ((lp, step_size), (lm, -step_size)):
+            probes = np.tile(theta, (cols.size, 1))
+            probes[np.arange(cols.size), cols] = theta[cols] + h
+            diff = _forward(net, net.views(probes), X, T, keep_cache=False)[0] - targets
+            losses[cols] = np.add.reduce(diff * diff, axis=-1) / n
+    fd = (lp - lm) / (2.0 * step_size)
+    err = np.abs(grad - fd) / np.maximum(np.abs(grad) + np.abs(fd), 1e-2)
+    return float(err.max())
 
 
 @dataclass

@@ -1,14 +1,21 @@
 """Experiment runner, report emission, verification suites."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from cdnn import bench
+from cdnn import bench, nn
 from cdnn.data import generate, named_dgp, oracle_of, write_csv
 from cdnn.errors import ConfigError
 from cdnn.theory import standard_perturbations
+
+
+def numpy_exp_is_simd():
+    """True when numpy's exp rounds unlike the C library's (its AVX-512 kernel)."""
+    z = np.linspace(-30.0, 30.0, 1001)
+    return bool(np.any(np.exp(z) != [math.exp(v) for v in z]))
 
 
 def read_report_rows(path):
@@ -205,6 +212,41 @@ class TestVerify:
             bench.verify_orthogonality(n_x=2, n_samples=20_000)
         ]
         assert all(r.passed for r in results)
+
+
+class TestVerifyGradients:
+    # The lines as printed before the probes were stacked, on x86-64 (numpy
+    # 2.4.6). numpy's SIMD exp (AVX-512) and the C library's round a few
+    # logistic values differently, which moves seed 2's fourth digit.
+    SIMD_EXP = numpy_exp_is_simd()
+    GOLDEN = {
+        0: "max relative gradient error: 4.218e-09 (tolerance 1e-04)",
+        1: "max relative gradient error: 8.963e-09 (tolerance 1e-04)",
+        2: "max relative gradient error: "
+        + ("8.025e-09" if SIMD_EXP else "8.316e-09")
+        + " (tolerance 1e-04)",
+        3: "max relative gradient error: 1.125e-08 (tolerance 1e-04)",
+        4: "max relative gradient error: 6.598e-09 (tolerance 1e-04)",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_report_line_is_unchanged(self, seed):
+        result = bench.verify_gradients(seed=seed)
+        assert result.passed
+        assert result.lines[1] == self.GOLDEN[seed]
+
+    def test_a_nan_gradient_fails_the_suite(self, monkeypatch):
+        backward = nn.backward
+
+        def broken(net, cache, loss_gradient):
+            grad = backward(net, cache, loss_gradient)
+            grad[0] = np.nan
+            return grad
+
+        monkeypatch.setattr(nn, "backward", broken)
+        result = bench.verify_gradients(seed=0, networks=3)
+        assert not result.passed
+        assert result.lines[1].startswith("max relative gradient error: nan")
 
 
 class TestOrthogonalityProbePoints:

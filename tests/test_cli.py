@@ -115,7 +115,10 @@ class TestFitAndScore:
 
     @pytest.mark.parametrize(
         "corruption",
-        ["unknown-config-key", "missing-array", "wrong-shape-mask", "wrong-dtype-array"],
+        [
+            "unknown-config-key", "missing-array", "wrong-shape-mask", "wrong-dtype-array",
+            "short-layer-entry", "string-layers", "int-layers", "non-numeric-width",
+        ],
     )
     def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
         data_path = tmp_path / "d.csv"
@@ -134,7 +137,15 @@ class TestFitAndScore:
             arrays["m0.s1.p0"] = arrays["m0.s1.p0"].astype(int)
         else:
             meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-            meta["config"]["bogus"] = 1
+            if corruption == "unknown-config-key":
+                meta["config"]["bogus"] = 1
+            else:
+                meta["stage1"][0]["layers"] = {
+                    "short-layer-entry": [[3, 4]],
+                    "string-layers": "abc",
+                    "int-layers": 7,
+                    "non-numeric-width": [["x", 4, "swish"]],
+                }[corruption]
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)

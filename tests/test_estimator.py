@@ -345,6 +345,22 @@ class TestFit:
             for pa, pb in zip(s2a.network.params, s2b.network.params):
                 assert np.array_equal(pa, pb)
 
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    def test_one_armed_training_part_is_rejected_before_training(self, monkeypatch, variant):
+        # 10 rows, one treated: seed 0 carves the treated row into member 1's
+        # validation part, leaving its 7 training rows all control
+        rng = np.random.default_rng(100)
+        t = np.zeros(10, dtype=int)
+        t[3] = 1
+        data = Dataset(rng.standard_normal((10, 2)), t, rng.standard_normal(10))
+        cfg = est.CdnnConfig(hidden_widths=(4,), ensemble_size=3, epochs=2, seed=0)
+        calls = []
+        monkeypatch.setattr(nn, "fit_network", lambda *a, **k: calls.append(a))
+        with pytest.raises(DegenerateTreatmentError, match=r"ensemble member 1: .*"
+                           r"\(0 treated, 7 control\)"):
+            est.fit(data, variant, cfg)
+        assert calls == []
+
     def test_member_failures_annotated(self):
         data = generate(make_spec(1.0, seed=43), 200)
         forced = Dataset(data.x, np.zeros(len(data), dtype=int), data.y)
@@ -634,6 +650,11 @@ class TestCheckpoint:
             lambda meta, arrays: arrays.update({"m0.s2.mask1": arrays["m0.s2.mask1"] * 1.0}),
             lambda meta, arrays: arrays.update({"m0.s1.p0": arrays["m0.s1.p0"][:-1]}),
             lambda meta, arrays: arrays.update({"m0.s2.p2": arrays["m0.s2.p2"] != 0.0}),
+            lambda meta, arrays: meta["stage1"][0].update(layers=[[3, 4]]),
+            lambda meta, arrays: meta["stage1"][0]["layers"][0].append("swish"),
+            lambda meta, arrays: meta["stage1"][0].update(layers="abc"),
+            lambda meta, arrays: meta["stage2"][0].update(layers=7),
+            lambda meta, arrays: meta["stage2"][0].update(layers=[["x", 4, "swish"]]),
         ],
         ids=[
             "unknown-config-key",
@@ -649,6 +670,11 @@ class TestCheckpoint:
             "wrong-dtype-mask",
             "wrong-shape-parameter",
             "wrong-dtype-parameter",
+            "short-layer-entry",
+            "long-layer-entry",
+            "string-layers",
+            "int-layers",
+            "non-numeric-width",
         ],
     )
     def test_malformed_checkpoint_raises_config_error(self, tmp_path, corrupt):

@@ -356,6 +356,121 @@ class TestGradientCheck:
         assert err <= 1e-4
 
 
+def reference_gradient_check(net, batch, step_size=1e-5):
+    """gradient_check as one forward per probe, in probe order.
+
+    nn.gradient_check runs the same probes as two stacked forwards; this loop
+    is the definition it must match bit for bit. Unlike it, this loop skips
+    NaN errors (`NaN > worst` is False).
+    """
+    X, T, targets = batch
+    preds, cache = net.forward_batch(X, T)
+    _, dpred = nn.mse_loss(preds, targets)
+    grad = nn.backward(net, cache, dpred)
+
+    theta = net.theta
+    worst = 0.0
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + step_size
+        lp, _ = nn.mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
+        theta[j] = orig - step_size
+        lm, _ = nn.mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
+        theta[j] = orig
+        fd = (lp - lm) / (2.0 * step_size)
+        err = abs(grad[j] - fd) / max(abs(grad[j]) + abs(fd), 1e-2)
+        if err > worst:
+            worst = err
+    return worst
+
+
+def _random_batch(rng, n, d):
+    return (
+        rng.standard_normal((n, d)),
+        rng.integers(0, 2, n).astype(float),
+        rng.standard_normal(n),
+    )
+
+
+class TestStackedProbes:
+    """One forward body over an optional leading stack axis; gradient_check
+    probes through it in stacked chunks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        hidden=st.lists(st.integers(1, 9), max_size=3).map(tuple),
+        activation=st.sampled_from(nn.ACTIVATIONS),
+        concat=st.booleans(),
+        n=st.integers(1, 12),
+        stack=st.integers(1, 7),
+        keep_cache=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_row_is_bitwise_the_single_forward(
+        self, d, hidden, activation, concat, n, stack, keep_cache, seed
+    ):
+        rng = np.random.default_rng(seed)
+        net = nn.Network.build(
+            d, hidden, activation=activation, concat_inputs=concat,
+            treatment_scale=0.5, rng=rng,
+        )
+        thetas = net.theta + rng.standard_normal((stack, net.theta.size))
+        X, T, _ = _random_batch(rng, n, d)
+        stacked, _ = nn._forward(net, net.views(thetas), X, T, keep_cache)
+        assert stacked.shape == (stack, n)
+        for s in range(stack):
+            net.set_params(thetas[s])
+            single, _ = net.forward_batch(X, T, keep_cache=False)
+            assert stacked[s].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_on_architecture_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        hidden = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 4))))
+        net = nn.Network.build(
+            d, hidden, activation=nn.ACTIVATIONS[seed % 2], concat_inputs=seed % 3 == 1,
+            rng=rng, treatment_scale=0.01,
+        )
+        batch = _random_batch(rng, int(rng.integers(2, 7)), d)
+        before = net.theta.copy()
+        assert nn.gradient_check(net, batch) == reference_gradient_check(net, batch)
+        assert net.theta.tobytes() == before.tobytes()
+
+    def test_matches_reference_across_chunks(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        net = nn.Network.build(4, (24, 24), concat_inputs=True, rng=rng, treatment_scale=0.01)
+        batch = _random_batch(rng, 64, 4)
+        stacks = []
+        forward = nn._forward
+
+        def spy(net, params, X, T, keep_cache):
+            if params[0].ndim == 3:
+                stacks.append(params[0].shape[0])
+            return forward(net, params, X, T, keep_cache)
+
+        monkeypatch.setattr(nn, "_forward", spy)
+        assert nn.gradient_check(net, batch) == reference_gradient_check(net, batch)
+        # every probe runs once per direction, in at least three chunks
+        assert len(stacks) >= 6 and sum(stacks) == 2 * net.theta.size
+
+    def test_non_finite_backprop_entry_fails_the_check(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        net = nn.Network.build(3, (5,), rng=rng, treatment_scale=0.01)
+        batch = _random_batch(rng, 6, 3)
+        backward = nn.backward
+
+        def broken(net, cache, loss_gradient):
+            grad = backward(net, cache, loss_gradient)
+            grad[3] = np.nan
+            return grad
+
+        monkeypatch.setattr(nn, "backward", broken)
+        assert reference_gradient_check(net, batch) <= 1e-4  # the loop missed it
+        assert np.isnan(nn.gradient_check(net, batch))
+
+
 class TestFlatLayout:
     """One flat float64 theta per network; params, masks, gradients, clones
     and checkpoints all follow its layout."""
