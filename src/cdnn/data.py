@@ -368,6 +368,17 @@ def _parse_float(text, row, column):
     return v
 
 
+def _first_non_utf8_row(path):
+    """Row number (header = 0) of the first line that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return raw.count(b"\n", 0, err.start)
+    return None
+
+
 def load_csv(path):
     """Load a dataset written under the canonical schema.
 
@@ -375,47 +386,50 @@ def load_csv(path):
     exactly: y1/y0 are the (possibly noisy) potential outcomes, one of which
     is the factual outcome, not noiseless surface values.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file", row=0) from None
-        if header[:2] != ["t", "y"]:
-            raise SchemaError(f"header must start with t,y; got {header[:2]}", row=0)
-        rest = header[2:]
-        has_gt = rest[:2] == ["y1", "y0"]
-        x_names = rest[2:] if has_gt else rest
-        expected = [f"x{j}" for j in range(len(x_names))]
-        if x_names != expected or not x_names:
-            raise SchemaError(f"covariate columns must be x0..x{{d-1}}; got {x_names}", row=0)
-        d = len(x_names)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError("empty file", row=0) from None
+            if header[:2] != ["t", "y"]:
+                raise SchemaError(f"header must start with t,y; got {header[:2]}", row=0)
+            rest = header[2:]
+            has_gt = rest[:2] == ["y1", "y0"]
+            x_names = rest[2:] if has_gt else rest
+            expected = [f"x{j}" for j in range(len(x_names))]
+            if x_names != expected or not x_names:
+                raise SchemaError(f"covariate columns must be x0..x{{d-1}}; got {x_names}", row=0)
+            d = len(x_names)
 
-        t_rows, y_rows, y1_rows, y0_rows, x_rows = [], [], [], [], []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise SchemaError(f"expected {len(header)} fields, got {len(row)}", row=i)
-            t_val = _parse_float(row[0], i, "t")
-            if t_val not in (0.0, 1.0):
-                raise SchemaError(f"treatment must be 0 or 1, got {row[0]!r}", row=i)
-            y_val = _parse_float(row[1], i, "y")
-            offset = 2
-            if has_gt:
-                y1_val = _parse_float(row[2], i, "y1")
-                y0_val = _parse_float(row[3], i, "y0")
-                factual = y1_val if t_val == 1.0 else y0_val
-                if y_val != factual:
-                    raise SchemaError(
-                        "y must equal the potential outcome of the received arm "
-                        "(y1/y0 are potential outcomes, not noiseless surfaces)",
-                        row=i,
-                    )
-                y1_rows.append(y1_val)
-                y0_rows.append(y0_val)
-                offset = 4
-            x_rows.append([_parse_float(row[offset + j], i, f"x{j}") for j in range(d)])
-            t_rows.append(int(t_val))
-            y_rows.append(y_val)
+            t_rows, y_rows, y1_rows, y0_rows, x_rows = [], [], [], [], []
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise SchemaError(f"expected {len(header)} fields, got {len(row)}", row=i)
+                t_val = _parse_float(row[0], i, "t")
+                if t_val not in (0.0, 1.0):
+                    raise SchemaError(f"treatment must be 0 or 1, got {row[0]!r}", row=i)
+                y_val = _parse_float(row[1], i, "y")
+                offset = 2
+                if has_gt:
+                    y1_val = _parse_float(row[2], i, "y1")
+                    y0_val = _parse_float(row[3], i, "y0")
+                    factual = y1_val if t_val == 1.0 else y0_val
+                    if y_val != factual:
+                        raise SchemaError(
+                            "y must equal the potential outcome of the received arm "
+                            "(y1/y0 are potential outcomes, not noiseless surfaces)",
+                            row=i,
+                        )
+                    y1_rows.append(y1_val)
+                    y0_rows.append(y0_val)
+                    offset = 4
+                x_rows.append([_parse_float(row[offset + j], i, f"x{j}") for j in range(d)])
+                t_rows.append(int(t_val))
+                y_rows.append(y_val)
+    except UnicodeDecodeError:
+        raise SchemaError("file is not UTF-8 text", row=_first_non_utf8_row(path)) from None
     if not t_rows:
         raise SchemaError("file has a header but no rows", row=1)
     return Dataset(

@@ -18,9 +18,11 @@ train/validation splits.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -429,10 +431,32 @@ def _load_config(cfg):
     return CdnnConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
 
 
+@contextlib.contextmanager
+def _open_archive(path):
+    """np.load(path) as an open .npz archive; ConfigError if it is not one."""
+    try:
+        blob = np.load(path)
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        # a truncated archive, an empty file or one that is not numpy's at all
+        raise ConfigError(f"malformed checkpoint: {path} is not an .npz archive") from None
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ConfigError(f"malformed checkpoint: {path} holds one .npy array, not an archive")
+    with blob:
+        try:
+            yield blob
+        except zipfile.BadZipFile as err:
+            # a member that fails its CRC or does not inflate
+            raise ConfigError(f"malformed checkpoint: {err}") from None
+
+
 def load_checkpoint(path):
     """Load a save_checkpoint file; a malformed one raises ConfigError."""
-    with np.load(path) as blob:
-        meta = json.loads(bytes(_required(blob, "meta")).decode("utf-8"))
+    with _open_archive(path) as blob:
+        raw = bytes(_required(blob, "meta"))
+        try:
+            meta = json.loads(raw.decode("utf-8"))
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise ConfigError(f"malformed checkpoint: unreadable meta: {err}") from None
         fmt = meta.get("format") if isinstance(meta, dict) else None
         if fmt != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {fmt!r}")

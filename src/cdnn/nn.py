@@ -19,6 +19,17 @@ stay at zero. All randomness comes from explicitly passed generators, so
 identical seed + config + data gives bitwise identical parameters on one
 platform.
 
+A forward without a cache (prediction, stage-1 residuals, the validation
+loss) runs in row blocks under the same byte budget, one activation matrix
+per block: 2,048 rows for a 64-wide network. On a large batch, allocating
+and faulting in full-size activations cost more than the arithmetic, while
+a block's activations stay in cache. A batch of at most one block is one
+forward, exactly as without blocking. OpenBLAS picks its matmul kernel path
+from the row count, so a row's prediction can differ in the last bit
+between batch sizes; a batch of more than one block can therefore differ in
+the last bit from one unblocked forward over it. The same code, input and
+parameters still give the same bits.
+
 The swish logistic is computed with numpy's vectorised `exp`, whose bits
 depend on the CPU's instruction set (numpy picks a SIMD kernel at run time),
 so "one platform" includes the CPU family. For pre-activations below about
@@ -38,9 +49,10 @@ from .errors import ShapeError, StaleCacheError, TrainingDivergenceError
 
 ACTIVATIONS = ("swish", "identity")
 OPTIMIZERS = ("sgd_momentum", "adaptive_moment")
-# bytes of stacked probe parameters and activations per gradient_check
-# forward; probing ran as fast with 8 MiB chunks but raised peak memory more
-_PROBE_CHUNK_BYTES = 1 << 20
+# byte budget of one chunk: the stacked probe parameters and activations of a
+# gradient_check forward, or one activation matrix of a prediction block;
+# probing ran as fast with 8 MiB chunks but raised peak memory more
+_BLOCK_BYTES = 1 << 20
 
 
 def _logistic(z):
@@ -258,7 +270,9 @@ class Network:
         X: (n, covariate_width), T: (n,). Returns (predictions (n,), cache).
         With keep_cache=False the cache is None and each layer's values are
         dropped once the next layer has read them: prediction needs no
-        backward, and on large batches the cache dominates memory.
+        backward, and on large batches the cache dominates memory. Such a
+        batch then runs in blocks of `block_rows` rows, one forward per
+        block, so that no activation matrix outgrows _BLOCK_BYTES.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.covariate_width:
@@ -270,7 +284,21 @@ class Network:
             raise ShapeError("covariate and treatment batch sizes differ")
         if X.shape[0] == 0:
             raise ShapeError("empty batch")
-        return _forward(self, self.params, X, T, keep_cache)
+        # a training minibatch keeps its cache and skips the block arithmetic
+        if keep_cache or X.shape[0] <= (rows := self.block_rows):
+            return _forward(self, self.params, X, T, keep_cache)
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], rows):
+            block = slice(start, start + rows)
+            out[block] = _forward(self, self.params, X[block], T[block], False)[0]
+        return out, None
+
+    @property
+    def block_rows(self):
+        """Rows per no-cache forward block: a multiple of 16 such that the
+        widest activation matrix takes about _BLOCK_BYTES."""
+        widest = max(spec.input_width for spec in self.layers)
+        return max(16, _BLOCK_BYTES // (8 * widest) // 16 * 16)
 
 
 def _forward(net, params, X, T, keep_cache):
@@ -510,7 +538,7 @@ def gradient_check(net, batch, step_size=1e-5):
 
     Probe j moves theta[j] alone by +-step_size. The probes run as two stacked
     forwards, all +h rows and all -h rows, in chunks that keep the stacked
-    parameters and activations under _PROBE_CHUNK_BYTES. A probe's loss
+    parameters and activations under _BLOCK_BYTES. A probe's loss
     depends only on its own row, so the result is bitwise that of probing one
     parameter at a time.
     """
@@ -524,7 +552,7 @@ def gradient_check(net, batch, step_size=1e-5):
     targets = np.asarray(targets, dtype=float).reshape(-1)
     theta, n = net.theta, X.shape[0]
     widest = max(s.input_width + 3 * s.output_width for s in net.layers)
-    chunk = max(1, _PROBE_CHUNK_BYTES // (8 * (theta.size + n * widest)))
+    chunk = max(1, _BLOCK_BYTES // (8 * (theta.size + n * widest)))
     lp, lm = np.empty(theta.size), np.empty(theta.size)
     for start in range(0, theta.size, chunk):
         cols = np.arange(start, min(start + chunk, theta.size))

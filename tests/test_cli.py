@@ -118,6 +118,7 @@ class TestFitAndScore:
         [
             "unknown-config-key", "missing-array", "wrong-shape-mask", "wrong-dtype-array",
             "short-layer-entry", "string-layers", "int-layers", "non-numeric-width",
+            "truncated-archive", "npy-file", "text-file",
         ],
     )
     def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
@@ -129,7 +130,15 @@ class TestFitAndScore:
                      "--epochs", "2", "--ensemble-size", "1", "--hidden", "4"]) == 0
         with np.load(model_path) as blob:
             arrays = dict(blob)
-        if corruption == "missing-array":
+        bad = tmp_path / "bad.npz"
+        if corruption == "truncated-archive":
+            bad.write_bytes(model_path.read_bytes()[:-100])
+        elif corruption == "npy-file":
+            with open(bad, "wb") as fh:
+                np.save(fh, arrays["m0.s1.p0"])
+        elif corruption == "text-file":
+            bad.write_text("t,y,x0\n0,1,2\n")
+        elif corruption == "missing-array":
             del arrays["m0.s2.p1"]
         elif corruption == "wrong-shape-mask":
             arrays["m0.s2.mask0"] = np.zeros((2, 2), dtype=bool)
@@ -147,12 +156,43 @@ class TestFitAndScore:
                     "non-numeric-width": [["x", 4, "swish"]],
                 }[corruption]
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **arrays)
+        if not bad.exists():
+            np.savez(bad, **arrays)
         capsys.readouterr()
         assert main(["score", "--model", str(bad), "--data", str(data_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert "error: malformed checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "fit"])
+    def test_non_utf8_csv_returns_2(self, tmp_path, capsys, command):
+        model_path = tmp_path / "model.npz"
+        good = tmp_path / "good.csv"
+        good.write_text("t,y,x0\n0,1,2\n1,3,4\n0,2,1\n1,1,0\n")
+        assert main(["fit", "--data", str(good), "--out", str(model_path), "--epochs", "1",
+                     "--ensemble-size", "1", "--hidden", "2", "--validation-fraction", "0"]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,y,x0\n0,1,2\n1,\xff\xfe,3\n")
+        argv = {
+            "score": ["score", "--model", str(model_path), "--out", str(tmp_path / "o.csv")],
+            "fit": ["fit", "--out", str(tmp_path / "m2.npz")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--data", str(bad)]) == 2
+        assert "error: file is not UTF-8 text (row 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["--out", "--data", "--model"])
+    def test_score_directory_path_returns_2(self, tmp_path, capsys, target):
+        data_path = tmp_path / "d.csv"
+        main(["generate", "--family", "confound-linear", "--n", "40", "--out", str(data_path)])
+        model_path = tmp_path / "model.npz"
+        assert main(["fit", "--data", str(data_path), "--out", str(model_path),
+                     "--epochs", "1", "--ensemble-size", "1", "--hidden", "2"]) == 0
+        paths = {"--model": model_path, "--data": data_path, "--out": tmp_path / "o.csv"}
+        paths[target] = tmp_path
+        argv = ["score"] + [str(part) for item in paths.items() for part in item]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_fit_infinite_value_returns_2(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"

@@ -227,6 +227,23 @@ class TestCsv:
             load_csv(path)
         assert info.value.row == 2
 
+    @pytest.mark.parametrize(
+        "content, row",
+        [
+            (b"t,y,\xff\n0,1,2\n", 0),
+            (b"t,y,x0\n0,1,2\n1,\xff\xfe,3\n", 2),
+            # past the reader's first decoded chunk: the row is still exact
+            (b"t,y,x0\n" + b"0,1,2\n" * 3000 + b"1,3,\xff\xfe\n", 3001),
+        ],
+        ids=["header", "data-row", "far-row"],
+    )
+    def test_non_utf8_bytes_rejected_with_row(self, tmp_path, content, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match="not UTF-8") as info:
+            load_csv(path)
+        assert info.value.row == row
+
     def test_inconsistent_factual_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,y,y1,y0,x0\n1,3.5,3,1,0.5\n")

@@ -1,5 +1,6 @@
 """Two-stage estimator: suppression, residuals, freezing contract, ensembles."""
 
+import io
 import json
 from dataclasses import replace
 
@@ -28,6 +29,31 @@ from cdnn.errors import (
 )
 
 FAST = est.CdnnConfig(ensemble_size=1, seed=3)
+
+
+class Rewrite:
+    """A checkpoint corruption that replaces the saved file's bytes."""
+
+    def __init__(self, rewrite):
+        self.rewrite = rewrite
+
+
+def npz_bytes(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def flip_member_byte(raw):
+    """raw with one data byte of the first archive member flipped."""
+    at = raw.index(b"m0.s1.p0.npy") + 150
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
+
+
+def npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
 
 
 def make_spec(effect_intercept, effect_slopes=None, d=2, sigma=0.0, seed=0, logistic=False):
@@ -655,6 +681,13 @@ class TestCheckpoint:
             lambda meta, arrays: meta["stage1"][0].update(layers="abc"),
             lambda meta, arrays: meta["stage2"][0].update(layers=7),
             lambda meta, arrays: meta["stage2"][0].update(layers=[["x", 4, "swish"]]),
+            Rewrite(lambda raw: raw[: len(raw) // 2]),
+            Rewrite(lambda raw: npy_bytes()),
+            Rewrite(lambda raw: b"ite\n0.5\n"),
+            Rewrite(lambda raw: b""),
+            Rewrite(flip_member_byte),
+            Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"\xff\xfe", dtype=np.uint8))),
+            Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"{format", dtype=np.uint8))),
         ],
         ids=[
             "unknown-config-key",
@@ -675,20 +708,30 @@ class TestCheckpoint:
             "string-layers",
             "int-layers",
             "non-numeric-width",
+            "truncated-archive",
+            "npy-file",
+            "text-file",
+            "empty-file",
+            "bad-member-crc",
+            "non-utf8-meta",
+            "non-json-meta",
         ],
     )
     def test_malformed_checkpoint_raises_config_error(self, tmp_path, corrupt):
         data = generate(make_spec(1.0, sigma=0.4, seed=52), 100)
         cfg = est.CdnnConfig(hidden_widths=(4,), ensemble_size=1, epochs=2, seed=8)
         path = est.save_checkpoint(est.fit(data, "freezing", cfg), tmp_path / "model.npz")
-        with np.load(path) as blob:
-            arrays = dict(blob)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        corrupt(meta, arrays)
-        if "meta" in arrays:
-            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         bad = tmp_path / "bad.npz"
-        np.savez(bad, **arrays)
+        if isinstance(corrupt, Rewrite):
+            bad.write_bytes(corrupt.rewrite(path.read_bytes()))
+        else:
+            with np.load(path) as blob:
+                arrays = dict(blob)
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            corrupt(meta, arrays)
+            if "meta" in arrays:
+                arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            np.savez(bad, **arrays)
         with pytest.raises(ConfigError, match="malformed checkpoint"):
             est.load_checkpoint(bad)
 

@@ -471,6 +471,95 @@ class TestStackedProbes:
         assert np.isnan(nn.gradient_check(net, batch))
 
 
+def _block_forwards(net, X, T):
+    """The no-cache prediction as one _forward per block_rows slice."""
+    rows = net.block_rows
+    parts = [
+        nn._forward(net, net.params, X[k : k + rows], T[k : k + rows], False)[0]
+        for k in range(0, X.shape[0], rows)
+    ]
+    return np.concatenate(parts)
+
+
+def _spy_forward_rows(monkeypatch):
+    """Record the row count of every _forward call."""
+    rows, forward = [], nn._forward
+
+    def spy(net, params, X, T, keep_cache):
+        rows.append(X.shape[0])
+        return forward(net, params, X, T, keep_cache)
+
+    monkeypatch.setattr(nn, "_forward", spy)
+    return rows
+
+
+class TestRowBlocks:
+    """A forward without a cache runs in row blocks of about _BLOCK_BYTES."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        hidden=st.lists(st.integers(1, 200), max_size=3).map(tuple),
+        activation=st.sampled_from(nn.ACTIVATIONS),
+        concat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_prediction_is_bitwise_the_block_forwards(
+        self, d, hidden, activation, concat, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        net = nn.Network.build(
+            d, hidden, activation=activation, concat_inputs=concat,
+            treatment_scale=0.5, rng=rng,
+        )
+        rows = net.block_rows
+        assert rows % 16 == 0
+        n = data.draw(st.integers(1, 3 * rows), label="n")
+        X, T, _ = _random_batch(rng, n, d)
+        preds, cache = net.forward_batch(X, T, keep_cache=False)
+        assert cache is None and preds.shape == (n,)
+        assert preds.tobytes() == _block_forwards(net, X, T).tobytes()
+        if n <= rows:
+            once, _ = nn._forward(net, net.params, X, T, False)
+            assert preds.tobytes() == once.tobytes()
+
+    def test_block_holds_about_the_byte_budget(self):
+        net = nn.Network.build(5, (64, 64, 64), rng=0)
+        assert net.block_rows == 2048
+        assert net.block_rows * 64 * 8 == nn._BLOCK_BYTES
+        wide = nn.Network.build(5, (100_000,), rng=0)
+        assert wide.block_rows == 16
+
+    @pytest.mark.parametrize(
+        "extra, calls", [(-1, 1), (0, 1), (1, 2), (1 + 2048, 3)], ids=["B-1", "B", "B+1", "2B+1"]
+    )
+    def test_rows_around_block_boundaries(self, monkeypatch, extra, calls):
+        rng = np.random.default_rng(extra + 5)
+        net = nn.Network.build(5, (64, 64, 64), rng=rng, treatment_scale=0.1)
+        n = net.block_rows + extra
+        X, T, _ = _random_batch(rng, n, 5)
+        expected = _block_forwards(net, X, T)
+        rows = _spy_forward_rows(monkeypatch)
+        preds, _ = net.forward_batch(X, T, keep_cache=False)
+        assert preds.tobytes() == expected.tobytes()
+        assert len(rows) == calls and sum(rows) == n
+        assert all(r == net.block_rows for r in rows[:-1])
+
+    def test_cached_forward_is_one_unblocked_pass(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        net = nn.Network.build(3, (64, 64), rng=rng, treatment_scale=0.1)
+        n = 2 * net.block_rows + 1
+        X, T, _ = _random_batch(rng, n, 3)
+        rows = _spy_forward_rows(monkeypatch)
+        preds, cache = net.forward_batch(X, T)
+        assert rows == [n]
+        assert cache.batch_size == n and preds.shape == (n,)
+        assert all(a.shape[0] == n for a in cache.inputs + cache.preacts)
+        grad = nn.backward(net, cache, np.ones(n))
+        assert grad.shape == net.theta.shape and np.isfinite(grad).all()
+
+
 class TestFlatLayout:
     """One flat float64 theta per network; params, masks, gradients, clones
     and checkpoints all follow its layout."""
