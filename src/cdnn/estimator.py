@@ -368,7 +368,10 @@ def _network_meta(net):
 
 
 def save_checkpoint(estimator, path):
-    """Serialize the ensemble to a single .npz file; round-trips bitwise."""
+    """Serialize the ensemble as an .npz archive; round-trips bitwise.
+
+    `path` is a file name, written exactly as given, or an open binary file.
+    """
     meta = {
         "format": CHECKPOINT_FORMAT,
         "variant": estimator.variant,
@@ -388,7 +391,9 @@ def save_checkpoint(estimator, path):
         for k, mk in enumerate(s2.mask.arrays):
             arrays[f"m{m}.s2.mask{k}"] = mk
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    # np.savez given a file name appends ".npz"; given an open file it writes there
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     return path
 
 

@@ -104,6 +104,19 @@ class TestFitAndScore:
         assert values.shape == (300,)
         assert np.all(np.isfinite(values))
 
+    def test_out_without_suffix_is_written_as_given(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        main(["generate", "--family", "confound-linear", "--n", "60", "--out", str(data_path)])
+        model_path = tmp_path / "model"
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data_path), "--out", str(model_path), "--epochs", "2",
+                     "--ensemble-size", "1", "--hidden", "4"]) == 0
+        printed = capsys.readouterr().out.strip().rsplit(" -> ", 1)[1]
+        assert printed == str(model_path)
+        assert model_path.is_file() and not (tmp_path / "model.npz").exists()
+        assert main(["score", "--model", printed, "--data", str(data_path),
+                     "--out", str(tmp_path / "ite.csv")]) == 0
+
     def test_score_bad_checkpoint_returns_2(self, tmp_path):
         data_path = tmp_path / "d.csv"
         main(["generate", "--family", "confound-linear", "--n", "50",

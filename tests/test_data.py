@@ -1,7 +1,12 @@
 """Data generation, splits, CSV round trips, replications."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cdnn import data as dmod
 from cdnn.baselines import dml_ate
@@ -21,6 +26,44 @@ from cdnn.data import (
     write_csv,
 )
 from cdnn.errors import ConfigError, SchemaError, SplitError
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the tests that write a file rewrite the same tmp_path file in every example
+FILE_EXAMPLES = {"deadline": None, "suppress_health_check": [HealthCheck.function_scoped_fixture]}
+
+
+def reference_write_csv(data, path):
+    """The csv.writer row loop that write_csv replaced; its bytes are the reference."""
+    header = ["t", "y"]
+    if data.has_ground_truth:
+        header += ["y1", "y0"]
+    header += [f"x{j}" for j in range(data.d)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(len(data)):
+            row = [str(int(data.t[i])), format(float(data.y[i]), ".17g")]
+            if data.has_ground_truth:
+                row += [format(float(data.y1[i]), ".17g"), format(float(data.y0[i]), ".17g")]
+            row += [format(float(v), ".17g") for v in data.x[i]]
+            writer.writerow(row)
+    return path
+
+
+def reference_load(path):
+    """load_csv through the row-by-row reader alone."""
+    return Dataset(*dmod._columns_by_row(path), provenance=str(path))
+
+
+def outcome(loader, path):
+    """A loader's result as comparable data: every array's dtype and bits, or the error."""
+    try:
+        ds = loader(path)
+    except SchemaError as err:
+        return type(err), str(err), err.row
+    fields = ("x", "t", "y", "y1", "y0", "theta")
+    arrays = [getattr(ds, f) for f in fields]
+    return ds.provenance, [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def constant_effect_spec(theta=2.0, sigma=0.0, seed=0, d=2, p=0.5):
@@ -173,6 +216,44 @@ class TestSplit:
         with pytest.raises(SplitError):
             SplitSpec.custom((0.9, 0.1, -0.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 100_000),
+        k=st.tuples(st.integers(1, 98), st.integers(1, 98)).filter(lambda k: sum(k) < 100),
+    )
+    def test_percent_fractions_follow_the_floor_remainder_rule(self, n, k):
+        # exact integer arithmetic: validation floor(f_val*n), test the
+        # complement of floor((f_train+f_val)*n), train the rest
+        k_train, k_val = k
+        spec = SplitSpec.custom((k_train / 100, k_val / 100, (100 - k_train - k_val) / 100))
+        n_val = n * k_val // 100
+        n_test = n - n * (k_train + k_val) // 100
+        expected = (n - n_val - n_test, n_val, n_test)
+        if min(expected) < 1:
+            with pytest.raises(SplitError):
+                spec.sizes(n)
+        else:
+            assert spec.sizes(n) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 10**6),
+        f_train=st.floats(1e-6, 1.0),
+        f_val=st.floats(1e-6, 1.0),
+    )
+    def test_any_fractions_sum_to_n(self, n, f_train, f_val):
+        assume(f_train + f_val < 1.0 - 1e-6)
+        spec = SplitSpec.custom((f_train, f_val, 1.0 - f_train - f_val))
+        shares = [f * n for f in spec.fractions]
+        try:
+            sizes = spec.sizes(n)
+        except SplitError:
+            assert min(shares) < 1.0 + 1e-6
+            return
+        assert sum(sizes) == n and min(sizes) >= 1
+        assert shares[1] - 1.0 < sizes[1] <= shares[1] + 1e-9
+        assert shares[2] - 1e-6 <= sizes[2] < shares[2] + 1.0 + 1e-6
+
 
 class TestCsv:
     def test_round_trip_is_value_exact(self, tmp_path):
@@ -249,6 +330,158 @@ class TestCsv:
         path.write_text("t,y,y1,y0,x0\n1,3.5,3,1,0.5\n")
         with pytest.raises(SchemaError):
             load_csv(path)
+
+    @settings(max_examples=100, **FILE_EXAMPLES)
+    @given(
+        rows=st.integers(1, 6),
+        d=st.integers(1, 3),
+        gt=st.booleans(),
+        data=st.data(),
+    )
+    def test_round_trip_is_bitwise_for_any_finite_double(self, tmp_path, rows, d, gt, data):
+        def doubles(shape):
+            size = math.prod(shape)
+            values = data.draw(st.lists(FINITE, min_size=size, max_size=size))
+            return np.array(values, dtype=float).reshape(shape)
+
+        t = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+        y1, y0 = doubles((rows,)), doubles((rows,))
+        y = np.where(t == 1, y1, y0) if gt else doubles((rows,))
+        path = tmp_path / "data.csv"
+        with np.errstate(over="ignore"):  # theta = y1 - y0 may overflow
+            ds = Dataset(doubles((rows, d)), t, y, y1 if gt else None, y0 if gt else None)
+            write_csv(ds, path)
+            loaded = load_csv(path)
+        for field in ("x", "t", "y", "y1", "y0"):
+            a, b = getattr(ds, field), getattr(loaded, field)
+            assert (a is None and b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+
+
+class TestCsvWriter:
+    SPECIAL = [-0.0, 0.0, 5e-324, -2.2250738585072e-310, 1e308, -1e308, 1.7976931348623157e308,
+               0.1, -1 / 3]
+
+    @pytest.mark.parametrize("block_rows", [7, dmod._WRITE_BLOCK_ROWS])
+    @pytest.mark.parametrize("gt", [True, False])
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_bytes_match_the_row_writer(self, tmp_path, monkeypatch, gt, d, block_rows):
+        monkeypatch.setattr(dmod, "_WRITE_BLOCK_ROWS", block_rows)
+        ds = generate(named_dgp("confound-hetero", d=max(d, 2), seed=4), 300)
+        x = ds.x[:, :d].copy()
+        x[: len(self.SPECIAL), 0] = self.SPECIAL
+        y1, y0 = ds.y1.copy(), ds.y0.copy()
+        y1[: len(self.SPECIAL)] = self.SPECIAL
+        y0[: len(self.SPECIAL)] = self.SPECIAL[::-1]
+        y = np.where(ds.t == 1, y1, y0)
+        with np.errstate(over="ignore"):
+            ds = Dataset(x, ds.t, y, y1 if gt else None, y0 if gt else None)
+        write_csv(ds, tmp_path / "fast.csv")
+        reference_write_csv(ds, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+class TestCsvLoaderParity:
+    """load_csv parses the body with np.loadtxt and falls back to a row loop."""
+
+    ODD_FIELDS = ["", " 1", "2 ", "\t2", "2_5", "\u0662", '"2.5"', "nan", "-inf", "Infinity",
+                  "1e999", "1e-400", "-0", "+.5", "5.", "1e", ".", "0x1p3", "1,2", "2\x00",
+                  "2\x0c", "1.0", "0.5", "2"]
+    SPELLINGS = [repr, lambda v: format(v, ".17g"), lambda v: format(v, ".3g")]
+
+    @settings(max_examples=300, **FILE_EXAMPLES)
+    @given(
+        rows=st.integers(1, 6),
+        d=st.integers(1, 3),
+        gt=st.booleans(),
+        mixed_eols=st.booleans(),
+        final_eol=st.booleans(),
+        data=st.data(),
+    )
+    def test_same_dataset_or_error_as_the_row_loop(
+        self, tmp_path, monkeypatch, rows, d, gt, mixed_eols, final_eol, data
+    ):
+        def number():
+            return data.draw(st.sampled_from(self.SPELLINGS))(data.draw(FINITE))
+
+        header = ["t", "y"] + (["y1", "y0"] if gt else []) + [f"x{j}" for j in range(d)]
+        table = []
+        for _ in range(rows):
+            t = data.draw(st.sampled_from(["0", "1"]))
+            y1, y0 = number(), number()
+            fields = [t, y1 if t == "1" else y0] + ([y1, y0] if gt else [])
+            table.append(fields + [number() for _ in range(d)])
+        for _ in range(data.draw(st.integers(0, 2))):
+            row = data.draw(st.integers(0, rows - 1))
+            col = data.draw(st.integers(0, len(header) - 1))
+            table[row][col] = data.draw(st.sampled_from(self.ODD_FIELDS))
+        lines = [",".join(header)] + [",".join(fields) for fields in table]
+        if data.draw(st.integers(0, 9)) == 0:
+            lines.insert(data.draw(st.integers(1, len(lines))), "")
+        # one line end for the file, or one per line (LF, CRLF and CR-only mixed)
+        eol = st.sampled_from(["\n", "\r\n", "\r"])
+        eols = data.draw(st.lists(eol, min_size=len(lines), max_size=len(lines)) if mixed_eols
+                         else eol.map(lambda e: [e] * len(lines)))
+        text = "".join(line + end for line, end in zip(lines, eols))
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text if final_eol else text[: -len(eols[-1])])
+        # short read chunks cut some \r\n pairs in two while lines are counted
+        chunk = data.draw(st.sampled_from([1, 2, 3, 5, dmod._READ_CHUNK_CHARS]))
+        monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", chunk)
+        assert outcome(load_csv, path) == outcome(reference_load, path)
+
+    @pytest.mark.parametrize(
+        "text, loads",
+        [
+            ("t,y,x0\n0,1,2\n\n1,3,4\n", False),  # blank line in the middle
+            ("t,y,x0\n0,1,2\n1,3,4\n\n", False),  # blank line at the end
+            ("t,y,x0\n0,1,2\n2,3,4\n", False),
+            ("t,y,x0\n0,nan,2\n", False),
+            ("t,y,x0\n0,1,Infinity\n", False),
+            ('t,y,x0\n0,1,"2.5"\n', True),
+            ("t,y,x0\n0,1,2_5\n", True),
+            ("t,y,x0\n0,1,\u0662\n", True),
+            ("t,y,x0\r0,1,2\r1,3,4\r", True),  # CR-only line ends
+            ("t,y,x0\n0,1,2\r1,3,4\n\n", False),  # a CR line end and a blank line
+            ("t,y,x0\n0,1,2,\n", False),  # trailing comma
+            ("t,y,x0\n0,,2\n", False),  # empty field
+            ("t,y,x0\n0,1,2\n   \n1,3,4\n", False),  # whitespace-only line
+            ("t,y,x0\n", False),  # header only
+            ("t,y,x0\n0.5,1,2\n", False),
+            ("t,y,y1,y0,x0\n1,3,3,1,0.5\n0,3,3,1,0.5\n", False),  # y is not y0 in row 2
+        ],
+        ids=["blank-middle", "blank-end", "t-2", "nan", "infinity", "quoted", "underscore",
+             "arabic-digit", "cr-only", "cr-and-blank", "trailing-comma", "empty-field",
+             "whitespace-line", "header-only", "t-half", "ground-truth-mismatch"],
+    )
+    def test_corruption_gives_the_row_loop_result(self, tmp_path, text, loads):
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        result = outcome(load_csv, path)
+        assert result == outcome(reference_load, path)
+        assert (result[0] is not SchemaError) == loads
+
+    @pytest.mark.parametrize("chunk", [3, dmod._READ_CHUNK_CHARS])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r", "none"])
+    @pytest.mark.parametrize("gt", [True, False])
+    def test_written_file_never_enters_the_row_loop(self, tmp_path, monkeypatch, gt, eol, chunk):
+        ds = generate(named_dgp("confound-hetero", seed=6), 500)
+        if not gt:
+            ds = Dataset(ds.x, ds.t, ds.y)
+        path = write_csv(ds, tmp_path / "data.csv")
+        if eol == "none":  # no line end after the last row
+            path.write_bytes(path.read_bytes()[:-1])
+        else:
+            path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
+        expected = outcome(reference_load, path)
+        monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", chunk)
+
+        def spy(path):
+            raise AssertionError(f"{path} went through the row loop")
+
+        monkeypatch.setattr(dmod, "_columns_by_row", spy)
+        assert outcome(load_csv, path) == expected
 
 
 class TestDatasetValidation:
