@@ -147,7 +147,8 @@ class Dataset:
     theta holds the per-sample effect y1 - y0. Generated data stores it
     explicitly (so a noiseless constant-effect process carries the constant
     bit-exactly); data loaded without a stored effect derives it as the
-    float difference.
+    float difference. y1, y0 and theta must be finite: a difference that
+    overflows is a SchemaError, not an infinite effect.
     """
 
     x: np.ndarray
@@ -174,7 +175,12 @@ class Dataset:
             )
         self.check_finite()
         if self.theta is None and self.y1 is not None and self.y0 is not None:
-            self.theta = self.y1 - self.y0
+            with np.errstate(over="ignore"):  # an overflow is rejected just below
+                self.theta = self.y1 - self.y0
+        for name in ("y1", "y0", "theta"):
+            truth = getattr(self, name)
+            if truth is not None and not np.isfinite(truth).all():
+                raise SchemaError(f"ground truth {name} must be finite (no NaN or inf)")
 
     def __len__(self):
         return self.x.shape[0]
@@ -254,23 +260,46 @@ def oracle_of(spec):
 
     The marginal outcome g0 is built from the propensity mixture of the two
     arm means, so the oracle passes the consistency identities bitwise.
+
+    The four functions share a cache of one point, keyed by the float64
+    bytes of the point (not by the object, which a caller may rewrite in
+    place). Each surface is evaluated lazily, at most once per point: theta0
+    alone evaluates only the effect surface, and f, g0, e0 and theta0 at one
+    point together evaluate each surface once. The cache belongs to this
+    oracle alone, and every value is bitwise what a fresh evaluation gives.
     """
+    # (key, surface values by name); a new point gets a new dict, so a dict
+    # only ever holds the values of its own key
+    point = (None, {})
+
+    def at(x, *names):
+        nonlocal point
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        key = X.tobytes()
+        seen, values = point
+        if seen != key:
+            values = {}
+            point = (key, values)
+        for name in names:
+            if name not in values:
+                values[name] = float(getattr(spec, name).values(X)[0])
+        return [values[name] for name in names]
+
+    def mean(t, b, effect):
+        return b + float(t) * effect  # DgpSpec.outcome_mean on one row
 
     def f(t, x):
-        X = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(spec.outcome_mean(t, X)[0])
+        return mean(t, *at(x, "baseline", "effect"))
 
     def e0(x):
-        X = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(spec.propensity.values(X)[0])
+        return at(x, "propensity")[0]
 
     def theta0(x):
-        X = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(spec.effect.values(X)[0])
+        return at(x, "effect")[0]
 
     def g0(x):
-        e = e0(x)
-        return e * f(1, x) + (1.0 - e) * f(0, x)
+        e, b, effect = at(x, "propensity", "baseline", "effect")
+        return e * mean(1, b, effect) + (1.0 - e) * mean(0, b, effect)
 
     return NuisanceOracle(g0=g0, e0=e0, theta0=theta0, f=f, noise_sigma=spec.noise_sigma)
 

@@ -249,6 +249,20 @@ class TestVerifyGradients:
         assert result.lines[1].startswith("max relative gradient error: nan")
 
 
+class TestVerifyLemma:
+    # lines[1:3] as printed before oracle_of cached surface values per point
+    GOLDEN_H = {0: "5.551e-16", 1: "5.551e-16", 2: "6.661e-16", 3: "8.882e-16", 4: "8.882e-16"}
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_H))
+    def test_report_lines_are_unchanged(self, seed):
+        result = bench.verify_lemma(seed=seed)
+        assert result.passed
+        assert result.lines[1:3] == [
+            f"max |h_direct - theta*(t-e)|: {self.GOLDEN_H[seed]} (tolerance 1e-12)",
+            "max |mixture - g0|: 0.000e+00 (tolerance 1e-12)",
+        ]
+
+
 class TestOrthogonalityProbePoints:
     def _points(self, seed):
         spec = named_dgp("confound-hetero", seed=seed)

@@ -193,6 +193,23 @@ class TestFitAndScore:
         assert main(argv + ["--data", str(bad)]) == 2
         assert "error: file is not UTF-8 text (row 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "fit"])
+    def test_overflowing_ground_truth_returns_2(self, tmp_path, capsys, command):
+        model_path = tmp_path / "model.npz"
+        good = tmp_path / "good.csv"
+        good.write_text("t,y,x0\n0,1,2\n1,3,4\n0,2,1\n1,1,0\n")
+        assert main(["fit", "--data", str(good), "--out", str(model_path), "--epochs", "1",
+                     "--ensemble-size", "1", "--hidden", "2", "--validation-fraction", "0"]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,y,y1,y0,x0\n1,1e308,1e308,-1e308,0\n")  # y1 - y0 overflows
+        argv = {
+            "score": ["score", "--model", str(model_path), "--out", str(tmp_path / "o.csv")],
+            "fit": ["fit", "--out", str(tmp_path / "m2.npz")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--data", str(bad)]) == 2
+        assert "error: ground truth theta must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["--out", "--data", "--model"])
     def test_score_directory_path_returns_2(self, tmp_path, capsys, target):
         data_path = tmp_path / "d.csv"

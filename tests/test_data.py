@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from cdnn import data as dmod
 from cdnn.baselines import dml_ate
+from cdnn.bench import verify_lemma
 from cdnn.data import (
+    DGP_FAMILIES,
     AffineSurface,
     ConstantPropensity,
     Dataset,
     DgpSpec,
     LogisticPropensity,
     ReplicationSet,
+    SigmoidSurface,
     SplitSpec,
     generate,
     load_csv,
@@ -26,6 +30,7 @@ from cdnn.data import (
     write_csv,
 )
 from cdnn.errors import ConfigError, SchemaError, SplitError
+from cdnn.theory import NuisanceOracle
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # the tests that write a file rewrite the same tmp_path file in every example
@@ -48,6 +53,28 @@ def reference_write_csv(data, path):
             row += [format(float(v), ".17g") for v in data.x[i]]
             writer.writerow(row)
     return path
+
+
+def reference_oracle_of(spec):
+    """The oracle_of body without the per-point cache; its values are the reference."""
+
+    def f(t, x):
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(spec.outcome_mean(t, X)[0])
+
+    def e0(x):
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(spec.propensity.values(X)[0])
+
+    def theta0(x):
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(spec.effect.values(X)[0])
+
+    def g0(x):
+        e = e0(x)
+        return e * f(1, x) + (1.0 - e) * f(0, x)
+
+    return NuisanceOracle(g0=g0, e0=e0, theta0=theta0, f=f, noise_sigma=spec.noise_sigma)
 
 
 def reference_load(path):
@@ -177,6 +204,85 @@ class TestOracleOf:
             spec = dmod.random_dgp(rng)
             probes = rng.standard_normal((10, spec.d))
             assert oracle_of(spec).check_consistency(probes)
+
+    CALLS = (("f", 0), ("f", 1), ("g0",), ("e0",), ("theta0",))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from((None,) + DGP_FAMILIES),
+        data=st.data(),
+    )
+    def test_values_are_bitwise_the_uncached_reference(self, seed, family, data):
+        rng = np.random.default_rng(seed)
+        if family is None:
+            spec = dmod.random_dgp(rng)
+        else:
+            spec = named_dgp(family, d=int(rng.integers(2, 6)), seed=seed % 1000)
+        oracle, reference = oracle_of(spec), reference_oracle_of(spec)
+        points = []
+        for scale in (1e-3, 1.0, 30.0):
+            x = scale * rng.standard_normal(spec.d)
+            points += [x.tolist(), np.rint(x).astype(int), x]
+        # every function at every point twice, in a shuffled order
+        calls = [(k, c) for k in range(len(points)) for c in self.CALLS] * 2
+        calls = data.draw(st.permutations(calls))
+        rewrites = set(data.draw(st.lists(st.integers(0, len(calls) - 1), max_size=8)))
+        for i, (k, (name, *t)) in enumerate(calls):
+            if i in rewrites and not isinstance(points[k], list):
+                # a caller may reuse its array for the next point, as _probe_points does
+                points[k][:] = 30.0 * rng.standard_normal(spec.d)
+            got = getattr(oracle, name)(*t, points[k])
+            want = getattr(reference, name)(*t, points[k])
+            assert type(got) is float
+            assert got.hex() == want.hex(), (name, t, points[k])
+
+
+@pytest.fixture
+def surface_calls(monkeypatch):
+    """Every surface object whose values() runs, once per call."""
+    calls = []
+    for cls in (AffineSurface, SigmoidSurface, ConstantPropensity, LogisticPropensity):
+
+        def spy(self, X, values=cls.values):
+            calls.append(self)  # keeps the object alive, so ids stay unique
+            return values(self, X)
+
+        monkeypatch.setattr(cls, "values", spy)
+    return calls
+
+
+class TestOracleEvaluationCount:
+    def test_lemma_suite_evaluates_each_surface_once_per_oracle(self, surface_calls):
+        assert verify_lemma(seed=0, oracles=50).passed
+        per_surface = {}
+        for surface in surface_calls:
+            per_surface[id(surface)] = per_surface.get(id(surface), 0) + 1
+        assert max(per_surface.values()) == 1
+        assert len(per_surface) == 3 * 50  # baseline, effect and propensity of each oracle
+
+    def test_theta0_evaluates_only_the_effect_surface(self, surface_calls):
+        spec = named_dgp("confound-hetero", seed=0)
+        oracle = oracle_of(spec)
+        x = np.random.default_rng(0).standard_normal(spec.d)
+        oracle.theta0(x)
+        assert surface_calls == [spec.effect]
+        oracle.theta0(x)
+        oracle.f(1, x)
+        assert surface_calls == [spec.effect, spec.baseline]
+        oracle.g0(x)
+        oracle.e0(x)
+        assert surface_calls == [spec.effect, spec.baseline, spec.propensity]
+        x[0] += 1.0  # the same array holding a new point
+        oracle.theta0(x)
+        assert surface_calls == [spec.effect, spec.baseline, spec.propensity, spec.effect]
+
+    def test_cache_is_not_shared_between_oracles(self, surface_calls):
+        a, b = named_dgp("confound-hetero", seed=0), named_dgp("confound-linear", seed=0)
+        x = np.ones(a.d)
+        assert oracle_of(a).theta0(x) == 3.0  # 1 + 2 * x0
+        assert oracle_of(b).theta0(x) == 2.0
+        assert surface_calls == [a.effect, b.effect]
 
 
 class TestSplit:
@@ -347,11 +453,20 @@ class TestCsv:
         t = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
         y1, y0 = doubles((rows,)), doubles((rows,))
         y = np.where(t == 1, y1, y0) if gt else doubles((rows,))
+        x = doubles((rows, d))
         path = tmp_path / "data.csv"
-        with np.errstate(over="ignore"):  # theta = y1 - y0 may overflow
-            ds = Dataset(doubles((rows, d)), t, y, y1 if gt else None, y0 if gt else None)
-            write_csv(ds, path)
-            loaded = load_csv(path)
+        with np.errstate(over="ignore"):
+            overflows = gt and not np.isfinite(y1 - y0).all()
+        if overflows:  # theta = y1 - y0 is not finite: rejected when built and when loaded
+            with pytest.raises(SchemaError, match="ground truth theta"):
+                Dataset(x, t, y, y1, y0)
+            write_csv(Dataset(x, t, y, y1, y0, theta=np.zeros(rows)), path)
+            with pytest.raises(SchemaError, match="ground truth theta"):
+                load_csv(path)
+            return
+        ds = Dataset(x, t, y, y1 if gt else None, y0 if gt else None)
+        write_csv(ds, path)
+        loaded = load_csv(path)
         for field in ("x", "t", "y", "y1", "y0"):
             a, b = getattr(ds, field), getattr(loaded, field)
             assert (a is None and b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
@@ -373,8 +488,9 @@ class TestCsvWriter:
         y1[: len(self.SPECIAL)] = self.SPECIAL
         y0[: len(self.SPECIAL)] = self.SPECIAL[::-1]
         y = np.where(ds.t == 1, y1, y0)
-        with np.errstate(over="ignore"):
-            ds = Dataset(x, ds.t, y, y1 if gt else None, y0 if gt else None)
+        # write_csv does not write theta; y1 - y0 would overflow on the special rows
+        theta = np.zeros(len(y)) if gt else None
+        ds = Dataset(x, ds.t, y, y1 if gt else None, y0 if gt else None, theta)
         write_csv(ds, tmp_path / "fast.csv")
         reference_write_csv(ds, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -517,6 +633,27 @@ class TestDatasetValidation:
         x[2, 1] = bad
         with pytest.raises(SchemaError, match="finite"):
             Dataset(x, [0, 1, 0], np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["y1", "y0", "theta"])
+    def test_non_finite_ground_truth_rejected(self, field, bad):
+        truth = {"y1": np.ones(3), "y0": np.zeros(3), "theta": np.ones(3)}
+        truth[field][1] = bad
+        with pytest.raises(SchemaError, match=f"ground truth {field} must be finite"):
+            Dataset(np.zeros((3, 2)), [0, 0, 0], np.zeros(3), **truth)
+
+    def test_overflowing_effect_rejected_without_a_warning(self):
+        # y1 - y0 = 2e308 is not a double; the derived theta would be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow RuntimeWarning fails the test
+            with pytest.raises(SchemaError, match="ground truth theta must be finite"):
+                Dataset(np.zeros((1, 1)), [1], [1e308], np.array([1e308]), np.array([-1e308]))
+
+    def test_overflowing_effect_in_a_file_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("t,y,y1,y0,x0\n1,1e308,1e308,-1e308,0\n")
+        with pytest.raises(SchemaError, match="ground truth theta must be finite"):
+            load_csv(path)
 
 
 class TestReplications:
