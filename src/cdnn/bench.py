@@ -13,7 +13,7 @@ import glob as globmod
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,21 +45,8 @@ from .theory import (
 
 ESTIMATOR_NAMES = ("cdnn_freezing", "cdnn_explicit", "ols_lr1", "ols_lr2", "dml")
 
-_CDNN_PARAM_KEYS = {
-    "hidden_widths",
-    "activation",
-    "concat_inputs",
-    "optimizer",
-    "learning_rate",
-    "momentum",
-    "epochs",
-    "batch_size",
-    "patience",
-    "validation_fraction",
-    "ensemble_size",
-    "treatment_scale",
-    "freeze_depth",
-}
+# every CdnnConfig field but the seed, which each replication derives
+_CDNN_PARAM_KEYS = {f.name for f in fields(est_mod.CdnnConfig)} - {"seed"}
 _DML_PARAM_KEYS = {"folds", "crossfit", "ridge_lambda", "clamp"}
 
 
@@ -71,9 +58,6 @@ _DML_PARAM_KEYS = {"folds", "crossfit", "ridge_lambda", "clamp"}
 class EstimatorSpec:
     name: str
     params: tuple = ()  # sorted (key, value) pairs, hashable
-
-    def params_dict(self):
-        return dict(self.params)
 
 
 @dataclass(frozen=True)
@@ -149,18 +133,7 @@ def _split_spec_from(entry):
 
 def config_from_dict(raw):
     """Build an ExperimentConfig from parsed JSON; unknown keys rejected."""
-    allowed = (
-        "dgp",
-        "n",
-        "replications",
-        "split",
-        "estimators",
-        "seed",
-        "output",
-        "workers",
-        "redraw_baseline",
-        "metrics_on",
-    )
+    allowed = {f.name for f in fields(ExperimentConfig)} - {"csv_files"}
     _reject_unknown(raw, allowed, "config")
     if "estimators" not in raw or "dgp" not in raw:
         raise ConfigError("config needs 'dgp' and 'estimators'")
@@ -224,7 +197,7 @@ class RepRow:
 
 
 def _fit_and_predict(spec, pool, query_x, seed, default_val_fraction):
-    params = spec.params_dict()
+    params = dict(spec.params)
     if spec.name in ("cdnn_freezing", "cdnn_explicit"):
         params.setdefault("validation_fraction", default_val_fraction)
         config = est_mod.CdnnConfig(seed=seed, **params)
@@ -408,17 +381,6 @@ class MetricsReport:
                 f"{a['mean_fit_seconds']:.2f}s/fit)"
             )
         return lines
-
-
-def emit(report, path, format="csv", include_runtime=False):
-    """Write a report to disk as csv or markdown."""
-    if format == "csv":
-        return report.to_csv(path, include_runtime=include_runtime)
-    if format == "markdown":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_markdown())
-        return path
-    raise ConfigError(f"unknown report format {format!r}")
 
 
 def run(config):
@@ -605,15 +567,12 @@ def verify_orthogonality(seed=0, n_x=20, n_samples=100_000, min_pass_fraction=0.
     return VerifyResult("orthogonality", passed, lines)
 
 
+SUITES = ("gradients", "lemma", "orthogonality")
+
+
 def verify(kind, seed=0):
-    """Run one named verification suite (or all of them)."""
-    suites = {
-        "gradients": verify_gradients,
-        "lemma": verify_lemma,
-        "orthogonality": verify_orthogonality,
-    }
-    if kind == "all":
-        return [suites[k](seed=seed) for k in ("gradients", "lemma", "orthogonality")]
-    if kind not in suites:
+    """Run one named verification suite of SUITES (or "all" of them)."""
+    if kind != "all" and kind not in SUITES:
         raise ConfigError(f"unknown verify kind {kind!r}")
-    return [suites[kind](seed=seed)]
+    # looked up when called, so a wrapped module attribute verify_* is the one run
+    return [globals()[f"verify_{k}"](seed=seed) for k in (SUITES if kind == "all" else (kind,))]

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import bench
 from .data import DGP_FAMILIES, generate, load_csv, named_dgp, write_csv
 from .errors import CdnnError, ConfigError
-from .estimator import CdnnConfig, fit, load_checkpoint, predict_ite, save_checkpoint
+from .estimator import VARIANTS, CdnnConfig, fit, load_checkpoint, predict_ite, save_checkpoint
 
 
 def _build_parser():
@@ -39,7 +39,7 @@ def _build_parser():
     )
 
     p_verify = sub.add_parser("verify", help="run a numerical verification suite")
-    p_verify.add_argument("kind", choices=("gradients", "lemma", "orthogonality", "all"))
+    p_verify.add_argument("kind", choices=(*bench.SUITES, "all"))
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_score = sub.add_parser("score", help="per-row effect predictions from a checkpoint")
@@ -49,7 +49,7 @@ def _build_parser():
 
     p_fit = sub.add_parser("fit", help="train on a CSV and save a model checkpoint")
     p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--variant", choices=("freezing", "explicit_residual"), default="freezing")
+    p_fit.add_argument("--variant", choices=VARIANTS, default="freezing")
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--epochs", type=int, default=300)
@@ -76,8 +76,8 @@ def _cmd_bench(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     md_path = out_dir / "report.md"
-    bench.emit(report, csv_path, "csv", include_runtime=args.include_runtime)
-    bench.emit(report, md_path, "markdown")
+    report.to_csv(csv_path, include_runtime=args.include_runtime)
+    md_path.write_text(report.to_markdown(), encoding="utf-8")
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     print(f"wrote {csv_path} and {md_path}")

@@ -147,8 +147,9 @@ class Dataset:
     theta holds the per-sample effect y1 - y0. Generated data stores it
     explicitly (so a noiseless constant-effect process carries the constant
     bit-exactly); data loaded without a stored effect derives it as the
-    float difference. y1, y0 and theta must be finite: a difference that
-    overflows is a SchemaError, not an infinite effect.
+    float difference. y1, y0 and theta become float vectors of n rows and
+    must be finite: a difference that overflows is a SchemaError, not an
+    infinite effect.
     """
 
     x: np.ndarray
@@ -174,13 +175,19 @@ class Dataset:
                 f"t {self.t.shape} and y {self.y.shape} must be vectors as long as x ({n} rows)"
             )
         self.check_finite()
-        if self.theta is None and self.y1 is not None and self.y0 is not None:
-            with np.errstate(over="ignore"):  # an overflow is rejected just below
-                self.theta = self.y1 - self.y0
         for name in ("y1", "y0", "theta"):
             truth = getattr(self, name)
-            if truth is not None and not np.isfinite(truth).all():
+            if truth is None and name == "theta" and self.has_ground_truth:
+                with np.errstate(over="ignore"):  # an overflow is rejected just below
+                    truth = self.y1 - self.y0
+            if truth is None:
+                continue
+            truth = np.asarray(truth, dtype=float)
+            if truth.shape != (n,):
+                raise SchemaError(f"ground truth {name} {truth.shape} must be a vector of {n} rows")
+            if not np.isfinite(truth).all():
                 raise SchemaError(f"ground truth {name} must be finite (no NaN or inf)")
+            setattr(self, name, truth)
 
     def __len__(self):
         return self.x.shape[0]

@@ -32,6 +32,8 @@ from .data import Dataset
 from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationError, ShapeError
 
 VARIANTS = ("explicit_residual", "freezing")
+# what each variant's stage 2 regresses
+_TARGET_KINDS = dict(zip(VARIANTS, ("residual", "outcome")))
 CHECKPOINT_FORMAT = 1
 
 
@@ -224,7 +226,8 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     The first-layer covariate weight block and bias are copied bitwise and
     frozen, deeper weights warm-start from stage 1 and stay trainable up to
     config.freeze_depth, and treatment edges are re-drawn small-random and
-    trainable. The regression target is the observed outcome.
+    trainable. The regression target is the observed outcome. An encoder
+    that is not bitwise stage 1's after training raises IdentityViolationError.
 
     With concat_inputs enabled (off by default) the raw covariates reach
     deeper layers alongside the frozen encoding; those re-injection weights
@@ -250,7 +253,14 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
         mask.freeze_layer(net, layer)
 
     log = _train(net, mask, data, validation, rng, config)
+    if _encoder_bytes(net) != _encoder_bytes(stage1.network):
+        raise IdentityViolationError("frozen stage-2 encoder moved away from stage 1's")
     return Stage2Model("freezing", net, mask, "outcome", log)
+
+
+def _encoder_bytes(net):
+    """The first-layer covariate block and bias, which freezing keeps bitwise."""
+    return net.weight(0)[: net.covariate_width].tobytes() + net.bias(0).tobytes()
 
 
 # Stage 1 never reads these fields, so fits that differ only in them share
@@ -412,17 +422,19 @@ def _required_array(blob, key, kind):
     return a
 
 
-def _rebuild_network(meta, blob, prefix):
-    try:
-        layers = [nn.LayerSpec(i, o, a) for i, o, a in _required(meta, "layers")]
-    except (TypeError, ValueError, ShapeError) as err:
-        raise ConfigError(f"malformed checkpoint: {prefix} layers: {err}") from None
-    params = [_required_array(blob, f"{prefix}.p{k}", "f") for k in range(2 * len(layers))]
+def _rebuild_network(meta, blob, prefix, config):
+    """The network of `prefix`, rebuilt from the config and its stored wiring."""
+    n_params = 2 * len(config.hidden_widths) + 2
+    params = [_required_array(blob, f"{prefix}.p{k}", "f") for k in range(n_params)]
     width, concat = _required(meta, "covariate_width"), _required(meta, "concat_inputs")
     try:
-        return nn.Network(layers, params, width, concat)
-    except ShapeError as err:
+        net = nn.Network(width, config.hidden_widths, config.activation, concat, params)
+    except (TypeError, ValueError, ShapeError) as err:
         raise ConfigError(f"malformed checkpoint: {prefix}: {err}") from None
+    rebuilt = _network_meta(net)
+    if {k: _required(meta, k) for k in rebuilt} != rebuilt:
+        raise ConfigError(f"malformed checkpoint: {prefix} layers differ from its config's")
+    return net
 
 
 def _load_config(cfg):
@@ -433,7 +445,10 @@ def _load_config(cfg):
             "malformed checkpoint config: "
             f"unknown keys {sorted(keys - names)}, missing keys {sorted(names - keys)}"
         )
-    return CdnnConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
+    try:
+        return CdnnConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed checkpoint config: {err}") from None
 
 
 @contextlib.contextmanager
@@ -467,14 +482,16 @@ def load_checkpoint(path):
             raise ConfigError(f"unsupported checkpoint format {fmt!r}")
         config = _load_config(_required(meta, "config"))
         variant = _required(meta, "variant")
+        if variant not in VARIANTS:
+            raise ConfigError(f"malformed checkpoint: unknown variant {variant!r}")
         stage1_meta, stage2_meta = _required(meta, "stage1"), _required(meta, "stage2")
         n_members = _required(meta, "members")
         if not len(stage1_meta) == len(stage2_meta) == n_members:
             raise ConfigError("malformed checkpoint: stage metadata does not match member count")
         members = []
         for m in range(n_members):
-            net1 = _rebuild_network(stage1_meta[m], blob, f"m{m}.s1")
-            net2 = _rebuild_network(stage2_meta[m], blob, f"m{m}.s2")
+            net1 = _rebuild_network(stage1_meta[m], blob, f"m{m}.s1", config)
+            net2 = _rebuild_network(stage2_meta[m], blob, f"m{m}.s2", config)
             n_params = len(net2.params)
             masks = [_required_array(blob, f"m{m}.s2.mask{k}", "b") for k in range(n_params)]
             if [a.shape for a in masks] != [p.shape for p in net2.params]:
@@ -482,6 +499,8 @@ def load_checkpoint(path):
             mask = nn.FreezeMask(net2, np.concatenate(masks, axis=None))
             stage1 = Stage1Model(net1, nn.TrainingLog())
             target_kind = _required(stage2_meta[m], "target_kind")
+            if target_kind != _TARGET_KINDS[variant]:
+                raise ConfigError(f"malformed checkpoint: {variant} target kind {target_kind!r}")
             stage2 = Stage2Model(variant, net2, mask, target_kind, nn.TrainingLog())
             members.append((stage1, stage2))
     return CdnnEstimator(members, variant, config)

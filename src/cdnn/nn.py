@@ -116,6 +116,22 @@ class ForwardCache:
         return self.preacts[0].shape[0]
 
 
+def _layer_specs(covariate_width, hidden_widths, activation, concat_inputs):
+    """One `activation` layer per hidden width, then a width-1 identity output.
+    With concat_inputs each layer after the first also reads the raw input."""
+    d = int(covariate_width)
+    if d < 1:
+        raise ShapeError("covariate width must be >= 1")
+    extra = d + 1
+    layers = []
+    prev = extra
+    for w in hidden_widths:
+        layers.append(LayerSpec(prev, int(w), activation))
+        prev = int(w) + (extra if concat_inputs else 0)
+    layers.append(LayerSpec(prev, 1, "identity"))
+    return layers
+
+
 class Network:
     """Dense MLP over (covariates, treatment) with an identity output layer.
 
@@ -123,13 +139,14 @@ class Network:
     list [W0, b0, W1, b1, ...] of views into it, with weight matrices shaped
     (input_width, output_width). Edit parameters in place (through either);
     rebinding `theta` or a `params` entry detaches it from the network. The
-    constructor copies the given arrays into a fresh `theta`. The final layer
-    must have identity activation and width 1 (scalar regression output).
+    constructor copies the given arrays into a fresh `theta`.
     """
 
-    def __init__(self, layers, params, covariate_width, concat_inputs=False):
-        self.layers = list(layers)
+    def __init__(self, covariate_width, hidden_widths, activation, concat_inputs, params):
+        self.hidden_widths = tuple(int(w) for w in hidden_widths)
+        self.layers = _layer_specs(covariate_width, self.hidden_widths, activation, concat_inputs)
         self.covariate_width = int(covariate_width)
+        self.activation = activation
         self.concat_inputs = bool(concat_inputs)
         self.version = 0
         self._layout = self._validate(params)
@@ -137,33 +154,20 @@ class Network:
         self.params = self.views(self.theta)
 
     def _validate(self, params):
-        """Check the layer chain and the shapes of `params` against it.
+        """Check the shapes of `params` against the layers.
 
         Returns the layout: (start, stop, shape) of each parameter in theta.
         """
-        if not self.layers:
-            raise ShapeError("network needs at least one layer")
         if len(params) != 2 * len(self.layers):
             raise ShapeError("parameter list does not match layer count")
-        extra = self.covariate_width + 1
-        prev = extra
         layout, start = [], 0
         for i, spec in enumerate(self.layers):
-            expected_in = prev if i == 0 else prev + (extra if self.concat_inputs else 0)
-            if spec.input_width != expected_in:
-                raise ShapeError(
-                    f"layer {i} expects input width {expected_in}, spec says {spec.input_width}"
-                )
             shapes = ((spec.input_width, spec.output_width), (spec.output_width,))
             for kind, shape, p in zip(("weight", "bias"), shapes, params[2 * i : 2 * i + 2]):
                 if np.shape(p) != shape:
                     raise ShapeError(f"layer {i} {kind} shape {np.shape(p)} != spec")
                 layout.append((start, start + math.prod(shape), shape))
                 start += math.prod(shape)
-            prev = spec.output_width
-        out = self.layers[-1]
-        if out.output_width != 1 or out.activation != "identity":
-            raise ShapeError("output layer must be width 1 with identity activation")
         return layout
 
     def views(self, flat):
@@ -192,24 +196,13 @@ class Network:
         exactly 0.0 (the stage-1 suppression initialization).
         """
         rng = np.random.default_rng(rng)
-        d = int(covariate_width)
-        if d < 1:
-            raise ShapeError("covariate width must be >= 1")
-        extra = d + 1
-        layers = []
-        prev = extra
-        for w in hidden_widths:
-            layers.append(LayerSpec(prev, int(w), activation))
-            prev = int(w) + (extra if concat_inputs else 0)
-        layers.append(LayerSpec(prev, 1, "identity"))
-
         params = []
-        for spec in layers:
+        for spec in _layer_specs(covariate_width, hidden_widths, activation, concat_inputs):
             bound = np.sqrt(6.0 / (spec.input_width + spec.output_width))
             W = rng.uniform(-bound, bound, size=(spec.input_width, spec.output_width))
             b = np.zeros(spec.output_width)
             params.extend([W, b])
-        net = cls(layers, params, d, concat_inputs)
+        net = cls(covariate_width, hidden_widths, activation, concat_inputs, params)
         for _, w in net.treatment_weights():
             draws = rng.uniform(-1.0, 1.0, size=w.size)
             # a 0.0 scale pins +0.0, not the -0.0 of 0.0 times a negative draw
@@ -260,7 +253,8 @@ class Network:
         self.version += 1
 
     def clone(self):
-        return Network(self.layers, self.params, self.covariate_width, self.concat_inputs)
+        wiring = self.covariate_width, self.hidden_widths, self.activation, self.concat_inputs
+        return Network(*wiring, self.params)
 
     # -- forward -----------------------------------------------------------
 

@@ -44,21 +44,6 @@ class NuisanceOracle:
     f: Callable
     noise_sigma: float = 0.0
 
-    def check_consistency(self, probes, tol=CONSISTENCY_TOL):
-        """Assert the mixture and effect identities at every probe point."""
-        for x in probes:
-            e = self.e0(x)
-            if not 0.0 < e < 1.0:
-                raise IdentityViolationError(f"propensity {e} outside (0,1) at {x}")
-            gap_theta = abs((self.f(1, x) - self.f(0, x)) - self.theta0(x))
-            gap_mix = abs(marginal_outcome(self, x) - self.g0(x))
-            if gap_theta > tol or gap_mix > tol:
-                raise IdentityViolationError(
-                    f"oracle inconsistent at {x}: effect gap {gap_theta:.3e}, "
-                    f"mixture gap {gap_mix:.3e}"
-                )
-        return True
-
     def sample_observations(self, x, n, rng):
         """Draw (T, Y) from the process at a fixed covariate point."""
         e = self.e0(x)
@@ -113,12 +98,17 @@ def residualized_h(oracle, t, x, tol=CONSISTENCY_TOL):
     return direct, factored
 
 
+def _orthogonal_score(t, y, g, e, theta):
+    """(y - g - theta*(t - e)) * (t - e), for scalars or arrays of draws."""
+    resid_t = t - e
+    return (y - g - theta * resid_t) * resid_t
+
+
 def score_psi(w, theta, g, e):
     """Orthogonal score (y - g - theta*(t - e)) * (t - e)."""
     if not 0.0 < e < 1.0:
         raise ConfigError("propensity value must lie in (0, 1)")
-    resid_t = w.t - e
-    return (w.y - g - theta * resid_t) * resid_t
+    return _orthogonal_score(w.t, w.y, g, e, theta)
 
 
 def _check_perturbed_propensity(e0x, delta_ex, taus):
@@ -183,10 +173,7 @@ def gateaux_derivative(
     if method not in ("finite_difference", "analytic"):
         raise ConfigError(f"unknown method {method!r}")
     if method == "finite_difference":
-        return _score_derivative(
-            lambda t, y, g, e, theta: (y - g - theta * (t - e)) * (t - e),
-            oracle, perturbation, x, n_samples, step, seed,
-        )
+        return _score_derivative(_orthogonal_score, oracle, perturbation, x, n_samples, step, seed)
     x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, n_samples, step)
     exp_t_resid = oracle.e0(x) - e0x
     exp_y_resid = marginal_outcome(oracle, x) - g0x

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdnn.baselines import dml_ate, ols_lr1, ols_lr2
 from cdnn.data import (
@@ -146,6 +148,22 @@ class TestOlsLr2:
         ate1 = float(np.mean(ite1(ds.x)))
         ate2 = float(np.mean(ite2(ds.x)))
         assert ate1 == pytest.approx(ate2, abs=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n=st.integers(14, 80))
+    def test_relabelling_the_arms_negates_the_effect(self, seed, d, n):
+        # t -> 1 - t swaps which arm each per-arm fit sees, so the effect
+        # m1 - m0 becomes m0 - m1, its exact negation
+        rng = np.random.default_rng(seed)
+        t = np.zeros(n, dtype=int)
+        t[rng.permutation(n)[: n // 2]] = 1
+        ds = Dataset(rng.standard_normal((n, d)) * 3.0, t, rng.standard_normal(n) * 10.0)
+        query = rng.standard_normal((7, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a rank-deficient arm falls back to ridge
+            ite = ols_lr2(ds)[2](query)
+            swapped = ols_lr2(Dataset(ds.x, 1 - ds.t, ds.y))[2](query)
+        assert np.array_equal(swapped, -ite)
 
 
 class TestDmlAte:

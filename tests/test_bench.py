@@ -206,6 +206,18 @@ class TestVerify:
         with pytest.raises(ConfigError):
             bench.verify("identities")
 
+    def test_suites_are_looked_up_when_called(self, monkeypatch):
+        # the benchmark's tracer wraps the verify_* module attributes; the
+        # wrapped functions are the ones verify must run
+        for kind in bench.SUITES:
+            fake = lambda seed, kind=kind: bench.VerifyResult(kind, seed == 7)  # noqa: E731
+            monkeypatch.setattr(bench, f"verify_{kind}", fake)
+        assert bench.SUITES == ("gradients", "lemma", "orthogonality")
+        assert [(r.kind, r.passed) for r in bench.verify("all", seed=7)] == [
+            (kind, True) for kind in bench.SUITES
+        ]
+        assert [r.kind for r in bench.verify("lemma", seed=7)] == ["lemma"]
+
     def test_all_returns_three_results(self):
         # smaller orthogonality settings keep this test quick
         results = bench.verify("gradients") + [

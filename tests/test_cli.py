@@ -131,7 +131,8 @@ class TestFitAndScore:
         [
             "unknown-config-key", "missing-array", "wrong-shape-mask", "wrong-dtype-array",
             "short-layer-entry", "string-layers", "int-layers", "non-numeric-width",
-            "truncated-archive", "npy-file", "text-file",
+            "truncated-archive", "npy-file", "text-file", "unknown-variant",
+            "mismatched-target-kind",
         ],
     )
     def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
@@ -161,6 +162,10 @@ class TestFitAndScore:
             meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
             if corruption == "unknown-config-key":
                 meta["config"]["bogus"] = 1
+            elif corruption == "unknown-variant":
+                meta["variant"] = "bogus"
+            elif corruption == "mismatched-target-kind":
+                meta["stage2"][0]["target_kind"] = "residual"
             else:
                 meta["stage1"][0]["layers"] = {
                     "short-layer-entry": [[3, 4]],

@@ -198,12 +198,12 @@ class TestOracleOf:
         x = np.random.default_rng(0).standard_normal(spec.d)
         assert oracle.g0(x) == pytest.approx(oracle.f(0, x), abs=1e-15)
 
-    def test_passes_consistency_checks(self):
+    def test_passes_consistency_checks(self, assert_oracle_consistent):
         rng = np.random.default_rng(13)
         for _ in range(20):
             spec = dmod.random_dgp(rng)
             probes = rng.standard_normal((10, spec.d))
-            assert oracle_of(spec).check_consistency(probes)
+            assert_oracle_consistent(oracle_of(spec), probes)
 
     CALLS = (("f", 0), ("f", 1), ("g0",), ("e0",), ("theta0",))
 
@@ -648,6 +648,28 @@ class TestDatasetValidation:
             warnings.simplefilter("error")  # an overflow RuntimeWarning fails the test
             with pytest.raises(SchemaError, match="ground truth theta must be finite"):
                 Dataset(np.zeros((1, 1)), [1], [1e308], np.array([1e308]), np.array([-1e308]))
+
+    def test_list_ground_truth_becomes_float_vectors(self):
+        ds = Dataset(np.zeros((2, 1)), [0, 1], [0.5, 1.5], [2, 3.5], [1, 1.0])
+        for name, want in (("y1", [2.0, 3.5]), ("y0", [1.0, 1.0]), ("theta", [1.0, 2.5])):
+            got = getattr(ds, name)
+            assert isinstance(got, np.ndarray) and got.dtype == float and list(got) == want
+
+    def test_overflowing_list_ground_truth_rejected(self):
+        with pytest.raises(SchemaError, match="ground truth theta must be finite"):
+            Dataset(np.zeros((1, 1)), [1], [1e308], [1e308], [-1e308])
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    @pytest.mark.parametrize("field", ["y1", "y0", "theta"])
+    def test_ground_truth_of_another_shape_rejected(self, field, shape):
+        truth = {"y1": np.ones(3), "y0": np.zeros(3), "theta": np.ones(3)}
+        truth[field] = np.ones(shape)
+        with pytest.raises(SchemaError, match=f"ground truth {field} .* vector of 3 rows"):
+            Dataset(np.zeros((3, 2)), [0, 1, 0], np.zeros(3), **truth)
+
+    def test_short_ground_truth_without_theta_rejected(self):
+        with pytest.raises(SchemaError, match="ground truth y1"):
+            Dataset(np.zeros((3, 2)), [0, 1, 0], np.zeros(3), [1.0, 2.0], [0.0, 0.0])
 
     def test_overflowing_effect_in_a_file_rejected(self, tmp_path):
         path = tmp_path / "big.csv"

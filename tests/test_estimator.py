@@ -290,6 +290,14 @@ class TestFitStage2Freezing:
         s2 = est.fit_stage2_freezing(s1, data, cfg)
         assert np.array_equal(s2.network.weight(1), w1_before)
 
+    def test_moved_encoder_raises(self, monkeypatch):
+        # with the encoder left trainable, training moves it off stage 1's bits
+        monkeypatch.setattr(nn.FreezeMask, "freeze_input_encoder", lambda self, net: self)
+        data = generate(make_spec(1.0, sigma=0.3, seed=44), 300)
+        cfg = est.CdnnConfig(hidden_widths=(8,), ensemble_size=2, epochs=3, seed=2)
+        with pytest.raises(IdentityViolationError, match="ensemble member 0: frozen stage-2"):
+            est.fit(data, "freezing", cfg)
+
     def test_architecture_mismatch_rejected(self):
         data = generate(make_spec(1.0, seed=34), 300)
         s1 = est.fit_stage1(data, est.CdnnConfig(ensemble_size=1, epochs=5, seed=1))
@@ -340,6 +348,18 @@ class TestPredictIte:
         # pass gives (0.7x + 1 + 0.25) - (0.7x + 0.25) = 1
         model = self._estimator([1.0])
         assert est.predict_ite(model, np.array([0.4])) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [1.0, -0.75, 3.5, 1e-300])
+    def test_output_c_times_t_gives_plus_c(self, c):
+        # the network's output is exactly c*t, so the effect is f(1) - f(0) = +c
+        stage2 = self._linear_stage2(c)
+        stage2.network.weight(0)[0, 0] = 0.0
+        stage2.network.bias(0)[:] = 0.0
+        X = np.array([[-2.0], [0.0], [5.0]])
+        assert list(stage2.ite(X)) == [c, c, c]
+        model = est.CdnnEstimator([(None, stage2)], "freezing", est.CdnnConfig())
+        assert list(est.predict_ite(model, X)) == [c, c, c]
+        assert est.predict_ite(model, np.array([0.3])) == c
 
     def test_ensemble_average(self):
         model = self._estimator([1.0, 2.0, 3.0])
@@ -681,6 +701,19 @@ class TestCheckpoint:
             lambda meta, arrays: meta["stage1"][0].update(layers="abc"),
             lambda meta, arrays: meta["stage2"][0].update(layers=7),
             lambda meta, arrays: meta["stage2"][0].update(layers=[["x", 4, "swish"]]),
+            lambda meta, arrays: meta["stage1"][0].update(
+                layers=[[3, 4, "identity"], [4, 1, "identity"]]
+            ),
+            lambda meta, arrays: meta["stage2"][0].update(covariate_width="2"),
+            lambda meta, arrays: meta["stage1"][0].update(concat_inputs=True),
+            lambda meta, arrays: meta["config"].update(hidden_widths=[5]),
+            lambda meta, arrays: meta["config"].update(hidden_widths=[4, 4]),
+            lambda meta, arrays: meta["config"].update(hidden_widths=4),
+            lambda meta, arrays: meta["config"].update(ensemble_size="1"),
+            lambda meta, arrays: meta.update(variant="bogus"),
+            lambda meta, arrays: meta.update(variant=["freezing"]),
+            lambda meta, arrays: meta.update(variant="explicit_residual"),
+            lambda meta, arrays: meta["stage2"][0].update(target_kind="residual"),
             Rewrite(lambda raw: raw[: len(raw) // 2]),
             Rewrite(lambda raw: npy_bytes()),
             Rewrite(lambda raw: b"ite\n0.5\n"),
@@ -708,6 +741,17 @@ class TestCheckpoint:
             "string-layers",
             "int-layers",
             "non-numeric-width",
+            "layers-of-another-activation",
+            "string-covariate-width",
+            "concat-wiring-without-its-layers",
+            "config-widths-of-another-shape",
+            "config-widths-of-another-depth",
+            "int-config-widths",
+            "string-ensemble-size",
+            "unknown-variant",
+            "list-variant",
+            "variant-of-the-other-target-kind",
+            "target-kind-of-the-other-variant",
             "truncated-archive",
             "npy-file",
             "text-file",

@@ -199,24 +199,14 @@ class TestNonOrthogonalControl:
 
 
 class TestOracleValidation:
-    def test_consistency_check_passes_for_generated_oracles(self):
+    def test_consistency_check_passes_for_generated_oracles(self, assert_oracle_consistent):
         spec = named_dgp("confound-linear", seed=0)
         oracle = oracle_of(spec)
         probes = np.random.default_rng(0).standard_normal((50, spec.d))
-        assert oracle.check_consistency(probes)
+        assert_oracle_consistent(oracle, probes)
 
     def test_score_input_validation(self):
         with pytest.raises(ConfigError):
             ScoreInput(y=float("inf"), t=1, x=X0)
         with pytest.raises(ConfigError):
             ScoreInput(y=0.0, t=2, x=X0)
-
-    def test_oracle_propensity_overlap_enforced(self):
-        bad = NuisanceOracle(
-            g0=lambda x: 0.0,
-            e0=lambda x: 1.0,
-            theta0=lambda x: 0.0,
-            f=lambda t, x: 0.0,
-        )
-        with pytest.raises(IdentityViolationError):
-            bad.check_consistency([X0])
