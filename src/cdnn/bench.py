@@ -32,7 +32,7 @@ from .data import (
     oracle_of,
     split,
 )
-from .errors import ConfigError, InvalidPerturbationError, MetricUnavailableError
+from .errors import CdnnError, ConfigError, InvalidPerturbationError, MetricUnavailableError
 from .metrics import ate_error_signed, eps_ate, sqrt_pehe
 from .nn import Network, gradient_check
 from .theory import (
@@ -132,7 +132,17 @@ def _split_spec_from(entry):
 
 
 def config_from_dict(raw):
-    """Build an ExperimentConfig from parsed JSON; unknown keys rejected."""
+    """Build an ExperimentConfig from parsed JSON; unknown keys and values of
+    the wrong type raise ConfigError."""
+    try:
+        return _config_from_dict(raw)
+    except CdnnError:  # ConfigError and SplitError are ValueErrors too
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad config value: {err}") from None
+
+
+def _config_from_dict(raw):
     allowed = {f.name for f in fields(ExperimentConfig)} - {"csv_files"}
     _reject_unknown(raw, allowed, "config")
     if "estimators" not in raw or "dgp" not in raw:

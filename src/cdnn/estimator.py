@@ -22,6 +22,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
@@ -34,7 +35,7 @@ from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationErro
 VARIANTS = ("explicit_residual", "freezing")
 # what each variant's stage 2 regresses
 _TARGET_KINDS = dict(zip(VARIANTS, ("residual", "outcome")))
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,10 @@ class CdnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ensemble_size < 1:
-            raise ConfigError("ensemble size must be >= 1")
+        if min(self.epochs, self.batch_size, self.patience, self.ensemble_size) < 1:
+            raise ConfigError("epochs, batch size, patience and ensemble size must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning rate must be finite and positive")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation fraction must lie in [0, 1)")
         if self.freeze_depth < 1:
@@ -215,7 +218,7 @@ def fit_stage2_explicit(residuals, config, validation=None, seed_stream=0):
         treatment_scale=config.treatment_scale,
         rng=rng,
     )
-    mask = nn.FreezeMask.none(net)
+    mask = _stage2_mask(net, "explicit_residual", config)
     log = _train(net, mask, residuals, validation, rng, config)
     return Stage2Model("explicit_residual", net, mask, "residual", log)
 
@@ -248,14 +251,22 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     for _, w in net.treatment_weights():
         w[:] = config.treatment_scale * rng.uniform(-1.0, 1.0, size=w.size)
 
-    mask = nn.FreezeMask.none(net).freeze_input_encoder(net)
-    for layer in range(1, min(config.freeze_depth, net.n_layers - 1)):
-        mask.freeze_layer(net, layer)
-
+    mask = _stage2_mask(net, "freezing", config)
     log = _train(net, mask, data, validation, rng, config)
     if _encoder_bytes(net) != _encoder_bytes(stage1.network):
         raise IdentityViolationError("frozen stage-2 encoder moved away from stage 1's")
     return Stage2Model("freezing", net, mask, "outcome", log)
+
+
+def _stage2_mask(net, variant, config):
+    """The stage-2 freeze mask of `variant`: nothing frozen for the explicit
+    fit; the encoder and the layers below config.freeze_depth for freezing."""
+    mask = nn.FreezeMask.none(net)
+    if variant == "freezing":
+        mask.freeze_input_encoder(net)
+        for layer in range(1, min(config.freeze_depth, net.n_layers - 1)):
+            mask.freeze_layer(net, layer)
+    return mask
 
 
 def _encoder_bytes(net):
@@ -369,37 +380,22 @@ def predict_ite(estimator, x):
 # checkpointing
 
 
-def _network_meta(net):
-    return {
-        "layers": [[s.input_width, s.output_width, s.activation] for s in net.layers],
-        "covariate_width": net.covariate_width,
-        "concat_inputs": net.concat_inputs,
-    }
-
-
 def save_checkpoint(estimator, path):
     """Serialize the ensemble as an .npz archive; round-trips bitwise.
 
+    Format 2: a meta JSON (format, variant, config, covariate width) and one
+    (members, P) theta matrix per stage; the rest follows from the config.
     `path` is a file name, written exactly as given, or an open binary file.
+    A model that load_checkpoint would reject raises ConfigError, and nothing
+    is written.
     """
-    meta = {
-        "format": CHECKPOINT_FORMAT,
-        "variant": estimator.variant,
-        "config": asdict(estimator.config),
-        "members": len(estimator.members),
-        "stage1": [],
-        "stage2": [],
-    }
-    arrays = {}
-    for m, (s1, s2) in enumerate(estimator.members):
-        meta["stage1"].append(_network_meta(s1.network))
-        meta["stage2"].append({**_network_meta(s2.network), "target_kind": s2.target_kind})
-        for k, p in enumerate(s1.network.params):
-            arrays[f"m{m}.s1.p{k}"] = p
-        for k, p in enumerate(s2.network.params):
-            arrays[f"m{m}.s2.p{k}"] = p
-        for k, mk in enumerate(s2.mask.arrays):
-            arrays[f"m{m}.s2.mask{k}"] = mk
+    stage1, stage2 = zip(*estimator.members)
+    width = stage1[0].network.covariate_width
+    arrays = {"stage1": np.stack([s.network.theta for s in stage1]),
+              "stage2": np.stack([s.network.theta for s in stage2])}
+    _decode(estimator.variant, estimator.config, width, arrays, [s.mask.frozen for s in stage2])
+    meta = {"format": CHECKPOINT_FORMAT, "variant": estimator.variant,
+            "config": asdict(estimator.config), "covariate_width": width}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     # np.savez given a file name appends ".npz"; given an open file it writes there
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
@@ -407,34 +403,54 @@ def save_checkpoint(estimator, path):
     return path
 
 
-def _required(mapping, key):
-    """mapping[key] of a checkpoint's metadata or arrays; ConfigError if absent."""
+def _param_shapes(config, width):
+    """Shapes of [W0, b0, W1, b1, ...] of the config's network on `width` covariates."""
+    try:
+        specs = nn._layer_specs(width, config.hidden_widths, config.activation, config.concat_inputs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed checkpoint: {err}") from None
+    return [shape for s in specs for shape in ((s.input_width, s.output_width), (s.output_width,))]
+
+
+def _decode(variant, config, width, arrays, masks=None):
+    """The estimator whose member m has the thetas arrays["stage1"][m] and
+    arrays["stage2"][m]. ConfigError unless every member keeps the paper's
+    contracts and, when `masks` are given, its derived stage-2 mask is masks[m].
+    """
+    shapes = _param_shapes(config, width)
+    rows = (config.ensemble_size, sum(math.prod(s) for s in shapes))
+    stage1, stage2 = (_required(arrays, k, "f", rows) for k in ("stage1", "stage2"))
+    wiring = width, config.hidden_widths, config.activation, config.concat_inputs
+    layout = nn.Network(*wiring, [np.zeros(s) for s in shapes])
+    members = []
+    for m in range(config.ensemble_size):
+        net1, net2 = (nn.Network(*wiring, layout.views(a[m])) for a in (stage1, stage2))
+        s1 = Stage1Model(net1, nn.TrainingLog())
+        mask = _stage2_mask(net2, variant, config)
+        for broken, why in (
+            (not s1.treatment_edges_zero(), "stage-1 treatment edges are not exactly 0"),
+            (variant == "freezing" and _encoder_bytes(net2) != _encoder_bytes(net1),
+             "frozen stage-2 encoder differs from stage 1's"),
+            (masks is not None and not np.array_equal(masks[m], mask.frozen),
+             "stage-2 mask differs from the one its config gives"),
+        ):
+            if broken:
+                raise ConfigError(f"malformed checkpoint: member {m}: {why}")
+        s2 = Stage2Model(variant, net2, mask, _TARGET_KINDS[variant], nn.TrainingLog())
+        members.append((s1, s2))
+    return CdnnEstimator(members, variant, config)
+
+
+def _required(mapping, key, kind=None, shape=None):
+    """mapping[key] of a checkpoint's meta or arrays; ConfigError if absent or,
+    for an array, of another dtype kind than `kind` or shape than `shape`."""
     if key not in mapping:
         raise ConfigError(f"malformed checkpoint: missing {key!r}")
-    return mapping[key]
-
-
-def _required_array(blob, key, kind):
-    """blob[key]; ConfigError unless its dtype is of kind `kind`."""
-    a = _required(blob, key)
-    if a.dtype.kind != kind:
-        raise ConfigError(f"malformed checkpoint: {key!r} has dtype {a.dtype}, not kind {kind!r}")
+    a = mapping[key]
+    if kind is not None and (a.dtype.kind != kind or shape not in (None, a.shape)):
+        expected = f"kind {kind!r} of shape {shape or 'any'}"
+        raise ConfigError(f"malformed checkpoint: {key!r} is {a.dtype} {a.shape}, not {expected}")
     return a
-
-
-def _rebuild_network(meta, blob, prefix, config):
-    """The network of `prefix`, rebuilt from the config and its stored wiring."""
-    n_params = 2 * len(config.hidden_widths) + 2
-    params = [_required_array(blob, f"{prefix}.p{k}", "f") for k in range(n_params)]
-    width, concat = _required(meta, "covariate_width"), _required(meta, "concat_inputs")
-    try:
-        net = nn.Network(width, config.hidden_widths, config.activation, concat, params)
-    except (TypeError, ValueError, ShapeError) as err:
-        raise ConfigError(f"malformed checkpoint: {prefix}: {err}") from None
-    rebuilt = _network_meta(net)
-    if {k: _required(meta, k) for k in rebuilt} != rebuilt:
-        raise ConfigError(f"malformed checkpoint: {prefix} layers differ from its config's")
-    return net
 
 
 def _load_config(cfg):
@@ -470,7 +486,8 @@ def _open_archive(path):
 
 
 def load_checkpoint(path):
-    """Load a save_checkpoint file; a malformed one raises ConfigError."""
+    """Load a save_checkpoint file, of format 2 or the earlier format 1; a
+    malformed one, or one that breaks the paper's contracts, raises ConfigError."""
     with _open_archive(path) as blob:
         raw = bytes(_required(blob, "meta"))
         try:
@@ -478,29 +495,28 @@ def load_checkpoint(path):
         except ValueError as err:  # not UTF-8, or not JSON
             raise ConfigError(f"malformed checkpoint: unreadable meta: {err}") from None
         fmt = meta.get("format") if isinstance(meta, dict) else None
-        if fmt != CHECKPOINT_FORMAT:
+        if fmt not in (1, CHECKPOINT_FORMAT):
             raise ConfigError(f"unsupported checkpoint format {fmt!r}")
         config = _load_config(_required(meta, "config"))
         variant = _required(meta, "variant")
         if variant not in VARIANTS:
             raise ConfigError(f"malformed checkpoint: unknown variant {variant!r}")
-        stage1_meta, stage2_meta = _required(meta, "stage1"), _required(meta, "stage2")
-        n_members = _required(meta, "members")
-        if not len(stage1_meta) == len(stage2_meta) == n_members:
-            raise ConfigError("malformed checkpoint: stage metadata does not match member count")
-        members = []
-        for m in range(n_members):
-            net1 = _rebuild_network(stage1_meta[m], blob, f"m{m}.s1", config)
-            net2 = _rebuild_network(stage2_meta[m], blob, f"m{m}.s2", config)
-            n_params = len(net2.params)
-            masks = [_required_array(blob, f"m{m}.s2.mask{k}", "b") for k in range(n_params)]
-            if [a.shape for a in masks] != [p.shape for p in net2.params]:
-                raise ConfigError(f"malformed checkpoint: m{m}.s2 mask shapes differ from params")
-            mask = nn.FreezeMask(net2, np.concatenate(masks, axis=None))
-            stage1 = Stage1Model(net1, nn.TrainingLog())
-            target_kind = _required(stage2_meta[m], "target_kind")
-            if target_kind != _TARGET_KINDS[variant]:
-                raise ConfigError(f"malformed checkpoint: {variant} target kind {target_kind!r}")
-            stage2 = Stage2Model(variant, net2, mask, target_kind, nn.TrainingLog())
-            members.append((stage1, stage2))
-    return CdnnEstimator(members, variant, config)
+        if fmt == CHECKPOINT_FORMAT:
+            return _decode(variant, config, _required(meta, "covariate_width"), blob)
+        # format 1 stored each parameter and mask of member m as its own array,
+        # m{m}.s1.p{k}, m{m}.s2.p{k} and m{m}.s2.mask{k}: in order, theta's bytes
+        if _required(meta, "members") != config.ensemble_size:
+            raise ConfigError("malformed checkpoint: member count differs from ensemble_size")
+        p0 = _required(blob, "m0.s1.p0", "f")
+        width = len(p0) - 1 if p0.ndim else 0  # W0 has a row per covariate and one for t
+        shapes = _param_shapes(config, width)
+
+        def rows(name, kind):
+            return np.array([
+                np.concatenate([_required(blob, f"m{m}.{name}{k}", kind, s)
+                                for k, s in enumerate(shapes)], axis=None)
+                for m in range(config.ensemble_size)
+            ])
+
+        arrays = {"stage1": rows("s1.p", "f"), "stage2": rows("s2.p", "f")}
+        return _decode(variant, config, width, arrays, rows("s2.mask", "b"))

@@ -8,6 +8,8 @@ import pytest
 
 from cdnn.cli import main
 from cdnn.data import load_csv
+from cdnn.estimator import load_checkpoint
+from test_estimator import reference_save_checkpoint_v1
 
 
 class TestGenerate:
@@ -45,6 +47,22 @@ class TestBench:
         cfg_path.write_text(json.dumps({"dgp": {"family": "confound-linear"}, "n": 100,
                                         "estimators": ["ols_lr1"], "bogus_key": 1}))
         assert main(["bench", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"n": "abc"},
+            {"estimators": [{"name": "cdnn_freezing", "hidden_widths": 5}]},
+            {"split": {"fractions": "x"}},
+        ],
+        ids=["string-n", "int-hidden-widths", "string-split-fractions"],
+    )
+    def test_config_value_of_the_wrong_type_returns_2(self, tmp_path, capsys, edit):
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**cfg, **edit}))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config value: ")
 
     def test_missing_config_file_returns_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "nope.json")]) == 2
@@ -130,9 +148,9 @@ class TestFitAndScore:
         "corruption",
         [
             "unknown-config-key", "missing-array", "wrong-shape-mask", "wrong-dtype-array",
-            "short-layer-entry", "string-layers", "int-layers", "non-numeric-width",
-            "truncated-archive", "npy-file", "text-file", "unknown-variant",
-            "mismatched-target-kind",
+            "non-numeric-width", "truncated-archive", "npy-file", "text-file",
+            "unknown-variant", "mismatched-target-kind", "stage-1-treatment-edge-of-one",
+            "stage-2-encoder-weight-moved-one-ulp", "format-1-stage-2-mask-all-false",
         ],
     )
     def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
@@ -142,38 +160,46 @@ class TestFitAndScore:
         model_path = tmp_path / "model.npz"
         assert main(["fit", "--data", str(data_path), "--out", str(model_path),
                      "--epochs", "2", "--ensemble-size", "1", "--hidden", "4"]) == 0
+        if corruption in ("wrong-shape-mask", "mismatched-target-kind",
+                          "format-1-stage-2-mask-all-false"):
+            reference_save_checkpoint_v1(load_checkpoint(model_path), model_path)
         with np.load(model_path) as blob:
             arrays = dict(blob)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
         bad = tmp_path / "bad.npz"
         if corruption == "truncated-archive":
             bad.write_bytes(model_path.read_bytes()[:-100])
         elif corruption == "npy-file":
             with open(bad, "wb") as fh:
-                np.save(fh, arrays["m0.s1.p0"])
+                np.save(fh, arrays["stage1"])
         elif corruption == "text-file":
             bad.write_text("t,y,x0\n0,1,2\n")
         elif corruption == "missing-array":
-            del arrays["m0.s2.p1"]
+            del arrays["stage2"]
         elif corruption == "wrong-shape-mask":
             arrays["m0.s2.mask0"] = np.zeros((2, 2), dtype=bool)
         elif corruption == "wrong-dtype-array":
-            arrays["m0.s1.p0"] = arrays["m0.s1.p0"].astype(int)
+            arrays["stage1"] = arrays["stage1"].astype(int)
+        elif corruption == "unknown-config-key":
+            meta["config"]["bogus"] = 1
+        elif corruption == "non-numeric-width":
+            meta["config"]["hidden_widths"] = ["x"]
+        elif corruption == "unknown-variant":
+            meta["variant"] = "bogus"
+        elif corruption == "mismatched-target-kind":
+            # a freezing fit's stored stage 2 under the explicit-residual label
+            meta["variant"] = "explicit_residual"
+        elif corruption == "format-1-stage-2-mask-all-false":
+            arrays.update({k: np.zeros_like(a) for k, a in arrays.items() if ".mask" in k})
         else:
-            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-            if corruption == "unknown-config-key":
-                meta["config"]["bogus"] = 1
-            elif corruption == "unknown-variant":
-                meta["variant"] = "bogus"
-            elif corruption == "mismatched-target-kind":
-                meta["stage2"][0]["target_kind"] = "residual"
+            stage = 1 if corruption == "stage-1-treatment-edge-of-one" else 2
+            net = load_checkpoint(model_path).members[0][stage - 1].network
+            if stage == 1:
+                net.treatment_weights()[0][1][0] = 1.0
             else:
-                meta["stage1"][0]["layers"] = {
-                    "short-layer-entry": [[3, 4]],
-                    "string-layers": "abc",
-                    "int-layers": 7,
-                    "non-numeric-width": [["x", 4, "swish"]],
-                }[corruption]
-            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+                net.weight(0)[0, 0] = np.nextafter(net.weight(0)[0, 0], np.inf)
+            arrays[f"stage{stage}"][0] = net.theta
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         if not bad.exists():
             np.savez(bad, **arrays)
         capsys.readouterr()
@@ -234,6 +260,16 @@ class TestFitAndScore:
         data_path.write_text("t,y,x0\n0,1,2\n1,inf,3\n")
         assert main(["fit", "--data", str(data_path), "--out", str(tmp_path / "m.npz")]) == 2
         assert "non-finite value 'inf' in column 'y' (row 2)" in capsys.readouterr().err
+
+    def test_fit_zero_epochs_returns_2(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        main(["generate", "--family", "confound-linear", "--n", "50", "--out", str(data_path)])
+        model_path = tmp_path / "m.npz"
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data_path), "--out", str(model_path),
+                     "--epochs", "0"]) == 2
+        assert "error: epochs" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_fit_bad_hidden_returns_2(self, tmp_path):
         data_path = tmp_path / "d.csv"

@@ -2,10 +2,14 @@
 
 import io
 import json
-from dataclasses import replace
+import math
+import zipfile
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdnn import estimator as est
 from cdnn import nn
@@ -38,15 +42,81 @@ class Rewrite:
         self.rewrite = rewrite
 
 
+class V1:
+    """A corruption of the format-1 file reference_save_checkpoint_v1 writes."""
+
+    def __init__(self, corrupt):
+        self.corrupt = corrupt
+
+
+def reference_save_checkpoint_v1(estimator, path):
+    """The format-1 save_checkpoint that format 2 replaced; its files must keep loading."""
+
+    def network_meta(net):
+        return {
+            "layers": [[s.input_width, s.output_width, s.activation] for s in net.layers],
+            "covariate_width": net.covariate_width,
+            "concat_inputs": net.concat_inputs,
+        }
+
+    meta = {
+        "format": 1,
+        "variant": estimator.variant,
+        "config": asdict(estimator.config),
+        "members": len(estimator.members),
+        "stage1": [],
+        "stage2": [],
+    }
+    arrays = {}
+    for m, (s1, s2) in enumerate(estimator.members):
+        meta["stage1"].append(network_meta(s1.network))
+        meta["stage2"].append({**network_meta(s2.network), "target_kind": s2.target_kind})
+        for k, p in enumerate(s1.network.params):
+            arrays[f"m{m}.s1.p{k}"] = p
+        for k, p in enumerate(s2.network.params):
+            arrays[f"m{m}.s2.p{k}"] = p
+        for k, mk in enumerate(s2.mask.arrays):
+            arrays[f"m{m}.s2.mask{k}"] = mk
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+def edit_member0(stage, edit):
+    """A corruption that applies `edit` to member 0's network of `stage`
+    (1 or 2) and stores the edited theta, as a hand edit of the file would."""
+
+    def corrupt(meta, arrays):
+        model = est.load_checkpoint(io.BytesIO(npz_bytes(**arrays)))
+        net = model.members[0][stage - 1].network
+        edit(net)
+        arrays[f"stage{stage}"][0] = net.theta
+
+    return corrupt
+
+
+def set_treatment_edge(net):
+    net.treatment_weights()[0][1][0] = 1.0
+
+
+def move_encoder_weight(net):
+    net.weight(0)[0, 0] = np.nextafter(net.weight(0)[0, 0], np.inf)
+
+
+def clear_v1_masks(meta, arrays):
+    arrays.update({k: np.zeros_like(a) for k, a in arrays.items() if ".mask" in k})
+
+
 def npz_bytes(**arrays):
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
 
 
-def flip_member_byte(raw):
-    """raw with one data byte of the first archive member flipped."""
-    at = raw.index(b"m0.s1.p0.npy") + 150
+def flip_member_byte(raw, member=b"stage1.npy"):
+    """raw with one data byte of the archive member `member` flipped."""
+    at = raw.index(member) + 150
     return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
 
 
@@ -660,6 +730,24 @@ class TestSquaredLossEquivalence:
             assert np.max(np.abs(ga - gb)) <= 1e-10
 
 
+def checkpoint_bytes(model):
+    buf = io.BytesIO()
+    est.save_checkpoint(model, buf)
+    return buf.getvalue()
+
+
+def assert_same_model(a, b, X):
+    """Bitwise equal thetas, stage-2 masks and predictions."""
+    assert (a.variant, a.config) == (b.variant, b.config)
+    assert len(a.members) == len(b.members)
+    for (s1a, s2a), (s1b, s2b) in zip(a.members, b.members):
+        assert s1a.network.theta.tobytes() == s1b.network.theta.tobytes()
+        assert s2a.network.theta.tobytes() == s2b.network.theta.tobytes()
+        assert s2a.mask.frozen.tobytes() == s2b.mask.frozen.tobytes()
+        assert s2a.target_kind == s2b.target_kind
+    assert est.predict_ite(a, X).tobytes() == est.predict_ite(b, X).tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         data = generate(make_spec(1.0, sigma=0.4, seed=51), 400)
@@ -680,45 +768,84 @@ class TestCheckpoint:
         X = data.x[:20]
         assert np.array_equal(est.predict_ite(model, X), est.predict_ite(loaded, X))
 
+    def test_archive_holds_meta_and_one_matrix_per_stage(self, tmp_path):
+        data = generate(make_spec(1.0, sigma=0.4, seed=53), 200)
+        model = est.fit(data, "explicit_residual", est.CdnnConfig(epochs=2, seed=8))
+        path = est.save_checkpoint(model, tmp_path / "model.npz")
+        with zipfile.ZipFile(path) as archive:
+            assert sorted(archive.namelist()) == ["meta.npy", "stage1.npy", "stage2.npy"]
+        with np.load(path) as blob:
+            meta = json.loads(bytes(blob["meta"]).decode("utf-8"))
+            assert meta == {
+                "format": 2,
+                "variant": "explicit_residual",
+                "config": json.loads(json.dumps(asdict(model.config))),
+                "covariate_width": 2,
+            }
+            for k, stage in enumerate(zip(*model.members)):
+                thetas = np.stack([s.network.theta for s in stage])
+                assert thetas.shape == (3, stage[0].network.theta.size)
+                assert blob[f"stage{k + 1}"].tobytes() == thetas.tobytes()
+        assert checkpoint_bytes(est.load_checkpoint(path)) == path.read_bytes()
+
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            est.CdnnConfig(ensemble_size=2, epochs=3, seed=4),
+            est.CdnnConfig(hidden_widths=(6, 5, 4), concat_inputs=True, freeze_depth=2,
+                           ensemble_size=2, epochs=3, seed=5),
+        ],
+        ids=["default-wiring", "concat-depth-2"],
+    )
+    def test_format1_file_loads_bitwise(self, tmp_path, variant, cfg):
+        data = generate(make_spec(1.0, sigma=0.4, d=3, seed=54), 200)
+        model = est.fit(data, variant, cfg)
+        loaded = est.load_checkpoint(reference_save_checkpoint_v1(model, tmp_path / "v1.npz"))
+        assert_same_model(model, loaded, data.x)
+        assert checkpoint_bytes(loaded) == checkpoint_bytes(model)
+
     @pytest.mark.parametrize(
         "corrupt",
         [
             lambda meta, arrays: meta["config"].update(bogus=1),
             lambda meta, arrays: meta["config"].pop("patience"),
             lambda meta, arrays: meta.pop("variant"),
-            lambda meta, arrays: meta.pop("members"),
-            lambda meta, arrays: meta["stage1"][0].pop("layers"),
-            lambda meta, arrays: meta["stage2"][0].pop("target_kind"),
-            lambda meta, arrays: arrays.pop("m0.s1.p0"),
-            lambda meta, arrays: arrays.pop("m0.s2.mask3"),
+            V1(lambda meta, arrays: meta.pop("members")),
+            lambda meta, arrays: meta.pop("covariate_width"),
+            V1(lambda meta, arrays: arrays.pop("m0.s1.p0")),
+            V1(lambda meta, arrays: arrays.pop("m0.s2.p3")),
+            lambda meta, arrays: arrays.pop("stage2"),
+            V1(lambda meta, arrays: arrays.pop("m0.s2.mask3")),
             lambda meta, arrays: arrays.pop("meta"),
-            lambda meta, arrays: arrays.update({"m0.s2.mask0": np.zeros((2, 2), dtype=bool)}),
-            lambda meta, arrays: arrays.update({"m0.s2.mask1": arrays["m0.s2.mask1"] * 1.0}),
-            lambda meta, arrays: arrays.update({"m0.s1.p0": arrays["m0.s1.p0"][:-1]}),
-            lambda meta, arrays: arrays.update({"m0.s2.p2": arrays["m0.s2.p2"] != 0.0}),
-            lambda meta, arrays: meta["stage1"][0].update(layers=[[3, 4]]),
-            lambda meta, arrays: meta["stage1"][0]["layers"][0].append("swish"),
-            lambda meta, arrays: meta["stage1"][0].update(layers="abc"),
-            lambda meta, arrays: meta["stage2"][0].update(layers=7),
-            lambda meta, arrays: meta["stage2"][0].update(layers=[["x", 4, "swish"]]),
-            lambda meta, arrays: meta["stage1"][0].update(
-                layers=[[3, 4, "identity"], [4, 1, "identity"]]
-            ),
-            lambda meta, arrays: meta["stage2"][0].update(covariate_width="2"),
-            lambda meta, arrays: meta["stage1"][0].update(concat_inputs=True),
+            V1(lambda meta, arrays: arrays.update({"m0.s2.mask0": np.zeros((2, 2), dtype=bool)})),
+            V1(lambda meta, arrays: arrays.update({"m0.s2.mask1": arrays["m0.s2.mask1"] * 1.0})),
+            V1(lambda meta, arrays: arrays.update({"m0.s1.p0": arrays["m0.s1.p0"][:-1]})),
+            V1(lambda meta, arrays: arrays.update({"m0.s2.p2": arrays["m0.s2.p2"].T})),
+            V1(lambda meta, arrays: arrays.update({"m0.s2.p2": arrays["m0.s2.p2"] != 0.0})),
+            lambda meta, arrays: arrays.update({"stage1": arrays["stage1"][:, :-1]}),
+            lambda meta, arrays: arrays.update({"stage2": arrays["stage2"][0]}),
+            lambda meta, arrays: arrays.update({"stage1": arrays["stage1"] != 0.0}),
+            lambda meta, arrays: meta.update(covariate_width="two"),
+            lambda meta, arrays: meta.update(covariate_width=0),
+            lambda meta, arrays: meta["config"].update(hidden_widths=["x"]),
+            lambda meta, arrays: meta["config"].update(concat_inputs=True),
             lambda meta, arrays: meta["config"].update(hidden_widths=[5]),
             lambda meta, arrays: meta["config"].update(hidden_widths=[4, 4]),
             lambda meta, arrays: meta["config"].update(hidden_widths=4),
             lambda meta, arrays: meta["config"].update(ensemble_size="1"),
+            lambda meta, arrays: meta["config"].update(ensemble_size=2),
+            V1(lambda meta, arrays: meta.update(members=2)),
+            lambda meta, arrays: meta["config"].update(epochs=0),
             lambda meta, arrays: meta.update(variant="bogus"),
             lambda meta, arrays: meta.update(variant=["freezing"]),
-            lambda meta, arrays: meta.update(variant="explicit_residual"),
-            lambda meta, arrays: meta["stage2"][0].update(target_kind="residual"),
+            V1(lambda meta, arrays: meta.update(variant="explicit_residual")),
             Rewrite(lambda raw: raw[: len(raw) // 2]),
             Rewrite(lambda raw: npy_bytes()),
             Rewrite(lambda raw: b"ite\n0.5\n"),
             Rewrite(lambda raw: b""),
             Rewrite(flip_member_byte),
+            V1(Rewrite(lambda raw: flip_member_byte(raw, b"m0.s1.p0.npy"))),
             Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"\xff\xfe", dtype=np.uint8))),
             Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"{format", dtype=np.uint8))),
         ],
@@ -727,36 +854,40 @@ class TestCheckpoint:
             "missing-config-key",
             "missing-variant",
             "missing-members",
-            "missing-layers",
-            "missing-target-kind",
+            "missing-covariate-width",
             "missing-parameter-array",
+            "missing-stage-2-parameter-array",
+            "missing-stage-matrix",
             "missing-mask-array",
             "missing-meta",
             "wrong-shape-mask",
             "wrong-dtype-mask",
             "wrong-shape-parameter",
+            "transposed-parameter",
             "wrong-dtype-parameter",
-            "short-layer-entry",
-            "long-layer-entry",
-            "string-layers",
-            "int-layers",
-            "non-numeric-width",
-            "layers-of-another-activation",
+            "stage-matrix-of-another-width",
+            "one-dimensional-stage-matrix",
+            "wrong-dtype-stage-matrix",
             "string-covariate-width",
+            "zero-covariate-width",
+            "non-numeric-width",
             "concat-wiring-without-its-layers",
             "config-widths-of-another-shape",
             "config-widths-of-another-depth",
             "int-config-widths",
             "string-ensemble-size",
+            "ensemble-size-of-another-count",
+            "format-1-member-count-of-another-size",
+            "zero-epochs",
             "unknown-variant",
             "list-variant",
             "variant-of-the-other-target-kind",
-            "target-kind-of-the-other-variant",
             "truncated-archive",
             "npy-file",
             "text-file",
             "empty-file",
             "bad-member-crc",
+            "format-1-bad-member-crc",
             "non-utf8-meta",
             "non-json-meta",
         ],
@@ -764,7 +895,14 @@ class TestCheckpoint:
     def test_malformed_checkpoint_raises_config_error(self, tmp_path, corrupt):
         data = generate(make_spec(1.0, sigma=0.4, seed=52), 100)
         cfg = est.CdnnConfig(hidden_widths=(4,), ensemble_size=1, epochs=2, seed=8)
-        path = est.save_checkpoint(est.fit(data, "freezing", cfg), tmp_path / "model.npz")
+        model = est.fit(data, "freezing", cfg)
+        path = tmp_path / "model.npz"
+        if isinstance(corrupt, V1):
+            corrupt = corrupt.corrupt
+            reference_save_checkpoint_v1(model, path)
+        else:
+            est.save_checkpoint(model, path)
+        est.load_checkpoint(path)  # the file loads before it is corrupted
         bad = tmp_path / "bad.npz"
         if isinstance(corrupt, Rewrite):
             bad.write_bytes(corrupt.rewrite(path.read_bytes()))
@@ -779,8 +917,125 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="malformed checkpoint"):
             est.load_checkpoint(bad)
 
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (edit_member0(1, set_treatment_edge), "stage-1 treatment edges are not exactly 0"),
+            (edit_member0(2, move_encoder_weight), "frozen stage-2 encoder differs"),
+            (V1(clear_v1_masks), "stage-2 mask differs from the one its config gives"),
+        ],
+        ids=["stage-1-treatment-edge-of-one", "stage-2-encoder-weight-moved-one-ulp",
+             "format-1-stage-2-mask-all-false"],
+    )
+    def test_broken_contract_names_member_and_contract(self, tmp_path, corrupt, reason):
+        data = generate(make_spec(1.0, sigma=0.4, seed=55), 100)
+        cfg = est.CdnnConfig(hidden_widths=(4,), ensemble_size=2, epochs=2, seed=8)
+        model = est.fit(data, "freezing", cfg)
+        path = tmp_path / "model.npz"
+        if isinstance(corrupt, V1):
+            corrupt = corrupt.corrupt
+            reference_save_checkpoint_v1(model, path)
+        else:
+            est.save_checkpoint(model, path)
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        corrupt(None, arrays)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint: member 0: {reason}"):
+            est.load_checkpoint(bad)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda s1, s2: set_treatment_edge(s1.network), "stage-1 treatment edges"),
+            (lambda s1, s2: move_encoder_weight(s2.network), "frozen stage-2 encoder"),
+            (lambda s1, s2: s2.mask.frozen.fill(False), "stage-2 mask differs"),
+            (lambda s1, s2: s2.mask.arrays[2].fill(True), "stage-2 mask differs"),
+        ],
+        ids=["treatment-edge", "encoder", "mask-all-false", "mask-of-a-deeper-layer"],
+    )
+    def test_save_refuses_a_broken_contract(self, tmp_path, edit, reason):
+        data = generate(make_spec(1.0, sigma=0.4, seed=56), 100)
+        cfg = est.CdnnConfig(hidden_widths=(4, 3), ensemble_size=2, epochs=2, seed=8)
+        model = est.fit(data, "freezing", cfg)
+        edit(*model.members[1])
+        path = tmp_path / "model.npz"
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint: member 1: {reason}"):
+            est.save_checkpoint(model, path)
+        assert not path.exists()
+
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, meta=np.frombuffer(b'{"format": 99}', dtype=np.uint8))
         with pytest.raises(ConfigError):
             est.load_checkpoint(path)
+
+
+class TestCheckpointProperties:
+    """Over small random configs, fits keep the paper's contracts and their
+    checkpoints read back bitwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        freeze_depth=st.integers(1, 3),
+        concat=st.booleans(),
+        members=st.integers(1, 2),
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+        epochs=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fits_keep_the_contracts_and_round_trip(
+        self, freeze_depth, concat, members, widths, epochs, seed
+    ):
+        data = generate(make_spec(1.0, sigma=0.4, d=2, seed=seed), 60)
+        cfg = est.CdnnConfig(
+            hidden_widths=widths, concat_inputs=concat, freeze_depth=freeze_depth,
+            ensemble_size=members, epochs=epochs, batch_size=16, seed=seed,
+        )
+        for variant in est.VARIANTS:
+            model = est.fit(data, variant, cfg)
+            for s1, s2 in model.members:
+                assert s1.treatment_edges_zero()
+                if variant == "freezing":
+                    assert est._encoder_bytes(s2.network) == est._encoder_bytes(s1.network)
+            raw = checkpoint_bytes(model)
+            loaded = est.load_checkpoint(io.BytesIO(raw))
+            assert_same_model(model, loaded, data.x)
+            assert checkpoint_bytes(loaded) == raw
+
+
+class TestCdnnConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 0),
+            ("epochs", -1),
+            ("batch_size", 0),
+            ("patience", 0),
+            ("ensemble_size", 0),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1e-3),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+        ],
+        ids=[
+            "zero-epochs",
+            "negative-epochs",
+            "zero-batch-size",
+            "zero-patience",
+            "zero-ensemble-size",
+            "zero-learning-rate",
+            "negative-learning-rate",
+            "nan-learning-rate",
+            "infinite-learning-rate",
+        ],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            est.CdnnConfig(**{field: value})
+
+    def test_smallest_values_accepted(self):
+        cfg = est.CdnnConfig(epochs=1, batch_size=1, patience=1, ensemble_size=1,
+                             learning_rate=5e-324)
+        assert (cfg.epochs, cfg.batch_size, cfg.patience, cfg.ensemble_size) == (1, 1, 1, 1)

@@ -590,7 +590,14 @@ class TestFlatLayout:
         assert not any(np.shares_memory(p, net.theta) for p in twin.params)
         assert all(np.shares_memory(p, twin.theta) for p in twin.params)
 
+        # a member that keeps the contracts a checkpoint checks: stage 1 with
+        # zero treatment edges, stage 2 its copy with only the encoder kept
         cfg = est.CdnnConfig(hidden_widths=hidden, concat_inputs=concat, ensemble_size=1)
+        for _, w in net.treatment_weights():
+            w[:] = 0.0
+        encoder = nn.FreezeMask.none(net).freeze_input_encoder(net).frozen
+        twin.theta[:] = np.where(encoder, net.theta, rng.standard_normal(net.theta.size))
+        mask = est._stage2_mask(twin, "freezing", cfg)
         stage2 = est.Stage2Model("freezing", twin, mask, "outcome", nn.TrainingLog())
         stage1 = est.Stage1Model(net, nn.TrainingLog())
         model = est.CdnnEstimator([(stage1, stage2)], "freezing", cfg)
