@@ -106,6 +106,7 @@ def _estimator_spec_from(entry):
         _reject_unknown(params, _CDNN_PARAM_KEYS, f"{name} parameter")
         if "hidden_widths" in params:
             params["hidden_widths"] = tuple(params["hidden_widths"])
+        est_mod.CdnnConfig(**params)  # a bad setting fails here, before any work
     elif name == "dml":
         _reject_unknown(params, _DML_PARAM_KEYS, "dml parameter")
         if "clamp" in params:

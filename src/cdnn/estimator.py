@@ -23,6 +23,10 @@ import copy
 import hashlib
 import json
 import math
+import multiprocessing
+import numbers
+import os
+import pickle
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
@@ -66,10 +70,17 @@ class CdnnConfig:
             raise ConfigError("validation fraction must lie in [0, 1)")
         if self.freeze_depth < 1:
             raise ConfigError("freeze depth must be >= 1")
+        if not all(_is_count(w) for w in self.hidden_widths):
+            raise ConfigError(f"hidden widths must be integers >= 1, got {self.hidden_widths!r}")
         if self.optimizer not in nn.OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in nn.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
+
+
+def _is_count(value):
+    """An integer >= 1 (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -308,7 +319,10 @@ def fit(data, variant, config):
     data (x, t, y) and every config field stage 1 reads are the same, so
     fitting both variants of one dataset trains stage 1 once; the results
     are bitwise those of a fresh fit. Every member's training part must hold
-    both treatment arms, which is checked before any member trains.
+    both treatment arms, which is checked before any member trains. Members
+    train in up to one process per CPU (see _processes), with bitwise the
+    same results as in one; a failing member raises its own exception, the
+    lowest-numbered member's when several fail.
     """
     global _stage1_memo
     if variant not in VARIANTS:
@@ -323,41 +337,136 @@ def fit(data, variant, config):
         _require_both_arms(train, f"ensemble member {member}: training part")
     key = _stage1_key(data, config)
     held_key, spare = _stage1_memo
-    if held_key != key:
-        spare = {}
+    handed = [spare.get(m) if held_key == key else None for m in range(config.ensemble_size)]
     trained = {}
     _stage1_memo = (key, trained)
     members = []
-    for member, (train, validation) in enumerate(carves):
-        try:
-            if member in spare:
-                stage1 = spare.pop(member)
-                if not stage1.treatment_edges_zero():
-                    raise IdentityViolationError(
-                        "reused stage-1 treatment edges are not exactly 0"
-                    )
-            else:
-                stage1 = fit_stage1(train, config, validation=validation, seed_stream=member)
-                trained[member] = Stage1Model(
-                    stage1.network.clone(), copy.deepcopy(stage1.training_log)
-                )
-            if variant == "explicit_residual":
-                res_train = compute_residuals(stage1, train)
-                res_val = None if validation is None else compute_residuals(stage1, validation)
-                stage2 = fit_stage2_explicit(
-                    res_train, config, validation=res_val, seed_stream=member
-                )
-            else:
-                stage2 = fit_stage2_freezing(
-                    stage1, train, config, validation=validation, seed_stream=member
-                )
-        except Exception as err:
+    for member, outcome in enumerate(_fit_members(carves, variant, config, handed)):
+        if isinstance(outcome, Exception):
             # name the member on the original exception, so its type and
             # attributes (a divergence's epoch and step) reach the caller
-            err.args = (f"ensemble member {member}: {err}",)
-            raise
-        members.append((stage1, stage2))
+            outcome.args = (f"ensemble member {member}: {outcome}",)
+            raise outcome
+        stage1 = outcome[0]
+        if handed[member] is None:
+            trained[member] = Stage1Model(
+                stage1.network.clone(), copy.deepcopy(stage1.training_log)
+            )
+        members.append(outcome)
     return CdnnEstimator(members, variant, config)
+
+
+def _fit_member(member, train, validation, variant, config, stage1=None):
+    """Member `member`'s (stage 1, stage 2); `stage1` is one handed in to take over."""
+    if stage1 is None:
+        stage1 = fit_stage1(train, config, validation=validation, seed_stream=member)
+    elif not stage1.treatment_edges_zero():
+        raise IdentityViolationError("reused stage-1 treatment edges are not exactly 0")
+    if variant == "explicit_residual":
+        res_train = compute_residuals(stage1, train)
+        res_val = None if validation is None else compute_residuals(stage1, validation)
+        stage2 = fit_stage2_explicit(res_train, config, validation=res_val, seed_stream=member)
+    else:
+        stage2 = fit_stage2_freezing(
+            stage1, train, config, validation=validation, seed_stream=member
+        )
+    return stage1, stage2
+
+
+def _processes(ensemble_size):
+    """How many processes fit() trains its members in: at most one per member,
+    and only as many as the CPUs this process may run on hold whole BLAS
+    pools (see _blas_threads). Only the caller where the fork start method is
+    unavailable or the caller is a multiprocessing child (a `bench` worker),
+    so a fit never starts grandchildren."""
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(ensemble_size, cpus // _blas_threads(cpus)))
+
+
+def _blas_threads(cpus):
+    """Threads in each process's BLAS pool: the first count the environment
+    sets for it, else one per CPU, the libraries' default. Pools that share
+    CPUs spin against each other: with two threads per pool on 2 CPUs, a
+    fit in two processes ran slower than in one."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            return max(1, int(os.environ[var]))
+        except (KeyError, ValueError):  # unset, or not a count
+            continue
+    return cpus
+
+
+def _fit_share(share, carves, variant, config, handed):
+    """{member: (stage 1, stage 2), or the exception it raised} for the members
+    of `share` in order, up to the first that fails."""
+    outcomes = {}
+    for m in share:
+        try:
+            outcomes[m] = _fit_member(m, *carves[m], variant, config, handed[m])
+        except Exception as err:  # handed back to fit(), which raises it
+            outcomes[m] = err
+            break
+    return outcomes
+
+
+def _share_worker(conn, *share_args):
+    """A forked worker: trains its share and sends the outcomes back at once."""
+    outcomes = _fit_share(*share_args)
+    for m, outcome in outcomes.items():
+        if isinstance(outcome, Exception):
+            try:
+                pickle.loads(pickle.dumps(outcome))
+            except Exception:  # e.g. a class defined in a function
+                outcomes[m] = RuntimeError(
+                    f"{type(outcome).__name__}: {outcome} (raised in a worker process, "
+                    "and it cannot be sent back)"
+                )
+    conn.send(outcomes)
+
+
+def _fit_members(carves, variant, config, handed):
+    """Each member's (stage 1, stage 2) or exception, in member order; None
+    for a member after the first failure of its share.
+
+    With P = _processes(members) > 1 the caller trains the members m with
+    m % P == 0 and one forked worker per other residue trains the rest,
+    each sending its share back over a pipe when done.
+    """
+    k = len(carves)
+    procs = _processes(k)
+    shares = [range(w, k, procs) for w in range(procs)]
+    workers = []
+    try:
+        for share in shares[1:]:
+            ctx = multiprocessing.get_context("fork")
+            reader, writer = ctx.Pipe(duplex=False)
+            worker = ctx.Process(
+                target=_share_worker, args=(writer, share, carves, variant, config, handed)
+            )
+            worker.start()
+            workers.append((share, worker, reader))
+            writer.close()  # so the reader sees EOF once the worker ends
+        outcomes = _fit_share(shares[0], carves, variant, config, handed)
+        for share, worker, reader in workers:
+            try:
+                outcomes.update(reader.recv())
+            except EOFError:
+                worker.join()
+                outcomes[share[0]] = RuntimeError(
+                    f"worker process ended with exit code {worker.exitcode} "
+                    "before sending its members back"
+                )
+    finally:
+        for _, worker, reader in workers:
+            reader.close()
+            worker.terminate()  # one that has sent its share only has to exit
+            worker.join()
+    return [outcomes.get(m) for m in range(k)]
 
 
 def predict_ite(estimator, x):
@@ -407,7 +516,7 @@ def _param_shapes(config, width):
     """Shapes of [W0, b0, W1, b1, ...] of the config's network on `width` covariates."""
     try:
         specs = nn._layer_specs(width, config.hidden_widths, config.activation, config.concat_inputs)
-    except (TypeError, ValueError) as err:
+    except ShapeError as err:  # a format-1 W0 without a covariate row
         raise ConfigError(f"malformed checkpoint: {err}") from None
     return [shape for s in specs for shape in ((s.input_width, s.output_width), (s.output_width,))]
 
@@ -502,7 +611,11 @@ def load_checkpoint(path):
         if variant not in VARIANTS:
             raise ConfigError(f"malformed checkpoint: unknown variant {variant!r}")
         if fmt == CHECKPOINT_FORMAT:
-            return _decode(variant, config, _required(meta, "covariate_width"), blob)
+            width = _required(meta, "covariate_width")
+            if not _is_count(width):
+                raise ConfigError(f"malformed checkpoint: covariate_width {width!r} is not "
+                                  "an integer >= 1")
+            return _decode(variant, config, width, blob)
         # format 1 stored each parameter and mask of member m as its own array,
         # m{m}.s1.p{k}, m{m}.s2.p{k} and m{m}.s2.mask{k}: in order, theta's bytes
         if _required(meta, "members") != config.ensemble_size:

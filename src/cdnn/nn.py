@@ -132,6 +132,12 @@ def _layer_specs(covariate_width, hidden_widths, activation, concat_inputs):
     return layers
 
 
+def _views(flat, layout):
+    """Views of `flat` per (start, stop, shape) of `layout`, along its last axis."""
+    lead = flat.shape[:-1]
+    return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in layout]
+
+
 class Network:
     """Dense MLP over (covariates, treatment) with an identity output layer.
 
@@ -175,8 +181,16 @@ class Network:
 
         For an (S, P) stack of such vectors each view gains the leading S axis.
         """
-        lead = flat.shape[:-1]
-        return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in self._layout]
+        return _views(flat, self._layout)
+
+    # pickle and copy.deepcopy would copy each view on its own, detaching
+    # `params` from `theta`; they carry theta alone and rebuild the views
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "params"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.params = self.views(self.theta)
 
     @classmethod
     def build(
@@ -396,7 +410,16 @@ class FreezeMask:
 
     def __init__(self, net, frozen=None):
         self.frozen = np.zeros(net.theta.size, dtype=bool) if frozen is None else frozen
+        self._layout = net._layout
         self.arrays = net.views(self.frozen)
+
+    # like Network's: `frozen` alone is carried, and `arrays` rebuilt as its views
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "arrays"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.arrays = _views(self.frozen, self._layout)
 
     @classmethod
     def none(cls, net):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cdnn import bench
 from cdnn.cli import main
 from cdnn.data import load_csv
 from cdnn.estimator import load_checkpoint
@@ -63,6 +64,27 @@ class TestBench:
         cfg_path.write_text(json.dumps({**cfg, **edit}))
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad config value: ")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "cdnn_freezing", "epochs": 0}, "epochs"),
+            ({"name": "cdnn_explicit", "hidden_widths": [2.5]}, "hidden widths"),
+            ({"name": "cdnn_freezing", "optimizer": "bogus"}, "unknown optimizer"),
+        ],
+        ids=["zero-epochs", "fractional-width", "unknown-optimizer"],
+    )
+    def test_bad_cdnn_setting_returns_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, entry, message
+    ):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "replications": 2,
+               "estimators": ["ols_lr1", entry], "output": str(tmp_path / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_returns_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "nope.json")]) == 2
@@ -151,6 +173,7 @@ class TestFitAndScore:
             "non-numeric-width", "truncated-archive", "npy-file", "text-file",
             "unknown-variant", "mismatched-target-kind", "stage-1-treatment-edge-of-one",
             "stage-2-encoder-weight-moved-one-ulp", "format-1-stage-2-mask-all-false",
+            "digit-string-covariate-width", "fractional-config-width",
         ],
     )
     def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
@@ -184,6 +207,10 @@ class TestFitAndScore:
             meta["config"]["bogus"] = 1
         elif corruption == "non-numeric-width":
             meta["config"]["hidden_widths"] = ["x"]
+        elif corruption == "digit-string-covariate-width":
+            meta["covariate_width"] = str(meta["covariate_width"])
+        elif corruption == "fractional-config-width":
+            meta["config"]["hidden_widths"] = [4.5]
         elif corruption == "unknown-variant":
             meta["variant"] = "bogus"
         elif corruption == "mismatched-target-kind":
@@ -270,6 +297,14 @@ class TestFitAndScore:
                      "--epochs", "0"]) == 2
         assert "error: epochs" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def test_fit_zero_width_returns_2(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        main(["generate", "--family", "confound-linear", "--n", "50", "--out", str(data_path)])
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data_path), "--out", str(tmp_path / "m.npz"),
+                     "--hidden", "8,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: hidden widths must be integers >= 1")
 
     def test_fit_bad_hidden_returns_2(self, tmp_path):
         data_path = tmp_path / "d.csv"

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import multiprocessing
+import os
+import signal
 import zipfile
 from dataclasses import asdict, replace
 
@@ -538,7 +541,8 @@ REUSE = est.CdnnConfig(hidden_widths=(8, 8), epochs=12, patience=5, ensemble_siz
 
 
 def count_stage1_training(monkeypatch):
-    """The member index of every stage 1 that fit() trains, in order."""
+    """The member index of every stage 1 that fit() trains, in order. fit()
+    is pinned to one process, because a call in a worker is not seen here."""
     trained = []
     real = est.fit_stage1
 
@@ -547,6 +551,7 @@ def count_stage1_training(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(est, "fit_stage1", counting)
+    monkeypatch.setattr(est, "_processes", lambda ensemble_size: 1)
     return trained
 
 
@@ -684,6 +689,185 @@ class TestStage1Reuse:
         net.params[0][net.treatment_input_row(0), 0] = 1e-12
         with pytest.raises(IdentityViolationError, match="ensemble member 0: reused"):
             est.fit(data, "explicit_residual", REUSE)
+
+
+@pytest.fixture
+def fit_processes(monkeypatch):
+    """fit() in two processes, whatever the CPU count. Returns a setter of the
+    count that also empties the stage-1 memo, for a cold twin fit."""
+
+    def use(count):
+        monkeypatch.setattr(est, "_processes", lambda ensemble_size: min(ensemble_size, count))
+        monkeypatch.setattr(est, "_stage1_memo", (None, {}))
+
+    use(2)
+    return use
+
+
+def memo_bytes():
+    """The stage-1 members fit() holds, as comparable bytes and logs."""
+    key, held = est._stage1_memo
+    return key, {m: (s.network.theta.tobytes(), s.training_log) for m, s in held.items()}
+
+
+PARALLEL_CONFIGS = [
+    est.CdnnConfig(ensemble_size=3, epochs=4, seed=21),
+    est.CdnnConfig(hidden_widths=(8, 6, 4), concat_inputs=True, freeze_depth=2,
+                   ensemble_size=3, epochs=4, seed=22),
+]
+
+
+class TestParallelMembers:
+    """fit() trains its members in forked workers with bitwise the serial
+    results, and hands a member's error to the caller as the serial fit does."""
+
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    @pytest.mark.parametrize("cfg", PARALLEL_CONFIGS, ids=["default", "concat-depth-2"])
+    def test_parallel_fit_is_bitwise_the_serial_fit(self, fit_processes, variant, cfg):
+        data = generate(make_spec(1.0, sigma=0.3, d=3, seed=90), 240)
+        parallel = est.fit(data, variant, cfg)
+        fit_processes(1)
+        serial = est.fit(data, variant, cfg)
+        assert_bitwise_equal_fits(parallel, serial)
+        for (_, a), (_, b) in zip(parallel.members, serial.members):
+            assert same_bits(a.mask.frozen, b.mask.frozen)
+            assert all(np.shares_memory(p, a.network.theta) for p in a.network.params)
+            assert all(np.shares_memory(m, a.mask.frozen) for m in a.mask.arrays)
+        assert same_bits(est.predict_ite(parallel, data.x), est.predict_ite(serial, data.x))
+        assert_no_children()
+
+    def test_warm_fit_after_a_parallel_fit_is_its_serial_twin(self, fit_processes):
+        data = generate(make_spec(1.0, sigma=0.3, seed=91), 200)
+        cfg = replace(REUSE, ensemble_size=3)
+        fits, memos = [], []
+        for run in range(2):
+            if run:
+                fit_processes(1)
+            fits.append([est.fit(data, "freezing", cfg)])
+            memos.append([memo_bytes()])
+            fits[-1].append(est.fit(data, "explicit_residual", cfg))
+            memos[-1].append(memo_bytes())
+        for parallel, serial in zip(*fits):
+            assert_bitwise_equal_fits(parallel, serial)
+        assert memos[0] == memos[1]
+        assert sorted(memos[0][0][1]) == [0, 1, 2]  # the freezing fit trained every member
+        assert memos[0][1][1] == {}  # the explicit fit took them all over
+
+    def test_processes_never_exceed_the_count(self, fit_processes, monkeypatch):
+        data = generate(make_spec(1.0, sigma=0.3, seed=92), 200)
+        seen = []
+        real = est.fit_stage1
+
+        def observing(*args, **kwargs):
+            seen.append((kwargs["seed_stream"], len(multiprocessing.active_children())))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(est, "fit_stage1", observing)
+        est.fit(data, "freezing", replace(REUSE, ensemble_size=5))
+        assert seen == [(0, 1), (2, 1), (4, 1)]  # the caller's share, beside one worker
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "env, processes",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+            ({"OMP_NUM_THREADS": "1"}, 3),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "many", "MKL_NUM_THREADS": "3"}, 1),
+            ({}, 1),
+        ],
+        ids=["one-blas-thread", "one-omp-thread", "two-blas-threads", "unreadable-count",
+             "blas-default"],
+    )
+    def test_processes_leave_each_blas_pool_its_cpus(self, monkeypatch, env, processes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert est._processes(3) == processes
+
+    def test_a_multiprocessing_child_fits_in_one_process(self):
+        assert est._processes(1) == 1
+        reader, writer = multiprocessing.get_context("fork").Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: writer.send(est._processes(64))
+        )
+        child.start()
+        assert reader.poll(30) and reader.recv() == 1
+        child.join(30)
+        assert child.exitcode == 0
+
+    @pytest.mark.parametrize(
+        "error, check",
+        [
+            (TrainingDivergenceError("non-finite loss", epoch=3, step=5),
+             lambda e: (type(e), str(e), e.epoch, e.step) == (
+                 TrainingDivergenceError, "ensemble member 1: non-finite loss", 3, 5)),
+            (SchemaError("bad value", row=7),
+             lambda e: (type(e), str(e), e.row) == (
+                 SchemaError, "ensemble member 1: bad value (row 7)", 7)),
+        ],
+        ids=["divergence-keeps-epoch-and-step", "schema-error-keeps-row"],
+    )
+    def test_worker_error_keeps_its_type_and_attributes(
+        self, fit_processes, monkeypatch, error, check
+    ):
+        with pytest.raises(type(error)) as info:
+            fit_failing_on(monkeypatch, {1: error})
+        assert check(info.value)
+        assert_no_children()
+
+    def test_unpicklable_worker_error_names_its_member(self, fit_processes, monkeypatch):
+        class LocalError(Exception):
+            """Defined in a function: pickle cannot find it by name."""
+
+        with pytest.raises(RuntimeError, match=r"^ensemble member 1: LocalError: no luck \("):
+            fit_failing_on(monkeypatch, {1: LocalError("no luck")})
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "end, code",
+        [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit", "killed"],
+    )
+    def test_a_worker_that_dies_names_its_member(self, fit_processes, monkeypatch, end, code):
+        with pytest.raises(RuntimeError, match=f"^ensemble member 1: worker process ended "
+                           f"with exit code {code} before"):
+            fit_failing_on(monkeypatch, {1: end})
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "failing, expected", [((1, 2), 1), ((2, 3), 2), ((0, 1), 0)],
+        ids=["worker-member-first", "caller-member-first", "both-first-members"],
+    )
+    def test_the_lowest_failing_member_wins(self, fit_processes, monkeypatch, failing, expected):
+        errors = {m: ShapeError(f"member {m} failed") for m in failing}
+        with pytest.raises(ShapeError, match=f"^ensemble member {expected}: member {expected} "):
+            fit_failing_on(monkeypatch, errors, members=4)
+        assert_no_children()
+
+
+def fit_failing_on(monkeypatch, failures, members=3):
+    """fit() with a stage 1 that fails for each member in `failures`: raising
+    the exception given, or calling the function given."""
+    real = est.fit_stage1
+
+    def failing(*args, **kwargs):
+        failure = failures.get(kwargs["seed_stream"])
+        if isinstance(failure, Exception):
+            raise failure
+        if failure is not None:
+            failure()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(est, "fit_stage1", failing)
+    data = generate(make_spec(1.0, sigma=0.3, seed=93), 120)
+    est.fit(data, "freezing", replace(REUSE, hidden_widths=(4,), epochs=2, ensemble_size=members))
+
+
+def assert_no_children():
+    assert multiprocessing.active_children() == []
 
 
 class TestArmRelabelingAntisymmetry:
@@ -828,6 +1012,9 @@ class TestCheckpoint:
             lambda meta, arrays: arrays.update({"stage1": arrays["stage1"] != 0.0}),
             lambda meta, arrays: meta.update(covariate_width="two"),
             lambda meta, arrays: meta.update(covariate_width=0),
+            lambda meta, arrays: meta.update(covariate_width="2"),
+            lambda meta, arrays: meta.update(covariate_width=2.5),
+            lambda meta, arrays: meta["config"].update(hidden_widths=[2.5]),
             lambda meta, arrays: meta["config"].update(hidden_widths=["x"]),
             lambda meta, arrays: meta["config"].update(concat_inputs=True),
             lambda meta, arrays: meta["config"].update(hidden_widths=[5]),
@@ -870,6 +1057,9 @@ class TestCheckpoint:
             "wrong-dtype-stage-matrix",
             "string-covariate-width",
             "zero-covariate-width",
+            "digit-string-covariate-width",
+            "fractional-covariate-width",
+            "fractional-config-width",
             "non-numeric-width",
             "concat-wiring-without-its-layers",
             "config-widths-of-another-shape",
@@ -1018,6 +1208,11 @@ class TestCdnnConfig:
             ("learning_rate", -1e-3),
             ("learning_rate", math.nan),
             ("learning_rate", math.inf),
+            ("hidden_widths", (2.5,)),
+            ("hidden_widths", (0,)),
+            ("hidden_widths", (8, -1)),
+            ("hidden_widths", ("8",)),
+            ("hidden_widths", (True,)),
         ],
         ids=[
             "zero-epochs",
@@ -1029,11 +1224,20 @@ class TestCdnnConfig:
             "negative-learning-rate",
             "nan-learning-rate",
             "infinite-learning-rate",
+            "fractional-width",
+            "zero-width",
+            "negative-width",
+            "string-width",
+            "bool-width",
         ],
     )
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ConfigError):
             est.CdnnConfig(**{field: value})
+
+    def test_integer_widths_accepted(self):
+        assert est.CdnnConfig(hidden_widths=(np.int64(3), 1)).hidden_widths == (3, 1)
+        assert est.CdnnConfig(hidden_widths=()).hidden_widths == ()
 
     def test_smallest_values_accepted(self):
         cfg = est.CdnnConfig(epochs=1, batch_size=1, patience=1, ensemble_size=1,

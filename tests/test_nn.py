@@ -1,6 +1,8 @@
 """Network engine tests: activations, forward/backward, masks, optimizers."""
 
+import copy
 import io
+import pickle
 import warnings
 
 import numpy as np
@@ -609,6 +611,28 @@ class TestFlatLayout:
         assert s2.network.theta.tobytes() == twin.theta.tobytes()
         assert s2.mask.frozen.tobytes() == mask.frozen.tobytes()
         assert all(np.shares_memory(m, s2.mask.frozen) for m in s2.mask.arrays)
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    @pytest.mark.parametrize("concat", [False, True])
+    def test_copies_keep_the_views(self, copy_of, concat):
+        rng = np.random.default_rng(5)
+        net = nn.Network.build(3, (5, 4), concat_inputs=concat, rng=rng, treatment_scale=0.1)
+        mask = nn.FreezeMask(net, rng.random(net.theta.size) < 0.5)
+        net2, mask2 = copy_of((net, mask))
+        assert net2.theta.tobytes() == net.theta.tobytes()
+        assert mask2.frozen.tobytes() == mask.frozen.tobytes()
+        for flat, views, original in ((net2.theta, net2.params, net.theta),
+                                      (mask2.frozen, mask2.arrays, mask.frozen)):
+            assert not np.shares_memory(flat, original)
+            assert all(np.shares_memory(v, flat) for v in views)
+            assert [v.shape for v in views] == [p.shape for p in net.params]
+        net2.params[2][0, 0] += 1.0  # an edit through a view reaches theta
+        assert net2.theta[net2.params[0].size + net2.params[1].size] == net2.params[2][0, 0]
+        mask2.arrays[1][:] = ~mask2.arrays[1]
+        assert mask2.frozen.tobytes() != mask.frozen.tobytes()
 
     @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
     def test_step_leaves_the_gradient_unchanged(self, algorithm):
