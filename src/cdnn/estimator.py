@@ -27,6 +27,7 @@ import multiprocessing
 import numbers
 import os
 import pickle
+import traceback
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
@@ -337,11 +338,18 @@ def fit(data, variant, config):
         _require_both_arms(train, f"ensemble member {member}: training part")
     key = _stage1_key(data, config)
     held_key, spare = _stage1_memo
-    handed = [spare.get(m) if held_key == key else None for m in range(config.ensemble_size)]
+    k = config.ensemble_size
+    handed = [spare.get(m) if held_key == key else None for m in range(k)]
     trained = {}
     _stage1_memo = (key, trained)
+    # the caller trains the members m with m % P == 0, a worker each other residue
+    procs = _processes(k)
+    outcomes = _in_processes(
+        lambda m: _fit_member(m, *carves[m], variant, config, handed[m]),
+        [range(w, k, procs) for w in range(procs)],
+    )
     members = []
-    for member, outcome in enumerate(_fit_members(carves, variant, config, handed)):
+    for member, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             # name the member on the original exception, so its type and
             # attributes (a divergence's epoch and step) reach the caller
@@ -373,115 +381,149 @@ def _fit_member(member, train, validation, variant, config, stage1=None):
     return stage1, stage2
 
 
-def _processes(ensemble_size):
-    """How many processes fit() trains its members in: at most one per member,
-    and only as many as the CPUs this process may run on hold whole BLAS
-    pools (see _blas_threads). Only the caller where the fork start method is
+def _processes(tasks):
+    """How many processes `tasks` independent tasks (a fit's members, a
+    prediction's row blocks) run in: at most one per task, and only as many
+    as the CPUs this process may run on hold whole BLAS pools (see
+    _blas_threads). Only the caller where the fork start method is
     unavailable or the caller is a multiprocessing child (a `bench` worker),
-    so a fit never starts grandchildren."""
+    so no call starts grandchildren."""
     if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process():
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         cpus = os.cpu_count() or 1
-    return max(1, min(ensemble_size, cpus // _blas_threads(cpus)))
+    return max(1, min(tasks, cpus // _blas_threads(cpus)))
 
 
 def _blas_threads(cpus):
-    """Threads in each process's BLAS pool: the first count the environment
-    sets for it, else one per CPU, the libraries' default. Pools that share
-    CPUs spin against each other: with two threads per pool on 2 CPUs, a
-    fit in two processes ran slower than in one."""
+    """Threads in each process's BLAS pool: the first count >= 1 the
+    environment sets for it, else one per CPU, the libraries' default (a
+    count <= 0 means that default to OpenBLAS too). Pools that share CPUs
+    spin against each other: with two threads per pool on 2 CPUs, a fit in
+    two processes ran slower than in one."""
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
-            return max(1, int(os.environ[var]))
+            count = int(os.environ[var])
         except (KeyError, ValueError):  # unset, or not a count
             continue
+        if count >= 1:
+            return count
     return cpus
 
 
-def _fit_share(share, carves, variant, config, handed):
-    """{member: (stage 1, stage 2), or the exception it raised} for the members
-    of `share` in order, up to the first that fails."""
-    outcomes = {}
-    for m in share:
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, the __cause__ of the exception it
+    raised, as concurrent.futures chains it."""
+
+
+def _run_share(fn, share):
+    """{i: fn(i)} for the indices of `share` in order, up to the first that
+    raises; its exception takes its place."""
+    results = {}
+    for i in share:
         try:
-            outcomes[m] = _fit_member(m, *carves[m], variant, config, handed[m])
-        except Exception as err:  # handed back to fit(), which raises it
-            outcomes[m] = err
+            results[i] = fn(i)
+        except Exception as err:  # handed to the caller of _in_processes
+            results[i] = err
             break
-    return outcomes
+    return results
 
 
-def _share_worker(conn, *share_args):
-    """A forked worker: trains its share and sends the outcomes back at once."""
-    outcomes = _fit_share(*share_args)
-    for m, outcome in outcomes.items():
-        if isinstance(outcome, Exception):
+def _share_worker(conn, fn, share):
+    """A forked worker: runs its share and sends the results back at once,
+    an exception with its formatted traceback."""
+    results = _run_share(fn, share)
+    failed = None
+    for i, result in results.items():
+        if isinstance(result, Exception):
+            failed = i, "".join(traceback.format_exception(result))
             try:
-                pickle.loads(pickle.dumps(outcome))
+                pickle.loads(pickle.dumps(result))
             except Exception:  # e.g. a class defined in a function
-                outcomes[m] = RuntimeError(
-                    f"{type(outcome).__name__}: {outcome} (raised in a worker process, "
+                results[i] = RuntimeError(
+                    f"{type(result).__name__}: {result} (raised in a worker process, "
                     "and it cannot be sent back)"
                 )
-    conn.send(outcomes)
+    conn.send((results, failed))
 
 
-def _fit_members(carves, variant, config, handed):
-    """Each member's (stage 1, stage 2) or exception, in member order; None
-    for a member after the first failure of its share.
+def _in_processes(fn, shares):
+    """[fn(i) for i in range(n)], where `shares` partitions range(n): the
+    caller runs shares[0] and one forked worker each other share, sending
+    its results back over a pipe when done.
 
-    With P = _processes(members) > 1 the caller trains the members m with
-    m % P == 0 and one forked worker per other residue trains the rest,
-    each sending its share back over a pipe when done.
+    Each share stops at its first index whose fn raises: the exception
+    stands in for the result, chained to a worker's traceback as its
+    __cause__, and the share's later indices read None. A worker that ends
+    without sending gives its share's first index a RuntimeError. No worker
+    outlives the call.
     """
-    k = len(carves)
-    procs = _processes(k)
-    shares = [range(w, k, procs) for w in range(procs)]
     workers = []
     try:
         for share in shares[1:]:
             ctx = multiprocessing.get_context("fork")
             reader, writer = ctx.Pipe(duplex=False)
-            worker = ctx.Process(
-                target=_share_worker, args=(writer, share, carves, variant, config, handed)
-            )
+            worker = ctx.Process(target=_share_worker, args=(writer, fn, share))
             worker.start()
             workers.append((share, worker, reader))
             writer.close()  # so the reader sees EOF once the worker ends
-        outcomes = _fit_share(shares[0], carves, variant, config, handed)
+        results = _run_share(fn, shares[0])
         for share, worker, reader in workers:
             try:
-                outcomes.update(reader.recv())
+                sent, failed = reader.recv()
             except EOFError:
                 worker.join()
-                outcomes[share[0]] = RuntimeError(
+                results[share[0]] = RuntimeError(
                     f"worker process ended with exit code {worker.exitcode} "
-                    "before sending its members back"
+                    "before sending its results back"
                 )
+                continue
+            if failed is not None:
+                i, text = failed
+                sent[i].__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
+            results.update(sent)
     finally:
         for _, worker, reader in workers:
             reader.close()
             worker.terminate()  # one that has sent its share only has to exit
             worker.join()
-    return [outcomes.get(m) for m in range(k)]
+    return [results.get(i) for i in range(sum(map(len, shares)))]
 
 
 def predict_ite(estimator, x):
     """Per-unit effect: stage-2 scored at t=1 minus t=0, ensemble-averaged.
 
     Accepts one covariate vector (returns a float) or a matrix (returns an
-    array).
+    array). A matrix of several forward blocks (nn.Network.block_rows) is
+    scored in up to one process per CPU (see _processes), each taking a run
+    of whole blocks: every block then holds the rows it holds in one
+    process, so every bit is the same.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    total = np.zeros(X.shape[0])
-    for _, stage2 in estimator.members:
-        total += stage2.ite(X)
-    out = total / len(estimator.members)
+    stage2 = [s for _, s in estimator.members]
+    net = stage2[0].network  # every member has the config's layers
+    net.check_covariates(X)  # before any worker starts
+    rows = net.block_rows
+    blocks = -(-X.shape[0] // rows)
+    procs = _processes(blocks)
+    cuts = [min(X.shape[0], rows * (blocks * w // procs)) for w in range(procs + 1)]
+
+    def mean_ite(w):
+        part = X[cuts[w] : cuts[w + 1]]
+        total = np.zeros(part.shape[0])
+        for s in stage2:
+            total += s.ite(part)
+        return total / len(stage2)
+
+    parts = _in_processes(mean_ite, [[w] for w in range(procs)])
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    out = np.concatenate(parts)
     return float(out[0]) if single else out
 
 

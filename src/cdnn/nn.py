@@ -283,10 +283,7 @@ class Network:
         block, so that no activation matrix outgrows _BLOCK_BYTES.
         """
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.covariate_width:
-            raise ShapeError(
-                f"expected covariates shaped (n, {self.covariate_width}), got {X.shape}"
-            )
+        self.check_covariates(X)
         T = np.asarray(T, dtype=float).reshape(-1)
         if T.shape[0] != X.shape[0]:
             raise ShapeError("covariate and treatment batch sizes differ")
@@ -300,6 +297,13 @@ class Network:
             block = slice(start, start + rows)
             out[block] = _forward(self, self.params, X[block], T[block], False)[0]
         return out, None
+
+    def check_covariates(self, X):
+        """ShapeError unless the array X is shaped (n, covariate_width)."""
+        if X.ndim != 2 or X.shape[1] != self.covariate_width:
+            raise ShapeError(
+                f"expected covariates shaped (n, {self.covariate_width}), got {X.shape}"
+            )
 
     @property
     def block_rows(self):

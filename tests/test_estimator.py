@@ -693,11 +693,12 @@ class TestStage1Reuse:
 
 @pytest.fixture
 def fit_processes(monkeypatch):
-    """fit() in two processes, whatever the CPU count. Returns a setter of the
-    count that also empties the stage-1 memo, for a cold twin fit."""
+    """fit() and predict_ite() in two processes, whatever the CPU count.
+    Returns a setter of the count that also empties the stage-1 memo, for a
+    cold twin fit."""
 
     def use(count):
-        monkeypatch.setattr(est, "_processes", lambda ensemble_size: min(ensemble_size, count))
+        monkeypatch.setattr(est, "_processes", lambda tasks: max(1, min(tasks, count)))
         monkeypatch.setattr(est, "_stage1_memo", (None, {}))
 
     use(2)
@@ -775,9 +776,11 @@ class TestParallelMembers:
             ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
             ({"OPENBLAS_NUM_THREADS": "many", "MKL_NUM_THREADS": "3"}, 1),
             ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 3),
         ],
         ids=["one-blas-thread", "one-omp-thread", "two-blas-threads", "unreadable-count",
-             "blas-default"],
+             "blas-default", "zero-is-the-blas-default", "zero-reads-as-unset"],
     )
     def test_processes_leave_each_blas_pool_its_cpus(self, monkeypatch, env, processes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -848,6 +851,15 @@ class TestParallelMembers:
         assert_no_children()
 
 
+    def test_worker_error_carries_the_worker_traceback(self, fit_processes, monkeypatch):
+        with pytest.raises(ShapeError, match="^ensemble member 1: bad shape") as info:
+            fit_failing_on(monkeypatch, {1: ShapeError("bad shape")})
+        cause = info.value.__cause__
+        assert type(cause).__name__ == "_RemoteTraceback"
+        assert "fit_stage1" in str(cause) and "ShapeError: bad shape" in str(cause)
+        assert_no_children()
+
+
 def fit_failing_on(monkeypatch, failures, members=3):
     """fit() with a stage 1 that fails for each member in `failures`: raising
     the exception given, or calling the function given."""
@@ -868,6 +880,115 @@ def fit_failing_on(monkeypatch, failures, members=3):
 
 def assert_no_children():
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def prediction_models():
+    """{(variant, config id): a fitted model} on 3 covariates, fitted once."""
+    data = generate(make_spec(1.0, sigma=0.3, d=3, seed=94), 240)
+    configs = {"default": replace(PARALLEL_CONFIGS[0], epochs=2),
+               "concat-depth-2": replace(PARALLEL_CONFIGS[1], epochs=2)}
+    models = {(variant, name): est.fit(data, variant, cfg)
+              for variant in est.VARIANTS for name, cfg in configs.items()}
+    block_rows = {name: model.members[0][1].network.block_rows
+                  for (_, name), model in models.items()}
+    assert block_rows["default"] != block_rows["concat-depth-2"]
+    return models
+
+
+def covariates(rows, seed=95):
+    return np.random.default_rng(seed).standard_normal((rows, 3))
+
+
+class TestParallelPrediction:
+    """predict_ite() scores runs of whole forward blocks in forked workers with
+    bitwise the serial results, and checks its input before any worker starts."""
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    @pytest.mark.parametrize("cfg", ["default", "concat-depth-2"])
+    @pytest.mark.parametrize(
+        "size",
+        [lambda b: b, lambda b: 3 * b, lambda b: 3 * b + 1, lambda b: 2 * b + b // 2 + 1],
+        ids=["one-block", "three-blocks", "three-blocks-and-a-row", "odd-rows"],
+    )
+    def test_parallel_prediction_is_bitwise_the_serial_prediction(
+        self, prediction_models, fit_processes, monkeypatch, count, variant, cfg, size
+    ):
+        model = prediction_models[variant, cfg]
+        block = model.members[0][1].network.block_rows
+        rows = size(block)
+        X = covariates(rows)
+        shares = []
+        real = est._in_processes
+        monkeypatch.setattr(est, "_in_processes", lambda fn, s: shares.append(len(s)) or real(fn, s))
+        fit_processes(count)
+        parallel = est.predict_ite(model, X)
+        fit_processes(1)
+        serial = est.predict_ite(model, X)
+        assert same_bits(parallel, serial)
+        assert shares == [min(count, -(-rows // block)), 1]
+        assert_no_children()
+
+    def test_a_single_vector_returns_a_float(self, prediction_models, fit_processes):
+        model = prediction_models["freezing", "default"]
+        x = covariates(1)[0]
+        parallel = est.predict_ite(model, x)
+        fit_processes(1)
+        assert type(parallel) is float
+        assert parallel == est.predict_ite(model, x)
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((0, 3), "empty batch"), ((2 * 2048 + 1, 4), r"\(n, 3\), got \(4097, 4\)"),
+         ((0,), r"\(n, 3\), got \(1, 0\)"), ((2, 2, 3), r"\(n, 3\), got \(2, 2, 3\)")],
+        ids=["no-rows", "wrong-width", "empty-vector", "three-axes"],
+    )
+    def test_bad_input_raises_before_any_worker_starts(
+        self, prediction_models, fit_processes, monkeypatch, shape, message
+    ):
+        model = prediction_models["explicit_residual", "default"]
+        X = np.zeros(shape)
+        fit_processes(1)
+        with pytest.raises(ShapeError, match=message) as serial:
+            est.predict_ite(model, X)
+        fit_processes(2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("predict_ite forked"))
+        with pytest.raises(ShapeError) as parallel:
+            est.predict_ite(model, X)
+        assert str(parallel.value) == str(serial.value)
+        assert_no_children()
+
+    def test_worker_error_carries_the_worker_traceback(
+        self, prediction_models, fit_processes, monkeypatch
+    ):
+        caller = os.getpid()
+        real = est.Stage2Model.ite
+
+        def failing(self, X):
+            if os.getpid() != caller:
+                raise FloatingPointError("worker failed")
+            return real(self, X)
+
+        monkeypatch.setattr(est.Stage2Model, "ite", failing)
+        model = prediction_models["freezing", "default"]
+        with pytest.raises(FloatingPointError, match="^worker failed$") as info:
+            est.predict_ite(model, covariates(3 * 2048))
+        assert "in failing" in str(info.value.__cause__)
+        assert_no_children()
+
+    def test_a_worker_that_dies_raises(self, prediction_models, fit_processes, monkeypatch):
+        caller = os.getpid()
+        real = est.Stage2Model.ite
+        monkeypatch.setattr(
+            est.Stage2Model, "ite",
+            lambda self, X: os._exit(3) if os.getpid() != caller else real(self, X),
+        )
+        model = prediction_models["freezing", "default"]
+        with pytest.raises(RuntimeError, match="^worker process ended with exit code 3 before"):
+            est.predict_ite(model, covariates(3 * 2048))
+        assert_no_children()
 
 
 class TestArmRelabelingAntisymmetry:
