@@ -106,9 +106,10 @@ def _cmd_score(args):
     est = load_checkpoint(args.model)
     data = load_csv(args.data)
     ites = predict_ite(est, data.x)
-    # one string and one write: about twice as fast as a csv.writer row loop
+    # one %-format over the whole column and one write: the bytes of a
+    # per-value f"{v:.17g}" join, in about two thirds of its time
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("ite\n" + "".join(f"{v:.17g}\n" for v in ites.tolist()))
+        fh.write("ite\n" + ("%.17g\n" * len(ites)) % tuple(ites.tolist()))
     print(f"wrote {len(data)} effect predictions to {args.out}")
     return 0
 

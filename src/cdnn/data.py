@@ -13,13 +13,17 @@ a write/load round trip is value-exact.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
+from ._workers import _in_processes, _processes
 from .errors import ConfigError, SchemaError, SplitError
 from .theory import NuisanceOracle
 
@@ -374,7 +378,9 @@ def split(data, spec, seed):
 
 
 _WRITE_BLOCK_ROWS = 4096  # about 700 KB of text per write at d=5
-_READ_CHUNK_CHARS = 1 << 20
+_READ_CHUNK_CHARS = 1 << 20  # bytes of CSV body per parsed range
+_SCAN_BYTES = 4096  # read per step while looking for a line end
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def write_csv(data, path):
@@ -438,59 +444,98 @@ def _read_header(reader):
     return header, has_gt, len(x_names)
 
 
-def _count_lines(fh):
-    """Lines left in a file opened with newline="", split as csv splits them.
+def _line_end(fh, pos):
+    """Offset just past the first line end at or after byte `pos` of the
+    binary file fh, or past its last byte if none follows. csv ends a line
+    at CRLF, CR or LF, and so does this: never between a CRLF's two bytes."""
+    fh.seek(pos)
+    while block := fh.read(_SCAN_BYTES):
+        found = _LINE_END.search(block)
+        if found is None:
+            pos += len(block)
+            continue
+        end = pos + found.end()
+        if found.end() == len(block) and block.endswith(b"\r") and fh.read(1) == b"\n":
+            end += 1  # a CRLF that the block cut in two
+        return end
+    return pos
 
-    csv ends a line at CRLF, CR or LF. The text is read in chunks of
-    _READ_CHUNK_CHARS, so no copy of the whole file is held.
-    """
-    lines, last = 0, ""
-    for chunk in iter(lambda: fh.read(_READ_CHUNK_CHARS), ""):
-        lines += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
-        if last.endswith("\r") and chunk.startswith("\n"):
-            lines -= 1  # one \r\n cut in two by the chunking
-        last = chunk
-    if last and not last.endswith(("\n", "\r")):
-        lines += 1  # the last line has no line end
-    return lines
+
+def _parse_range(path, begin, end, width, has_gt):
+    """The (rows, width) table of the body bytes [begin, end) of `path`,
+    parsed by np.loadtxt, or None if they are not plain (see
+    _columns_at_once). The bytes end at a line end or the end of the file."""
+    with open(path, "rb") as fh:
+        fh.seek(begin)
+        raw = fh.read(end - begin)
+    # one line per LF, CR or CRLF, and one for a last line without a line end;
+    # loadtxt skips blank lines, so a count that differs shows one
+    lines = raw.count(b"\n") + (not raw.endswith((b"\n", b"\r")))
+    if b"\r" in raw:  # a scan that stops at the first CR, cheaper than two counts
+        lines += raw.count(b"\r") - raw.count(b"\r\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(
+                io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),  # universal newlines
+                delimiter=",", comments=None, ndmin=2, dtype=float,
+            )
+    except ValueError:  # a field numpy rejects, or bytes that are not UTF-8
+        return None
+    if table.shape != (lines, width) or not np.isfinite(table).all():
+        return None
+    t, y = table[:, 0], table[:, 1]
+    if not ((t == 0) | (t == 1)).all():
+        return None
+    if has_gt and not np.array_equal(y, np.where(t == 1, table[:, 2], table[:, 3])):
+        return None
+    return table
 
 
 def _columns_at_once(path):
-    """(x, t, y, y1, y0) parsed by one np.loadtxt pass, or None.
+    """(x, t, y, y1, y0) parsed by np.loadtxt in byte ranges, or None.
+
+    The body is cut into ranges of about _READ_CHUNK_CHARS bytes, each
+    ending at a line end, and the ranges are parsed in up to one process per
+    CPU (see _processes), each process taking every P-th range and holding
+    one range's bytes at a time. A line is parsed alone, so the arrays are
+    bitwise the same for any P.
 
     None means the file is not plain: a bad header, non-UTF-8 bytes, a
     blank line, a field numpy's parser rejects, or a value the schema
     forbids. _columns_by_row then reads it and raises the exact error.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, has_gt, _ = _read_header(csv.reader(fh))
-            lines = _count_lines(fh)  # loadtxt skips blank lines: compare the counts
-    except (SchemaError, UnicodeDecodeError):
-        return None
-    if not lines:  # a header alone: the row loop raises
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(
-                path, delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=float,
-                encoding="utf-8",
-            )
-    except ValueError:
-        return None
-    if table.shape != (lines, len(header)) or not np.isfinite(table).all():
-        return None
-    t, y = table[:, 0], table[:, 1]
-    if not ((t == 0) | (t == 1)).all():
-        return None
-    y1 = y0 = None
-    if has_gt:
-        y1, y0 = table[:, 2].copy(), table[:, 3].copy()
-        if not np.array_equal(y, np.where(t == 1, y1, y0)):
+    with open(path, "rb") as fh:
+        head = _line_end(fh, 0)
+        fh.seek(0)
+        try:
+            header, has_gt, _ = _read_header(csv.reader([fh.read(head).decode("utf-8")]))
+        except (SchemaError, UnicodeDecodeError, csv.Error):
             return None
-    x = np.ascontiguousarray(table[:, 4 if has_gt else 2 :])
-    return x, t.astype(int), y.copy(), y1, y0
+        start, size = head, os.fstat(fh.fileno()).st_size
+        ranges = []
+        while start < size:
+            ranges.append((start, _line_end(fh, min(start + _READ_CHUNK_CHARS, size) - 1)))
+            start = ranges[-1][1]
+    if not ranges:  # a header alone: the row loop raises
+        return None
+    procs = _processes(len(ranges))
+    tables = _in_processes(
+        lambda i: _parse_range(path, *ranges[i], len(header), has_gt),
+        [range(w, len(ranges), procs) for w in range(procs)],
+    )
+    for table in tables:
+        if isinstance(table, Exception):
+            raise table
+    if any(table is None for table in tables):
+        return None
+
+    def column(index):
+        return np.concatenate([table[:, index] for table in tables])
+
+    x = column(slice(4 if has_gt else 2, None))
+    y1, y0 = (column(2), column(3)) if has_gt else (None, None)
+    return x, column(0).astype(int), column(1), y1, y0
 
 
 def _columns_by_row(path):
@@ -544,7 +589,8 @@ def load_csv(path):
     exactly: y1/y0 are the (possibly noisy) potential outcomes, one of which
     is the factual outcome, not noiseless surface values.
 
-    The body is parsed in one np.loadtxt pass. Anything unusual (a blank
+    The body is parsed by np.loadtxt in byte ranges, in up to one process
+    per CPU (see _columns_at_once). Anything unusual (a blank
     line, which is an error; a quoted field; a spelling such as ``2_5`` that
     Python's float() accepts and numpy's parser does not; a value the schema
     forbids) goes through a row-by-row reader instead, which gives the same

@@ -23,17 +23,14 @@ import copy
 import hashlib
 import json
 import math
-import multiprocessing
 import numbers
-import os
-import pickle
-import traceback
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import nn
+from ._workers import _in_processes, _processes
 from .data import Dataset
 from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationError, ShapeError
 
@@ -92,7 +89,7 @@ class Stage1Model:
     training_log: nn.TrainingLog
 
     def predict(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _checked_covariates(self.network, X)
         preds, _ = self.network.forward_batch(X, np.zeros(X.shape[0]), keep_cache=False)
         return preds
 
@@ -111,7 +108,7 @@ class Stage2Model:
     training_log: nn.TrainingLog
 
     def predict(self, X, t):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _checked_covariates(self.network, X)
         preds, _ = self.network.forward_batch(
             X, np.full(X.shape[0], float(t)), keep_cache=False
         )
@@ -119,6 +116,18 @@ class Stage2Model:
 
     def ite(self, X):
         return self.predict(X, 1) - self.predict(X, 0)
+
+
+def _checked_covariates(net, x):
+    """x as a 2-d float array; ShapeError unless it is shaped
+    (n, covariate_width) with every value finite, naming the first row
+    (0-based) that is not: a NaN covariate would give a NaN prediction."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    net.check_covariates(X)
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ShapeError(f"covariates must be finite (no NaN or inf); row {row} is not")
+    return X
 
 
 @dataclass
@@ -381,117 +390,6 @@ def _fit_member(member, train, validation, variant, config, stage1=None):
     return stage1, stage2
 
 
-def _processes(tasks):
-    """How many processes `tasks` independent tasks (a fit's members, a
-    prediction's row blocks) run in: at most one per task, and only as many
-    as the CPUs this process may run on hold whole BLAS pools (see
-    _blas_threads). Only the caller where the fork start method is
-    unavailable or the caller is a multiprocessing child (a `bench` worker),
-    so no call starts grandchildren."""
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process():
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(tasks, cpus // _blas_threads(cpus)))
-
-
-def _blas_threads(cpus):
-    """Threads in each process's BLAS pool: the first count >= 1 the
-    environment sets for it, else one per CPU, the libraries' default (a
-    count <= 0 means that default to OpenBLAS too). Pools that share CPUs
-    spin against each other: with two threads per pool on 2 CPUs, a fit in
-    two processes ran slower than in one."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            count = int(os.environ[var])
-        except (KeyError, ValueError):  # unset, or not a count
-            continue
-        if count >= 1:
-            return count
-    return cpus
-
-
-class _RemoteTraceback(Exception):
-    """A worker's formatted traceback, the __cause__ of the exception it
-    raised, as concurrent.futures chains it."""
-
-
-def _run_share(fn, share):
-    """{i: fn(i)} for the indices of `share` in order, up to the first that
-    raises; its exception takes its place."""
-    results = {}
-    for i in share:
-        try:
-            results[i] = fn(i)
-        except Exception as err:  # handed to the caller of _in_processes
-            results[i] = err
-            break
-    return results
-
-
-def _share_worker(conn, fn, share):
-    """A forked worker: runs its share and sends the results back at once,
-    an exception with its formatted traceback."""
-    results = _run_share(fn, share)
-    failed = None
-    for i, result in results.items():
-        if isinstance(result, Exception):
-            failed = i, "".join(traceback.format_exception(result))
-            try:
-                pickle.loads(pickle.dumps(result))
-            except Exception:  # e.g. a class defined in a function
-                results[i] = RuntimeError(
-                    f"{type(result).__name__}: {result} (raised in a worker process, "
-                    "and it cannot be sent back)"
-                )
-    conn.send((results, failed))
-
-
-def _in_processes(fn, shares):
-    """[fn(i) for i in range(n)], where `shares` partitions range(n): the
-    caller runs shares[0] and one forked worker each other share, sending
-    its results back over a pipe when done.
-
-    Each share stops at its first index whose fn raises: the exception
-    stands in for the result, chained to a worker's traceback as its
-    __cause__, and the share's later indices read None. A worker that ends
-    without sending gives its share's first index a RuntimeError. No worker
-    outlives the call.
-    """
-    workers = []
-    try:
-        for share in shares[1:]:
-            ctx = multiprocessing.get_context("fork")
-            reader, writer = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_share_worker, args=(writer, fn, share))
-            worker.start()
-            workers.append((share, worker, reader))
-            writer.close()  # so the reader sees EOF once the worker ends
-        results = _run_share(fn, shares[0])
-        for share, worker, reader in workers:
-            try:
-                sent, failed = reader.recv()
-            except EOFError:
-                worker.join()
-                results[share[0]] = RuntimeError(
-                    f"worker process ended with exit code {worker.exitcode} "
-                    "before sending its results back"
-                )
-                continue
-            if failed is not None:
-                i, text = failed
-                sent[i].__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
-            results.update(sent)
-    finally:
-        for _, worker, reader in workers:
-            reader.close()
-            worker.terminate()  # one that has sent its share only has to exit
-            worker.join()
-    return [results.get(i) for i in range(sum(map(len, shares)))]
-
-
 def predict_ite(estimator, x):
     """Per-unit effect: stage-2 scored at t=1 minus t=0, ensemble-averaged.
 
@@ -501,12 +399,10 @@ def predict_ite(estimator, x):
     of whole blocks: every block then holds the rows it holds in one
     process, so every bit is the same.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
+    single = np.ndim(x) == 1
     stage2 = [s for _, s in estimator.members]
     net = stage2[0].network  # every member has the config's layers
-    net.check_covariates(X)  # before any worker starts
+    X = _checked_covariates(net, x)  # before any worker starts
     rows = net.block_rows
     blocks = -(-X.shape[0] // rows)
     procs = _processes(blocks)

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from cdnn import bench
+from cdnn import bench, cli
 from cdnn.cli import main
-from cdnn.data import load_csv
+from cdnn.data import Dataset, load_csv
 from cdnn.estimator import load_checkpoint
 from test_estimator import reference_save_checkpoint_v1
 
@@ -119,6 +119,28 @@ class TestVerify:
         )
         assert main(["verify", "lemma"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestScoreWriter:
+    """`cdnn score` formats its whole column in one pass, with the bytes of a
+    per-value f"{v:.17g}" join."""
+
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, 1 / 3, -1 / 3, 2.0**53 + 2, -(2.0**60), 2.0**64, 1e22, 123456789012345678.0]
+
+    @pytest.mark.parametrize("rows", [1, len(SPECIAL), 5000])
+    def test_bytes_match_the_per_value_join(self, tmp_path, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        values[: len(self.SPECIAL)] = self.SPECIAL[:rows]
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: None)
+        monkeypatch.setattr(cli, "load_csv", lambda path: Dataset(np.zeros((rows, 1)),
+                                                                  np.zeros(rows), np.zeros(rows)))
+        monkeypatch.setattr(cli, "predict_ite", lambda est, x: values)
+        out = tmp_path / "ite.csv"
+        assert main(["score", "--model", "m.npz", "--data", "d.csv", "--out", str(out)]) == 0
+        joined = "ite\n" + "".join(f"{v:.17g}\n" for v in values.tolist())
+        assert out.read_bytes() == joined.encode()
 
 
 class TestFitAndScore:

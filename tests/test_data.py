@@ -2,6 +2,10 @@
 
 import csv
 import math
+import multiprocessing
+import os
+import re
+import signal
 import warnings
 
 import numpy as np
@@ -598,6 +602,119 @@ class TestCsvLoaderParity:
 
         monkeypatch.setattr(dmod, "_columns_by_row", spy)
         assert outcome(load_csv, path) == expected
+
+
+def parse_in(monkeypatch, count):
+    """load_csv in up to `count` processes, whatever the CPU count; returns
+    the list to which each _in_processes call appends its number of shares."""
+    monkeypatch.setattr(dmod, "_processes", lambda tasks: max(1, min(tasks, count)))
+    shares = []
+    real = dmod._in_processes
+    monkeypatch.setattr(dmod, "_in_processes", lambda fn, s: shares.append(len(s)) or real(fn, s))
+    return shares
+
+
+# the (text, loads) cases of TestCsvLoaderParity.test_corruption_gives_the_row_loop_result
+CORRUPTIONS = next(mark for mark in TestCsvLoaderParity.test_corruption_gives_the_row_loop_result
+                   .pytestmark if mark.name == "parametrize")
+
+
+class TestParallelCsv:
+    """load_csv parses line-aligned byte ranges in forked workers, with
+    bitwise the arrays, or the error, of one process and of the row loop."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_outlives_the_case(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, dmod._READ_CHUNK_CHARS])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r", "mixed"])
+    @pytest.mark.parametrize("final_eol", [True, False], ids=["final-eol", "no-final-eol"])
+    @pytest.mark.parametrize("gt", [True, False], ids=["gt", "no-gt"])
+    def test_arrays_are_bitwise_those_of_one_process_and_the_row_loop(
+        self, tmp_path, monkeypatch, count, chunk, eol, final_eol, gt
+    ):
+        ds = generate(named_dgp("confound-hetero", seed=7), 40)
+        if not gt:
+            ds = Dataset(ds.x, ds.t, ds.y)
+        path = write_csv(ds, tmp_path / "data.csv")
+        lines = path.read_bytes().split(b"\n")[:-1]
+        ends = [b"\n", b"\r\n", b"\r"]
+        eols = [ends[i % 3] if eol == "mixed" else eol.encode() for i in range(len(lines))]
+        text = b"".join(line + end for line, end in zip(lines, eols))
+        path.write_bytes(text if final_eol else text[: -len(eols[-1])])
+        expected = outcome(reference_load, path)
+        monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", chunk)
+        # short scan reads cut some \r\n pairs in two while line ends are sought
+        monkeypatch.setattr(dmod, "_SCAN_BYTES", chunk)
+        monkeypatch.setattr(dmod, "_processes", lambda tasks: 1)
+        assert outcome(load_csv, path) == expected
+
+        def spy(path):
+            raise AssertionError(f"{path} went through the row loop")
+
+        monkeypatch.setattr(dmod, "_columns_by_row", spy)
+        shares = parse_in(monkeypatch, count)
+        assert outcome(load_csv, path) == expected
+        assert shares == [1 if chunk >= len(text) else count]  # one range never forks
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("text", [text for text, _ in CORRUPTIONS.args[1]],
+                             ids=CORRUPTIONS.kwargs["ids"])
+    def test_corruption_in_a_worker_range_gives_the_serial_result(
+        self, tmp_path, monkeypatch, count, text
+    ):
+        header = re.match(r"[^\r\n]*(\r\n|\r|\n)?", text).group()
+        if header == text:
+            pytest.skip("a header alone has no body range for a worker to parse")
+        # count - 1 plain ranges of len(plain) bytes each, then the corrupted
+        # body, which is shorter, as the last worker's range
+        plain = ("1,3,3,1,0.5\n" if "y1" in header else "0,1,2\n") * 8
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(header + plain * (count - 1) + text[len(header) :])
+        expected = outcome(reference_load, path)
+        monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", len(plain))
+        monkeypatch.setattr(dmod, "_processes", lambda tasks: 1)
+        assert outcome(load_csv, path) == expected
+        shares = parse_in(monkeypatch, count)
+        assert outcome(load_csv, path) == expected
+        assert shares == [count]
+
+    @pytest.mark.parametrize(
+        "end, code",
+        [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit", "killed"],
+    )
+    def test_a_worker_that_dies_raises_runtime_error(self, tmp_path, monkeypatch, end, code):
+        path = write_csv(generate(named_dgp("confound-hetero", seed=8), 60), tmp_path / "data.csv")
+        monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", 1000)
+        real = dmod._parse_range
+
+        def dying(*args):
+            if multiprocessing.parent_process() is not None:
+                end()
+            return real(*args)
+
+        monkeypatch.setattr(dmod, "_parse_range", dying)
+        shares = parse_in(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=f"^worker process ended with exit code {code} "):
+            load_csv(path)
+        assert shares == [2]
+
+    @settings(max_examples=100, **FILE_EXAMPLES)
+    @given(rows=st.integers(1, 6), d=st.integers(1, 3), gt=st.booleans(),
+           mixed_eols=st.booleans(), final_eol=st.booleans(), data=st.data())
+    def test_the_parity_property_holds_in_two_processes(
+        self, tmp_path, monkeypatch, rows, d, gt, mixed_eols, final_eol, data
+    ):
+        """TestCsvLoaderParity's property, drawn the same way, with P = 2."""
+        monkeypatch.setattr(dmod, "_processes", lambda tasks: min(tasks, 2))
+        parity = TestCsvLoaderParity.test_same_dataset_or_error_as_the_row_loop.hypothesis
+        parity.inner_test(TestCsvLoaderParity(), tmp_path, monkeypatch, rows, d, gt, mixed_eols,
+                          final_eol, data)
 
 
 class TestDatasetValidation:

@@ -991,6 +991,55 @@ class TestParallelPrediction:
         assert_no_children()
 
 
+class TestNonFiniteCovariates:
+    """A NaN or infinite covariate is a ShapeError naming its row, at every
+    prediction entry point, before any worker starts."""
+
+    ROWS = [lambda b: 0, lambda b: b + 5, lambda b: 3 * b]  # first block, second, last row
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ROWS, ids=["first-row", "second-block", "last-row"])
+    def test_predict_ite_names_the_first_bad_row(
+        self, prediction_models, fit_processes, monkeypatch, count, bad, where
+    ):
+        model = prediction_models["freezing", "default"]
+        block = model.members[0][1].network.block_rows
+        X = covariates(3 * block + 1)
+        row = where(block)
+        X[row, 1] = bad
+        X[-1, 2] = bad  # a later bad row is not the one named
+        fit_processes(count)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("predict_ite forked"))
+        with pytest.raises(ShapeError, match=rf"finite .*; row {row} is not$"):
+            est.predict_ite(model, X)
+        assert_no_children()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_single_bad_vector_is_row_0(self, prediction_models, fit_processes, count):
+        fit_processes(count)
+        with pytest.raises(ShapeError, match="row 0 is not$"):
+            est.predict_ite(prediction_models["explicit_residual", "default"], [0.5, np.nan, 1.0])
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("stage", [0, 1], ids=["stage1", "stage2"])
+    def test_stage_models_name_the_first_bad_row(
+        self, prediction_models, fit_processes, count, stage
+    ):
+        fit_processes(count)
+        model = prediction_models["explicit_residual", "concat-depth-2"].members[0][stage]
+        X = covariates(2 * model.network.block_rows + 3)
+        X[model.network.block_rows + 2, 0] = np.nan
+        predict = model.predict if stage == 0 else lambda X: model.predict(X, 1)
+        with pytest.raises(ShapeError, match=f"row {model.network.block_rows + 2} is not$"):
+            predict(X)
+        if stage == 1:
+            with pytest.raises(ShapeError, match="row 0 is not$"):
+                model.ite(np.full(3, np.inf))
+        X[model.network.block_rows + 2, 0] = 0.0
+        assert np.isfinite(predict(X)).all()
+
+
 class TestArmRelabelingAntisymmetry:
     def test_noiseless_constant_effect(self):
         spec = DgpSpec(
