@@ -1,8 +1,8 @@
 """Fork-and-gather: independent tasks run in the caller and forked workers.
 
-fit() trains its ensemble members, predict_ite() scores its row blocks and
-load_csv() parses its byte ranges through _in_processes, in as many
-processes as _processes allows.
+bench.run() runs its replications, fit() trains its ensemble members,
+predict_ite() scores its row blocks and load_csv() parses its byte ranges
+through _in_processes, in as many processes as _processes allows.
 """
 
 from __future__ import annotations
@@ -12,15 +12,19 @@ import os
 import pickle
 import traceback
 
+_beside_workers = False  # whether _in_processes's caller runs its share beside workers
+
 
 def _processes(tasks):
-    """How many processes `tasks` independent tasks (a fit's members, a
-    prediction's row blocks, a CSV's byte ranges) run in: at most one per
-    task, and only as many as the CPUs this process may run on hold whole
-    BLAS pools (see _blas_threads). One where the fork start method is
-    unavailable, or where the caller is itself a multiprocessing child (a
-    `bench` worker), so no call starts grandchildren."""
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process():
+    """How many processes `tasks` independent tasks (replications, members,
+    row blocks, byte ranges) run in: at most one per task, and only as many
+    as the CPUs this process may run on hold whole BLAS pools (see
+    _blas_threads). One where the fork start method is unavailable, in a
+    multiprocessing child, and in a caller while it runs its own share
+    beside workers: only the outermost of nested calls forks."""
+    if _beside_workers or multiprocessing.parent_process():
+        return 1
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -92,6 +96,8 @@ def _in_processes(fn, shares):
     without sending gives its share's first index a RuntimeError. No worker
     outlives the call.
     """
+    global _beside_workers
+    beside = _beside_workers
     workers = []
     try:
         for share in shares[1:]:
@@ -101,6 +107,7 @@ def _in_processes(fn, shares):
             worker.start()
             workers.append((share, worker, reader))
             writer.close()  # so the reader sees EOF once the worker ends
+        _beside_workers = beside or bool(workers)
         results = _run_share(fn, shares[0])
         for share, worker, reader in workers:
             try:
@@ -117,6 +124,7 @@ def _in_processes(fn, shares):
                 sent[i].__cause__ = _RemoteTraceback(f'\n"""\n{text}"""')
             results.update(sent)
     finally:
+        _beside_workers = beside
         for _, worker, reader in workers:
             reader.close()
             worker.terminate()  # one that has sent its share only has to exit

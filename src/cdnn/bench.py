@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import glob as globmod
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import estimator as est_mod
+from ._workers import _in_processes, _processes
 from .baselines import dml_ate, ols_lr1, ols_lr2
 from .data import (
     DGP_FAMILIES,
@@ -70,7 +69,6 @@ class ExperimentConfig:
     n: int = 0
     replications: int = 1
     output: str | None = None
-    workers: int = 1
     redraw_baseline: bool = False
     metrics_on: str = "test"
 
@@ -79,6 +77,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one estimator")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         if (self.dgp is None) == (not self.csv_files):
             raise ConfigError("configure exactly one of dgp or csv input")
         if self.dgp is not None and self.n < 3:
@@ -132,6 +132,16 @@ def _split_spec_from(entry):
     raise ConfigError(f"unknown split scheme {scheme!r}")
 
 
+def _json_value(entry, key, kind, default):
+    """entry[key], or `default` when absent: a JSON integer (never a bool)
+    where `kind` is int, true or false where it is bool."""
+    value = entry.get(key, default)
+    if type(value) is not kind:  # bool is a subclass of int, not an int here
+        name = "an integer" if kind is int else "true or false"
+        raise ConfigError(f"bad config value: {key} must be {name}, got {value!r}")
+    return value
+
+
 def config_from_dict(raw):
     """Build an ExperimentConfig from parsed JSON; unknown keys and values of
     the wrong type raise ConfigError."""
@@ -151,7 +161,7 @@ def _config_from_dict(raw):
     dgp_entry = raw["dgp"]
     dgp = None
     csv_files = ()
-    replications = int(raw.get("replications", 0))
+    replications = _json_value(raw, "replications", int, 0)
     if "csv" in dgp_entry:
         _reject_unknown(dgp_entry, ("csv",), "dgp")
         csv_files = tuple(sorted(globmod.glob(dgp_entry["csv"])))
@@ -168,7 +178,9 @@ def _config_from_dict(raw):
         if "family" not in dgp_entry:
             raise ConfigError(f"dgp needs a 'family' (one of {DGP_FAMILIES}) or 'csv'")
         dgp = named_dgp(
-            dgp_entry["family"], d=int(dgp_entry.get("d", 5)), seed=int(dgp_entry.get("seed", 0))
+            dgp_entry["family"],
+            d=_json_value(dgp_entry, "d", int, 5),
+            seed=_json_value(dgp_entry, "seed", int, 0),
         )
         if replications == 0:
             replications = 1
@@ -176,14 +188,13 @@ def _config_from_dict(raw):
     return ExperimentConfig(
         estimators=estimators,
         split=_split_spec_from(raw.get("split")),
-        seed=int(raw.get("seed", 0)),
+        seed=_json_value(raw, "seed", int, 0),
         dgp=dgp,
         csv_files=csv_files,
-        n=int(raw.get("n", 0)),
+        n=_json_value(raw, "n", int, 0),
         replications=replications,
         output=raw.get("output"),
-        workers=int(raw.get("workers", 1)),
-        redraw_baseline=bool(raw.get("redraw_baseline", False)),
+        redraw_baseline=_json_value(raw, "redraw_baseline", bool, False),
         metrics_on=raw.get("metrics_on", "test"),
     )
 
@@ -397,26 +408,21 @@ class MetricsReport:
 def run(config):
     """Execute the experiment; deterministic for a fixed config and seed.
 
-    Replications run in parallel when workers > 1 (the CDNN_WORKERS
-    environment variable overrides the configured count); results are
-    reassembled in replication order so worker count never changes output.
+    Replications run in up to one process per CPU (see _processes), strided
+    like fit's members; rows are reassembled in replication order, so the
+    process count never changes a bit. A replication that raises (a
+    malformed CSV) raises its exception; the lowest-numbered one wins.
     """
-    workers = config.workers
-    env = os.environ.get("CDNN_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"CDNN_WORKERS must be an integer, got {env!r}") from None
-    indices = range(config.replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_replication, [config] * config.replications, indices))
-    else:
-        chunks = [_run_replication(config, i) for i in indices]
-    rows = [row for chunk in chunks for row in chunk]
-    order = {name: k for k, name in enumerate(s.name for s in config.estimators)}
-    rows.sort(key=lambda r: (r.replication, order[r.estimator]))
+    reps = config.replications
+    procs = _processes(reps)
+    chunks = _in_processes(
+        lambda i: _run_replication(config, i), [range(w, reps, procs) for w in range(procs)]
+    )
+    rows = []
+    for chunk in chunks:
+        if isinstance(chunk, Exception):
+            raise chunk
+        rows.extend(chunk)
     return MetricsReport(rows, [s.name for s in config.estimators])
 
 
@@ -585,5 +591,7 @@ def verify(kind, seed=0):
     """Run one named verification suite of SUITES (or "all" of them)."""
     if kind != "all" and kind not in SUITES:
         raise ConfigError(f"unknown verify kind {kind!r}")
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     # looked up when called, so a wrapped module attribute verify_* is the one run
     return [globals()[f"verify_{k}"](seed=seed) for k in (SUITES if kind == "all" else (kind,))]

@@ -74,6 +74,8 @@ class CdnnConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in nn.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
 
 
 def _is_count(value):

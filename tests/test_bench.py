@@ -1,14 +1,19 @@
 """Experiment runner, report emission, verification suites."""
 
 import csv
+import json
 import math
+import multiprocessing
+import os
+import re
 
 import numpy as np
 import pytest
 
 from cdnn import bench, nn
 from cdnn.data import generate, named_dgp, oracle_of, write_csv
-from cdnn.errors import ConfigError
+from cdnn.cli import main
+from cdnn.errors import ConfigError, SchemaError
 from cdnn.theory import standard_perturbations
 
 
@@ -125,20 +130,100 @@ class TestRun:
         # failures excluded, successes still aggregated
         assert agg["ols_lr1"]["n_ok"] == 2
 
-    def test_workers_env_override_preserves_results(self, tmp_path, monkeypatch):
-        cfg = quick_config()
-        seq = bench.run(cfg)
-        monkeypatch.setenv("CDNN_WORKERS", "2")
-        par = bench.run(cfg)
-        pa, pb = tmp_path / "seq.csv", tmp_path / "par.csv"
-        seq.to_csv(pa)
-        par.to_csv(pb)
-        assert pa.read_bytes() == pb.read_bytes()
 
-    def test_bad_workers_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("CDNN_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            bench.run(quick_config())
+ALL_FIVE = [
+    {"name": "cdnn_freezing", "hidden_widths": [8], "epochs": 3, "ensemble_size": 2},
+    {"name": "cdnn_explicit", "hidden_widths": [8], "epochs": 3, "ensemble_size": 2},
+    "ols_lr1",
+    "ols_lr2",
+    "dml",
+]
+
+
+@pytest.fixture
+def replication_processes(monkeypatch):
+    """bench.run() in two processes, whatever the CPU count. Returns a
+    setter of the count and the list to which each of its _in_processes
+    calls appends its number of shares."""
+    shares = []
+    real = bench._in_processes
+    monkeypatch.setattr(bench, "_in_processes", lambda fn, s: shares.append(len(s)) or real(fn, s))
+
+    def use(count):
+        monkeypatch.setattr(bench, "_processes", lambda tasks: max(1, min(tasks, count)))
+        shares.clear()
+
+    use(2)
+    return use, shares
+
+
+def write_replication_csvs(tmp_path, count):
+    for i in range(count):
+        write_csv(generate(named_dgp("confound-hetero", seed=i), 300), tmp_path / f"r{i}.csv")
+    return {"csv": str(tmp_path / "r*.csv")}
+
+
+class TestParallelReplications:
+    """bench.run() runs its replications in forked workers, with bitwise the
+    serial reports, and raises the serial run's exception."""
+
+    @pytest.mark.parametrize("source", ["dgp", "csv"])
+    @pytest.mark.parametrize("reps", [3, 4])
+    def test_reports_are_bitwise_the_serial_ones(
+        self, tmp_path, replication_processes, source, reps
+    ):
+        use, shares = replication_processes
+        dgp = {"family": "confound-hetero"}
+        if source == "csv":
+            dgp = write_replication_csvs(tmp_path, reps)
+        cfg = quick_config(dgp=dgp, replications=reps, estimators=ALL_FIVE)
+        reports = {}
+        for count in (1, 2, 3):
+            use(count)
+            report = bench.run(cfg)
+            assert shares == [count]
+            assert all(r.ok for r in report.rows)
+            path = report.to_csv(tmp_path / f"report-{count}.csv")
+            reports[count] = (path.read_bytes(), report.to_markdown())
+            assert multiprocessing.active_children() == []
+        assert reports[2] == reports[1] and reports[3] == reports[1]
+
+    def test_a_replication_worker_that_dies_raises(self, replication_processes, monkeypatch):
+        real = bench._run_replication
+
+        def dying(config, i):
+            if i == 1:
+                os._exit(3)
+            return real(config, i)
+
+        monkeypatch.setattr(bench, "_run_replication", dying)
+        with pytest.raises(RuntimeError, match="^worker process ended with exit code 3 before"):
+            bench.run(quick_config(replications=3))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_a_malformed_csv_raises_its_schema_error(
+        self, tmp_path, capsys, replication_processes, count
+    ):
+        # replication 1 runs in a worker, and 2 (malformed too) in the caller
+        # at P = 2 or in another worker at P = 3: replication 1's error wins
+        use, _ = replication_processes
+        use(count)
+        dgp = write_replication_csvs(tmp_path, 3)
+        for rep, row in ((1, 5), (2, 7)):
+            bad = tmp_path / f"r{rep}.csv"
+            lines = bad.read_text().splitlines(keepends=True)
+            lines[row] = lines[row].rsplit(",", 1)[0] + ",abc\n"
+            bad.write_text("".join(lines))
+        cfg = {"dgp": dgp, "estimators": ["ols_lr1"], "output": str(tmp_path / "out")}
+        message = "is not numeric: 'abc' (row 5)"
+        with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+            bench.run(bench.config_from_dict(cfg))
+        assert multiprocessing.active_children() == []
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(tmp_path / "config.json")]) == 2
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert multiprocessing.active_children() == []
 
 
 class TestReport:

@@ -55,8 +55,16 @@ class TestBench:
             {"n": "abc"},
             {"estimators": [{"name": "cdnn_freezing", "hidden_widths": 5}]},
             {"split": {"fractions": "x"}},
+            {"redraw_baseline": "no"},
+            {"n": 250.9},
+            {"replications": 2.7},
+            {"seed": True},
+            {"dgp": {"family": "confound-linear", "d": 2.5}},
+            {"dgp": {"family": "confound-linear", "seed": "0"}},
         ],
-        ids=["string-n", "int-hidden-widths", "string-split-fractions"],
+        ids=["string-n", "int-hidden-widths", "string-split-fractions", "string-redraw-baseline",
+             "fractional-n", "fractional-replications", "bool-seed", "fractional-dgp-d",
+             "string-dgp-seed"],
     )
     def test_config_value_of_the_wrong_type_returns_2(self, tmp_path, capsys, edit):
         cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"]}
@@ -85,6 +93,14 @@ class TestBench:
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
+
+    def test_workers_key_returns_2(self, tmp_path, capsys):
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"],
+               "workers": 2}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: workers\n"
 
     def test_missing_config_file_returns_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "nope.json")]) == 2
@@ -119,6 +135,25 @@ class TestVerify:
         )
         assert main(["verify", "lemma"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["fit", "verify-gradients", "verify-lemma", "bench"])
+def test_negative_seed_returns_2(tmp_path, capsys, command):
+    if command == "fit":
+        data = tmp_path / "rows.csv"
+        main(["generate", "--family", "confound-linear", "--n", "60", "--out", str(data)])
+        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "model.npz"), "--seed", "-1"]
+    elif command == "bench":
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"], "seed": -1}
+        ))
+        argv = ["bench", "--config", str(cfg_path)]
+    else:
+        argv = ["verify", command.split("-")[1], "--seed", "-1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
 
 
 class TestScoreWriter:

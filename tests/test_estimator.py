@@ -756,16 +756,20 @@ class TestParallelMembers:
 
     def test_processes_never_exceed_the_count(self, fit_processes, monkeypatch):
         data = generate(make_spec(1.0, sigma=0.3, seed=92), 200)
-        seen = []
-        real = est.fit_stage1
+        seen, shares = [], []
+        real_fit, real_in_processes = est.fit_stage1, est._in_processes
 
         def observing(*args, **kwargs):
-            seen.append((kwargs["seed_stream"], len(multiprocessing.active_children())))
-            return real(*args, **kwargs)
+            seen.append(kwargs["seed_stream"])  # a worker appends to its own copy
+            return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(est, "fit_stage1", observing)
+        monkeypatch.setattr(
+            est, "_in_processes", lambda fn, s: shares.append(len(s)) or real_in_processes(fn, s)
+        )
         est.fit(data, "freezing", replace(REUSE, ensemble_size=5))
-        assert seen == [(0, 1), (2, 1), (4, 1)]  # the caller's share, beside one worker
+        assert shares == [2]  # the caller and one worker
+        assert seen == [0, 2, 4]  # the caller's share
         assert_no_children()
 
     @pytest.mark.parametrize(
@@ -789,6 +793,32 @@ class TestParallelMembers:
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         assert est._processes(3) == processes
+
+    def test_only_the_outermost_call_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert est._processes(8) == 2
+
+        def read(i):
+            return est._processes(8)
+
+        def raise_in_the_caller(i):
+            if multiprocessing.parent_process() is None:
+                raise ShapeError("the caller's share raised")
+            return est._processes(8)
+
+        def read_after_a_nested_call(i):
+            est._in_processes(read, [[0]])
+            return est._processes(8)
+
+        assert est._in_processes(read, [[0], [1]]) == [1, 1]  # the caller's share, a worker's
+        assert est._in_processes(read_after_a_nested_call, [[0], [1]]) == [1, 1]
+        assert est._in_processes(read, [[0, 1]]) == [2, 2]  # no worker beside it
+        assert est._processes(8) == 2
+        outcomes = est._in_processes(raise_in_the_caller, [[0], [1]])
+        assert isinstance(outcomes[0], ShapeError) and outcomes[1] == 1
+        assert est._processes(8) == 2
+        assert_no_children()
 
     def test_a_multiprocessing_child_fits_in_one_process(self):
         assert est._processes(1) == 1
