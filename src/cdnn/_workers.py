@@ -2,7 +2,8 @@
 
 bench.run() runs its replications, fit() trains its ensemble members,
 predict_ite() scores its row blocks and load_csv() parses its byte ranges
-through _in_processes, in as many processes as _processes allows.
+through _map, the one place that decides how many processes run them, which
+runs which, and which failure is raised.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import pickle
 import traceback
 
-_beside_workers = False  # whether _in_processes's caller runs its share beside workers
+_beside_workers = False  # whether _map's caller runs its share beside workers
 
 
 def _processes(tasks):
@@ -61,7 +62,7 @@ def _run_share(fn, share):
     for i in share:
         try:
             results[i] = fn(i)
-        except Exception as err:  # handed to the caller of _in_processes
+        except Exception as err:  # raised by _map
             results[i] = err
             break
     return results
@@ -85,36 +86,38 @@ def _share_worker(conn, fn, share):
     conn.send((results, failed))
 
 
-def _in_processes(fn, shares):
-    """[fn(i) for i in range(n)], where `shares` partitions range(n): the
-    caller runs shares[0] and one forked worker each other share, sending
-    its results back over a pipe when done.
+def _map(fn, n, label=None):
+    """[fn(0), ..., fn(n - 1)] in P = _processes(n) processes: task i runs in
+    share i mod P, the caller running share 0 and one forked worker each
+    other share, which sends its results back over a pipe when done.
 
-    Each share stops at its first index whose fn raises: the exception
-    stands in for the result, chained to a worker's traceback as its
-    __cause__, and the share's later indices read None. A worker that ends
-    without sending gives its share's first index a RuntimeError. No worker
+    Each share stops at its first task that raises, so every task below the
+    lowest failing i has run, and that task's exception is raised: chained
+    to a worker's traceback as its __cause__, and with its message prefixed
+    "{label} {i}: " when a label is given. A worker that ends without
+    sending fails its share's first task with a RuntimeError. No worker
     outlives the call.
     """
     global _beside_workers
+    procs = _processes(n)
     beside = _beside_workers
     workers = []
     try:
-        for share in shares[1:]:
+        for w in range(1, procs):
             ctx = multiprocessing.get_context("fork")
             reader, writer = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_share_worker, args=(writer, fn, share))
+            worker = ctx.Process(target=_share_worker, args=(writer, fn, range(w, n, procs)))
             worker.start()
-            workers.append((share, worker, reader))
+            workers.append((w, worker, reader))
             writer.close()  # so the reader sees EOF once the worker ends
         _beside_workers = beside or bool(workers)
-        results = _run_share(fn, shares[0])
-        for share, worker, reader in workers:
+        results = _run_share(fn, range(0, n, procs))
+        for w, worker, reader in workers:
             try:
                 sent, failed = reader.recv()
             except EOFError:
                 worker.join()
-                results[share[0]] = RuntimeError(
+                results[w] = RuntimeError(
                     f"worker process ended with exit code {worker.exitcode} "
                     "before sending its results back"
                 )
@@ -129,4 +132,11 @@ def _in_processes(fn, shares):
             reader.close()
             worker.terminate()  # one that has sent its share only has to exit
             worker.join()
-    return [results.get(i) for i in range(sum(map(len, shares)))]
+    for i in range(n):
+        if isinstance(results[i], Exception):
+            if label is not None:
+                # on the original exception, so its type and attributes
+                # (a divergence's epoch and step) reach the caller
+                results[i].args = (f"{label} {i}: {results[i]}",)
+            raise results[i]
+    return [results[i] for i in range(n)]

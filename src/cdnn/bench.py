@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import estimator as est_mod
-from ._workers import _in_processes, _processes
+from ._workers import _map
 from .baselines import dml_ate, ols_lr1, ols_lr2
 from .data import (
     DGP_FAMILIES,
@@ -134,10 +134,13 @@ def _split_spec_from(entry):
 
 def _json_value(entry, key, kind, default):
     """entry[key], or `default` when absent: a JSON integer (never a bool)
-    where `kind` is int, true or false where it is bool."""
-    value = entry.get(key, default)
+    where `kind` is int, true or false where it is bool, a string where it
+    is str."""
+    if key not in entry:
+        return default
+    value = entry[key]
     if type(value) is not kind:  # bool is a subclass of int, not an int here
-        name = "an integer" if kind is int else "true or false"
+        name = {int: "an integer", bool: "true or false", str: "a string"}[kind]
         raise ConfigError(f"bad config value: {key} must be {name}, got {value!r}")
     return value
 
@@ -185,6 +188,10 @@ def _config_from_dict(raw):
         if replications == 0:
             replications = 1
     estimators = tuple(_estimator_spec_from(e) for e in raw["estimators"])
+    names = [spec.name for spec in estimators]
+    for name in names:
+        if names.count(name) > 1:  # the report keys its aggregates by name
+            raise ConfigError(f"estimator {name!r} is named more than once")
     return ExperimentConfig(
         estimators=estimators,
         split=_split_spec_from(raw.get("split")),
@@ -193,7 +200,7 @@ def _config_from_dict(raw):
         csv_files=csv_files,
         n=_json_value(raw, "n", int, 0),
         replications=replications,
-        output=raw.get("output"),
+        output=_json_value(raw, "output", str, None),
         redraw_baseline=_json_value(raw, "redraw_baseline", bool, False),
         metrics_on=raw.get("metrics_on", "test"),
     )
@@ -408,21 +415,13 @@ class MetricsReport:
 def run(config):
     """Execute the experiment; deterministic for a fixed config and seed.
 
-    Replications run in up to one process per CPU (see _processes), strided
-    like fit's members; rows are reassembled in replication order, so the
-    process count never changes a bit. A replication that raises (a
-    malformed CSV) raises its exception; the lowest-numbered one wins.
+    Each replication is one of _map's tasks, so they run in up to one
+    process per CPU; rows are reassembled in replication order, so the
+    process count never changes a bit. The lowest-numbered replication that
+    raises (a malformed CSV) raises its exception.
     """
-    reps = config.replications
-    procs = _processes(reps)
-    chunks = _in_processes(
-        lambda i: _run_replication(config, i), [range(w, reps, procs) for w in range(procs)]
-    )
-    rows = []
-    for chunk in chunks:
-        if isinstance(chunk, Exception):
-            raise chunk
-        rows.extend(chunk)
+    chunks = _map(lambda i: _run_replication(config, i), config.replications)
+    rows = [row for chunk in chunks for row in chunk]
     return MetricsReport(rows, [s.name for s in config.estimators])
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from ._workers import _in_processes, _processes
+from ._workers import _map
 from .errors import ConfigError, SchemaError, SplitError
 from .theory import NuisanceOracle
 
@@ -496,10 +496,10 @@ def _columns_at_once(path):
     """(x, t, y, y1, y0) parsed by np.loadtxt in byte ranges, or None.
 
     The body is cut into ranges of about _READ_CHUNK_CHARS bytes, each
-    ending at a line end, and the ranges are parsed in up to one process per
-    CPU (see _processes), each process taking every P-th range and holding
-    one range's bytes at a time. A line is parsed alone, so the arrays are
-    bitwise the same for any P.
+    ending at a line end, and each range is one of _map's tasks, so they are
+    parsed in up to one process per CPU, each holding one range's bytes at a
+    time. A line is parsed alone, so the arrays are bitwise the same for any
+    process count.
 
     None means the file is not plain: a bad header, non-UTF-8 bytes, a
     blank line, a field numpy's parser rejects, or a value the schema
@@ -519,14 +519,7 @@ def _columns_at_once(path):
             start = ranges[-1][1]
     if not ranges:  # a header alone: the row loop raises
         return None
-    procs = _processes(len(ranges))
-    tables = _in_processes(
-        lambda i: _parse_range(path, *ranges[i], len(header), has_gt),
-        [range(w, len(ranges), procs) for w in range(procs)],
-    )
-    for table in tables:
-        if isinstance(table, Exception):
-            raise table
+    tables = _map(lambda i: _parse_range(path, *ranges[i], len(header), has_gt), len(ranges))
     if any(table is None for table in tables):
         return None
 

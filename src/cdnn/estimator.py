@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn
-from ._workers import _in_processes, _processes
+from ._workers import _map
 from .data import Dataset
 from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationError, ShapeError
 
@@ -332,9 +332,9 @@ def fit(data, variant, config):
     fitting both variants of one dataset trains stage 1 once; the results
     are bitwise those of a fresh fit. Every member's training part must hold
     both treatment arms, which is checked before any member trains. Members
-    train in up to one process per CPU (see _processes), with bitwise the
-    same results as in one; a failing member raises its own exception, the
-    lowest-numbered member's when several fail.
+    are _map's tasks, so they train in up to one process per CPU with
+    bitwise the same results as in one, and the lowest-numbered failing
+    member raises its own exception, prefixed "ensemble member m: ".
     """
     global _stage1_memo
     if variant not in VARIANTS:
@@ -353,25 +353,14 @@ def fit(data, variant, config):
     handed = [spare.get(m) if held_key == key else None for m in range(k)]
     trained = {}
     _stage1_memo = (key, trained)
-    # the caller trains the members m with m % P == 0, a worker each other residue
-    procs = _processes(k)
-    outcomes = _in_processes(
-        lambda m: _fit_member(m, *carves[m], variant, config, handed[m]),
-        [range(w, k, procs) for w in range(procs)],
+    members = _map(
+        lambda m: _fit_member(m, *carves[m], variant, config, handed[m]), k, "ensemble member"
     )
-    members = []
-    for member, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            # name the member on the original exception, so its type and
-            # attributes (a divergence's epoch and step) reach the caller
-            outcome.args = (f"ensemble member {member}: {outcome}",)
-            raise outcome
-        stage1 = outcome[0]
+    for member, (stage1, _) in enumerate(members):
         if handed[member] is None:
             trained[member] = Stage1Model(
                 stage1.network.clone(), copy.deepcopy(stage1.training_log)
             )
-        members.append(outcome)
     return CdnnEstimator(members, variant, config)
 
 
@@ -396,32 +385,26 @@ def predict_ite(estimator, x):
     """Per-unit effect: stage-2 scored at t=1 minus t=0, ensemble-averaged.
 
     Accepts one covariate vector (returns a float) or a matrix (returns an
-    array). A matrix of several forward blocks (nn.Network.block_rows) is
-    scored in up to one process per CPU (see _processes), each taking a run
-    of whole blocks: every block then holds the rows it holds in one
-    process, so every bit is the same.
+    array). Each forward block (nn.Network.block_rows) of the matrix is one
+    of _map's tasks, so several blocks are scored in up to one process per
+    CPU; a block holds the rows it holds in one process, so every bit is the
+    same.
     """
     single = np.ndim(x) == 1
     stage2 = [s for _, s in estimator.members]
     net = stage2[0].network  # every member has the config's layers
     X = _checked_covariates(net, x)  # before any worker starts
     rows = net.block_rows
-    blocks = -(-X.shape[0] // rows)
-    procs = _processes(blocks)
-    cuts = [min(X.shape[0], rows * (blocks * w // procs)) for w in range(procs + 1)]
 
-    def mean_ite(w):
-        part = X[cuts[w] : cuts[w + 1]]
-        total = np.zeros(part.shape[0])
+    def mean_ite(b):
+        block = X[b * rows : (b + 1) * rows]
+        total = np.zeros(block.shape[0])
         for s in stage2:
-            total += s.ite(part)
+            total += s.ite(block)
         return total / len(stage2)
 
-    parts = _in_processes(mean_ite, [[w] for w in range(procs)])
-    for part in parts:
-        if isinstance(part, Exception):
-            raise part
-    out = np.concatenate(parts)
+    # a batch of 0 rows is one empty block, whose forward raises "empty batch"
+    out = np.concatenate(_map(mean_ite, max(1, -(-X.shape[0] // rows))))
     return float(out[0]) if single else out
 
 

@@ -140,23 +140,6 @@ ALL_FIVE = [
 ]
 
 
-@pytest.fixture
-def replication_processes(monkeypatch):
-    """bench.run() in two processes, whatever the CPU count. Returns a
-    setter of the count and the list to which each of its _in_processes
-    calls appends its number of shares."""
-    shares = []
-    real = bench._in_processes
-    monkeypatch.setattr(bench, "_in_processes", lambda fn, s: shares.append(len(s)) or real(fn, s))
-
-    def use(count):
-        monkeypatch.setattr(bench, "_processes", lambda tasks: max(1, min(tasks, count)))
-        shares.clear()
-
-    use(2)
-    return use, shares
-
-
 def write_replication_csvs(tmp_path, count):
     for i in range(count):
         write_csv(generate(named_dgp("confound-hetero", seed=i), 300), tmp_path / f"r{i}.csv")
@@ -170,25 +153,24 @@ class TestParallelReplications:
     @pytest.mark.parametrize("source", ["dgp", "csv"])
     @pytest.mark.parametrize("reps", [3, 4])
     def test_reports_are_bitwise_the_serial_ones(
-        self, tmp_path, replication_processes, source, reps
+        self, tmp_path, processes, source, reps
     ):
-        use, shares = replication_processes
         dgp = {"family": "confound-hetero"}
         if source == "csv":
             dgp = write_replication_csvs(tmp_path, reps)
         cfg = quick_config(dgp=dgp, replications=reps, estimators=ALL_FIVE)
         reports = {}
         for count in (1, 2, 3):
-            use(count)
+            processes(count)
             report = bench.run(cfg)
-            assert shares == [count]
+            assert processes.counts == [count]
             assert all(r.ok for r in report.rows)
             path = report.to_csv(tmp_path / f"report-{count}.csv")
             reports[count] = (path.read_bytes(), report.to_markdown())
             assert multiprocessing.active_children() == []
         assert reports[2] == reports[1] and reports[3] == reports[1]
 
-    def test_a_replication_worker_that_dies_raises(self, replication_processes, monkeypatch):
+    def test_a_replication_worker_that_dies_raises(self, processes, monkeypatch):
         real = bench._run_replication
 
         def dying(config, i):
@@ -203,12 +185,11 @@ class TestParallelReplications:
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_a_malformed_csv_raises_its_schema_error(
-        self, tmp_path, capsys, replication_processes, count
+        self, tmp_path, capsys, processes, count
     ):
         # replication 1 runs in a worker, and 2 (malformed too) in the caller
         # at P = 2 or in another worker at P = 3: replication 1's error wins
-        use, _ = replication_processes
-        use(count)
+        processes(count)
         dgp = write_replication_csvs(tmp_path, 3)
         for rep, row in ((1, 5), (2, 7)):
             bad = tmp_path / f"r{rep}.csv"

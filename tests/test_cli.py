@@ -61,12 +61,16 @@ class TestBench:
             {"seed": True},
             {"dgp": {"family": "confound-linear", "d": 2.5}},
             {"dgp": {"family": "confound-linear", "seed": "0"}},
+            {"output": 5},
+            {"output": ["a"]},
+            {"output": None},
         ],
         ids=["string-n", "int-hidden-widths", "string-split-fractions", "string-redraw-baseline",
              "fractional-n", "fractional-replications", "bool-seed", "fractional-dgp-d",
-             "string-dgp-seed"],
+             "string-dgp-seed", "int-output", "list-output", "null-output"],
     )
-    def test_config_value_of_the_wrong_type_returns_2(self, tmp_path, capsys, edit):
+    def test_config_value_of_the_wrong_type_returns_2(self, tmp_path, capsys, monkeypatch, edit):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
         cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"]}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**cfg, **edit}))
@@ -92,6 +96,28 @@ class TestBench:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "estimators, name",
+        [
+            ([{"name": "dml", "folds": 2}, {"name": "dml", "folds": 5}], "dml"),
+            (["ols_lr1", "ols_lr2", {"name": "ols_lr1"}], "ols_lr1"),
+            ([{"name": "cdnn_freezing", "epochs": 3}, "dml", {"name": "cdnn_freezing"}],
+             "cdnn_freezing"),
+        ],
+        ids=["dml-twice", "ols-string-and-dict", "cdnn-twice"],
+    )
+    def test_an_estimator_named_twice_returns_2(
+        self, tmp_path, capsys, monkeypatch, estimators, name
+    ):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "replications": 2,
+               "estimators": estimators, "output": str(tmp_path / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: estimator {name!r} is named more than once\n"
         assert not (tmp_path / "out").exists()
 
     def test_workers_key_returns_2(self, tmp_path, capsys):

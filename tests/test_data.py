@@ -604,16 +604,6 @@ class TestCsvLoaderParity:
         assert outcome(load_csv, path) == expected
 
 
-def parse_in(monkeypatch, count):
-    """load_csv in up to `count` processes, whatever the CPU count; returns
-    the list to which each _in_processes call appends its number of shares."""
-    monkeypatch.setattr(dmod, "_processes", lambda tasks: max(1, min(tasks, count)))
-    shares = []
-    real = dmod._in_processes
-    monkeypatch.setattr(dmod, "_in_processes", lambda fn, s: shares.append(len(s)) or real(fn, s))
-    return shares
-
-
 # the (text, loads) cases of TestCsvLoaderParity.test_corruption_gives_the_row_loop_result
 CORRUPTIONS = next(mark for mark in TestCsvLoaderParity.test_corruption_gives_the_row_loop_result
                    .pytestmark if mark.name == "parametrize")
@@ -634,7 +624,7 @@ class TestParallelCsv:
     @pytest.mark.parametrize("final_eol", [True, False], ids=["final-eol", "no-final-eol"])
     @pytest.mark.parametrize("gt", [True, False], ids=["gt", "no-gt"])
     def test_arrays_are_bitwise_those_of_one_process_and_the_row_loop(
-        self, tmp_path, monkeypatch, count, chunk, eol, final_eol, gt
+        self, tmp_path, monkeypatch, processes, count, chunk, eol, final_eol, gt
     ):
         ds = generate(named_dgp("confound-hetero", seed=7), 40)
         if not gt:
@@ -649,22 +639,22 @@ class TestParallelCsv:
         monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", chunk)
         # short scan reads cut some \r\n pairs in two while line ends are sought
         monkeypatch.setattr(dmod, "_SCAN_BYTES", chunk)
-        monkeypatch.setattr(dmod, "_processes", lambda tasks: 1)
+        processes(1)
         assert outcome(load_csv, path) == expected
 
         def spy(path):
             raise AssertionError(f"{path} went through the row loop")
 
         monkeypatch.setattr(dmod, "_columns_by_row", spy)
-        shares = parse_in(monkeypatch, count)
+        processes(count)
         assert outcome(load_csv, path) == expected
-        assert shares == [1 if chunk >= len(text) else count]  # one range never forks
+        assert processes.counts == [1 if chunk >= len(text) else count]  # one range never forks
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("text", [text for text, _ in CORRUPTIONS.args[1]],
                              ids=CORRUPTIONS.kwargs["ids"])
     def test_corruption_in_a_worker_range_gives_the_serial_result(
-        self, tmp_path, monkeypatch, count, text
+        self, tmp_path, monkeypatch, processes, count, text
     ):
         header = re.match(r"[^\r\n]*(\r\n|\r|\n)?", text).group()
         if header == text:
@@ -677,18 +667,20 @@ class TestParallelCsv:
             fh.write(header + plain * (count - 1) + text[len(header) :])
         expected = outcome(reference_load, path)
         monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", len(plain))
-        monkeypatch.setattr(dmod, "_processes", lambda tasks: 1)
+        processes(1)
         assert outcome(load_csv, path) == expected
-        shares = parse_in(monkeypatch, count)
+        processes(count)
         assert outcome(load_csv, path) == expected
-        assert shares == [count]
+        assert processes.counts == [count]
 
     @pytest.mark.parametrize(
         "end, code",
         [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
         ids=["exit", "killed"],
     )
-    def test_a_worker_that_dies_raises_runtime_error(self, tmp_path, monkeypatch, end, code):
+    def test_a_worker_that_dies_raises_runtime_error(
+        self, tmp_path, monkeypatch, processes, end, code
+    ):
         path = write_csv(generate(named_dgp("confound-hetero", seed=8), 60), tmp_path / "data.csv")
         monkeypatch.setattr(dmod, "_READ_CHUNK_CHARS", 1000)
         real = dmod._parse_range
@@ -699,19 +691,19 @@ class TestParallelCsv:
             return real(*args)
 
         monkeypatch.setattr(dmod, "_parse_range", dying)
-        shares = parse_in(monkeypatch, 2)
+        processes(2)
         with pytest.raises(RuntimeError, match=f"^worker process ended with exit code {code} "):
             load_csv(path)
-        assert shares == [2]
+        assert processes.counts == [2]
 
     @settings(max_examples=100, **FILE_EXAMPLES)
     @given(rows=st.integers(1, 6), d=st.integers(1, 3), gt=st.booleans(),
            mixed_eols=st.booleans(), final_eol=st.booleans(), data=st.data())
     def test_the_parity_property_holds_in_two_processes(
-        self, tmp_path, monkeypatch, rows, d, gt, mixed_eols, final_eol, data
+        self, tmp_path, monkeypatch, processes, rows, d, gt, mixed_eols, final_eol, data
     ):
         """TestCsvLoaderParity's property, drawn the same way, with P = 2."""
-        monkeypatch.setattr(dmod, "_processes", lambda tasks: min(tasks, 2))
+        processes(2)
         parity = TestCsvLoaderParity.test_same_dataset_or_error_as_the_row_loop.hypothesis
         parity.inner_test(TestCsvLoaderParity(), tmp_path, monkeypatch, rows, d, gt, mixed_eols,
                           final_eol, data)

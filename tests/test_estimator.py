@@ -540,7 +540,8 @@ class TestFit:
 REUSE = est.CdnnConfig(hidden_widths=(8, 8), epochs=12, patience=5, ensemble_size=2, seed=11)
 
 
-def count_stage1_training(monkeypatch):
+@pytest.fixture
+def trained(monkeypatch, processes):
     """The member index of every stage 1 that fit() trains, in order. fit()
     is pinned to one process, because a call in a worker is not seen here."""
     trained = []
@@ -551,7 +552,7 @@ def count_stage1_training(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(est, "fit_stage1", counting)
-    monkeypatch.setattr(est, "_processes", lambda ensemble_size: 1)
+    processes(1)
     return trained
 
 
@@ -577,10 +578,9 @@ class TestStage1Reuse:
         "seed, first, second",
         [(70, "freezing", "explicit_residual"), (71, "explicit_residual", "freezing")],
     )
-    def test_warm_fit_is_bitwise_a_cold_fit(self, monkeypatch, seed, first, second):
+    def test_warm_fit_is_bitwise_a_cold_fit(self, trained, seed, first, second):
         data = generate(make_spec(1.0, sigma=0.3, seed=seed), 200)
         other = generate(make_spec(1.0, sigma=0.3, seed=seed + 100), 200)
-        trained = count_stage1_training(monkeypatch)
         est.fit(data, first, REUSE)
         warm = est.fit(data, second, REUSE)
         assert trained == [0, 1]  # the second variant trained no stage 1
@@ -592,9 +592,8 @@ class TestStage1Reuse:
         probe = other.x[:50]
         assert same_bits(est.predict_ite(warm, probe), est.predict_ite(cold, probe))
 
-    def test_outcome_edited_in_place_misses(self, monkeypatch):
+    def test_outcome_edited_in_place_misses(self, trained):
         data = generate(make_spec(1.0, sigma=0.3, seed=72), 200)
-        trained = count_stage1_training(monkeypatch)
         est.fit(data, "freezing", REUSE)
         data.y[0] += 1.0
         est.fit(data, "explicit_residual", REUSE)
@@ -609,9 +608,8 @@ class TestStage1Reuse:
             (77, {"hidden_widths": (8, 4)}),
         ],
     )
-    def test_stage1_setting_change_misses(self, monkeypatch, seed, change):
+    def test_stage1_setting_change_misses(self, trained, seed, change):
         data = generate(make_spec(1.0, sigma=0.3, seed=seed), 200)
-        trained = count_stage1_training(monkeypatch)
         est.fit(data, "freezing", REUSE)
         est.fit(data, "freezing", replace(REUSE, **change))
         assert trained == [0, 1, 0, 1]
@@ -620,9 +618,8 @@ class TestStage1Reuse:
         "seed, change",
         [(78, {"treatment_scale": 0.05}), (79, {"freeze_depth": 2}), (80, {"ensemble_size": 1})],
     )
-    def test_stage2_only_setting_change_hits(self, monkeypatch, seed, change):
+    def test_stage2_only_setting_change_hits(self, trained, seed, change):
         data = generate(make_spec(1.0, sigma=0.3, seed=seed), 200)
-        trained = count_stage1_training(monkeypatch)
         a = est.fit(data, "freezing", REUSE)
         b = est.fit(data, "freezing", replace(REUSE, **change))
         assert trained == [0, 1]
@@ -630,17 +627,15 @@ class TestStage1Reuse:
             for pa, pb in zip(s1a.network.params, s1b.network.params):
                 assert same_bits(pa, pb)
 
-    def test_growing_the_ensemble_trains_only_new_members(self, monkeypatch):
+    def test_growing_the_ensemble_trains_only_new_members(self, trained):
         data = generate(make_spec(1.0, sigma=0.3, seed=81), 200)
-        trained = count_stage1_training(monkeypatch)
         est.fit(data, "freezing", REUSE)
         grown = est.fit(data, "explicit_residual", replace(REUSE, ensemble_size=4))
         assert trained == [0, 1, 2, 3]
         assert len(grown.members) == 4
 
-    def test_estimators_share_no_mutable_stage1_state(self, monkeypatch):
+    def test_estimators_share_no_mutable_stage1_state(self, trained):
         data = generate(make_spec(1.0, sigma=0.3, seed=82), 200)
-        trained = count_stage1_training(monkeypatch)
         a = est.fit(data, "freezing", REUSE)
         s1a = a.members[0][0]
         expected = [p.copy() for p in s1a.network.params]
@@ -661,9 +656,8 @@ class TestStage1Reuse:
         assert all(same_bits(p, q) for p, q in zip(c.members[0][0].network.params, expected))
         assert len(c.members[0][0].training_log.train_mse) == epochs
 
-    def test_each_trained_member_is_taken_over_once(self, monkeypatch):
+    def test_each_trained_member_is_taken_over_once(self, trained):
         data = generate(make_spec(1.0, sigma=0.3, seed=86), 200)
-        trained = count_stage1_training(monkeypatch)
         runs = []
         for _ in range(2):
             start = len(trained)
@@ -672,10 +666,9 @@ class TestStage1Reuse:
         for first, again in zip(*runs):
             assert_bitwise_equal_fits(first, again)
 
-    def test_only_the_latest_data_is_held(self, monkeypatch):
+    def test_only_the_latest_data_is_held(self, trained):
         first = generate(make_spec(1.0, sigma=0.3, seed=83), 200)
         second = generate(make_spec(1.0, sigma=0.3, seed=84), 200)
-        trained = count_stage1_training(monkeypatch)
         est.fit(first, "freezing", REUSE)
         est.fit(second, "freezing", REUSE)
         est.fit(first, "freezing", REUSE)
@@ -689,20 +682,6 @@ class TestStage1Reuse:
         net.params[0][net.treatment_input_row(0), 0] = 1e-12
         with pytest.raises(IdentityViolationError, match="ensemble member 0: reused"):
             est.fit(data, "explicit_residual", REUSE)
-
-
-@pytest.fixture
-def fit_processes(monkeypatch):
-    """fit() and predict_ite() in two processes, whatever the CPU count.
-    Returns a setter of the count that also empties the stage-1 memo, for a
-    cold twin fit."""
-
-    def use(count):
-        monkeypatch.setattr(est, "_processes", lambda tasks: max(1, min(tasks, count)))
-        monkeypatch.setattr(est, "_stage1_memo", (None, {}))
-
-    use(2)
-    return use
 
 
 def memo_bytes():
@@ -724,10 +703,10 @@ class TestParallelMembers:
 
     @pytest.mark.parametrize("variant", est.VARIANTS)
     @pytest.mark.parametrize("cfg", PARALLEL_CONFIGS, ids=["default", "concat-depth-2"])
-    def test_parallel_fit_is_bitwise_the_serial_fit(self, fit_processes, variant, cfg):
+    def test_parallel_fit_is_bitwise_the_serial_fit(self, processes, variant, cfg):
         data = generate(make_spec(1.0, sigma=0.3, d=3, seed=90), 240)
         parallel = est.fit(data, variant, cfg)
-        fit_processes(1)
+        processes(1)
         serial = est.fit(data, variant, cfg)
         assert_bitwise_equal_fits(parallel, serial)
         for (_, a), (_, b) in zip(parallel.members, serial.members):
@@ -737,13 +716,13 @@ class TestParallelMembers:
         assert same_bits(est.predict_ite(parallel, data.x), est.predict_ite(serial, data.x))
         assert_no_children()
 
-    def test_warm_fit_after_a_parallel_fit_is_its_serial_twin(self, fit_processes):
+    def test_warm_fit_after_a_parallel_fit_is_its_serial_twin(self, processes):
         data = generate(make_spec(1.0, sigma=0.3, seed=91), 200)
         cfg = replace(REUSE, ensemble_size=3)
         fits, memos = [], []
         for run in range(2):
             if run:
-                fit_processes(1)
+                processes(1)
             fits.append([est.fit(data, "freezing", cfg)])
             memos.append([memo_bytes()])
             fits[-1].append(est.fit(data, "explicit_residual", cfg))
@@ -754,82 +733,20 @@ class TestParallelMembers:
         assert sorted(memos[0][0][1]) == [0, 1, 2]  # the freezing fit trained every member
         assert memos[0][1][1] == {}  # the explicit fit took them all over
 
-    def test_processes_never_exceed_the_count(self, fit_processes, monkeypatch):
+    def test_processes_never_exceed_the_count(self, processes, monkeypatch):
         data = generate(make_spec(1.0, sigma=0.3, seed=92), 200)
-        seen, shares = [], []
-        real_fit, real_in_processes = est.fit_stage1, est._in_processes
+        seen = []
+        real_fit = est.fit_stage1
 
         def observing(*args, **kwargs):
             seen.append(kwargs["seed_stream"])  # a worker appends to its own copy
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(est, "fit_stage1", observing)
-        monkeypatch.setattr(
-            est, "_in_processes", lambda fn, s: shares.append(len(s)) or real_in_processes(fn, s)
-        )
         est.fit(data, "freezing", replace(REUSE, ensemble_size=5))
-        assert shares == [2]  # the caller and one worker
+        assert processes.counts == [2]  # the caller and one worker
         assert seen == [0, 2, 4]  # the caller's share
         assert_no_children()
-
-    @pytest.mark.parametrize(
-        "env, processes",
-        [
-            ({"OPENBLAS_NUM_THREADS": "1"}, 3),
-            ({"OMP_NUM_THREADS": "1"}, 3),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-            ({"OPENBLAS_NUM_THREADS": "many", "MKL_NUM_THREADS": "3"}, 1),
-            ({}, 1),
-            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
-            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 3),
-        ],
-        ids=["one-blas-thread", "one-omp-thread", "two-blas-threads", "unreadable-count",
-             "blas-default", "zero-is-the-blas-default", "zero-reads-as-unset"],
-    )
-    def test_processes_leave_each_blas_pool_its_cpus(self, monkeypatch, env, processes):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert est._processes(3) == processes
-
-    def test_only_the_outermost_call_forks(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert est._processes(8) == 2
-
-        def read(i):
-            return est._processes(8)
-
-        def raise_in_the_caller(i):
-            if multiprocessing.parent_process() is None:
-                raise ShapeError("the caller's share raised")
-            return est._processes(8)
-
-        def read_after_a_nested_call(i):
-            est._in_processes(read, [[0]])
-            return est._processes(8)
-
-        assert est._in_processes(read, [[0], [1]]) == [1, 1]  # the caller's share, a worker's
-        assert est._in_processes(read_after_a_nested_call, [[0], [1]]) == [1, 1]
-        assert est._in_processes(read, [[0, 1]]) == [2, 2]  # no worker beside it
-        assert est._processes(8) == 2
-        outcomes = est._in_processes(raise_in_the_caller, [[0], [1]])
-        assert isinstance(outcomes[0], ShapeError) and outcomes[1] == 1
-        assert est._processes(8) == 2
-        assert_no_children()
-
-    def test_a_multiprocessing_child_fits_in_one_process(self):
-        assert est._processes(1) == 1
-        reader, writer = multiprocessing.get_context("fork").Pipe(duplex=False)
-        child = multiprocessing.get_context("fork").Process(
-            target=lambda: writer.send(est._processes(64))
-        )
-        child.start()
-        assert reader.poll(30) and reader.recv() == 1
-        child.join(30)
-        assert child.exitcode == 0
 
     @pytest.mark.parametrize(
         "error, check",
@@ -844,14 +761,14 @@ class TestParallelMembers:
         ids=["divergence-keeps-epoch-and-step", "schema-error-keeps-row"],
     )
     def test_worker_error_keeps_its_type_and_attributes(
-        self, fit_processes, monkeypatch, error, check
+        self, processes, monkeypatch, error, check
     ):
         with pytest.raises(type(error)) as info:
             fit_failing_on(monkeypatch, {1: error})
         assert check(info.value)
         assert_no_children()
 
-    def test_unpicklable_worker_error_names_its_member(self, fit_processes, monkeypatch):
+    def test_unpicklable_worker_error_names_its_member(self, processes, monkeypatch):
         class LocalError(Exception):
             """Defined in a function: pickle cannot find it by name."""
 
@@ -864,7 +781,7 @@ class TestParallelMembers:
         [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
         ids=["exit", "killed"],
     )
-    def test_a_worker_that_dies_names_its_member(self, fit_processes, monkeypatch, end, code):
+    def test_a_worker_that_dies_names_its_member(self, processes, monkeypatch, end, code):
         with pytest.raises(RuntimeError, match=f"^ensemble member 1: worker process ended "
                            f"with exit code {code} before"):
             fit_failing_on(monkeypatch, {1: end})
@@ -874,14 +791,14 @@ class TestParallelMembers:
         "failing, expected", [((1, 2), 1), ((2, 3), 2), ((0, 1), 0)],
         ids=["worker-member-first", "caller-member-first", "both-first-members"],
     )
-    def test_the_lowest_failing_member_wins(self, fit_processes, monkeypatch, failing, expected):
+    def test_the_lowest_failing_member_wins(self, processes, monkeypatch, failing, expected):
         errors = {m: ShapeError(f"member {m} failed") for m in failing}
         with pytest.raises(ShapeError, match=f"^ensemble member {expected}: member {expected} "):
             fit_failing_on(monkeypatch, errors, members=4)
         assert_no_children()
 
 
-    def test_worker_error_carries_the_worker_traceback(self, fit_processes, monkeypatch):
+    def test_worker_error_carries_the_worker_traceback(self, processes, monkeypatch):
         with pytest.raises(ShapeError, match="^ensemble member 1: bad shape") as info:
             fit_failing_on(monkeypatch, {1: ShapeError("bad shape")})
         cause = info.value.__cause__
@@ -931,7 +848,7 @@ def covariates(rows, seed=95):
 
 
 class TestParallelPrediction:
-    """predict_ite() scores runs of whole forward blocks in forked workers with
+    """predict_ite() scores its forward blocks in forked workers with
     bitwise the serial results, and checks its input before any worker starts."""
 
     @pytest.mark.parametrize("count", [2, 3])
@@ -943,28 +860,26 @@ class TestParallelPrediction:
         ids=["one-block", "three-blocks", "three-blocks-and-a-row", "odd-rows"],
     )
     def test_parallel_prediction_is_bitwise_the_serial_prediction(
-        self, prediction_models, fit_processes, monkeypatch, count, variant, cfg, size
+        self, prediction_models, processes, count, variant, cfg, size
     ):
         model = prediction_models[variant, cfg]
         block = model.members[0][1].network.block_rows
         rows = size(block)
         X = covariates(rows)
-        shares = []
-        real = est._in_processes
-        monkeypatch.setattr(est, "_in_processes", lambda fn, s: shares.append(len(s)) or real(fn, s))
-        fit_processes(count)
+        processes(count)
         parallel = est.predict_ite(model, X)
-        fit_processes(1)
+        assert processes.counts == [min(count, -(-rows // block))]
+        processes(1)
         serial = est.predict_ite(model, X)
+        assert processes.counts == [1]
         assert same_bits(parallel, serial)
-        assert shares == [min(count, -(-rows // block)), 1]
         assert_no_children()
 
-    def test_a_single_vector_returns_a_float(self, prediction_models, fit_processes):
+    def test_a_single_vector_returns_a_float(self, prediction_models, processes):
         model = prediction_models["freezing", "default"]
         x = covariates(1)[0]
         parallel = est.predict_ite(model, x)
-        fit_processes(1)
+        processes(1)
         assert type(parallel) is float
         assert parallel == est.predict_ite(model, x)
         assert_no_children()
@@ -976,14 +891,14 @@ class TestParallelPrediction:
         ids=["no-rows", "wrong-width", "empty-vector", "three-axes"],
     )
     def test_bad_input_raises_before_any_worker_starts(
-        self, prediction_models, fit_processes, monkeypatch, shape, message
+        self, prediction_models, processes, monkeypatch, shape, message
     ):
         model = prediction_models["explicit_residual", "default"]
         X = np.zeros(shape)
-        fit_processes(1)
+        processes(1)
         with pytest.raises(ShapeError, match=message) as serial:
             est.predict_ite(model, X)
-        fit_processes(2)
+        processes(2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("predict_ite forked"))
         with pytest.raises(ShapeError) as parallel:
             est.predict_ite(model, X)
@@ -991,7 +906,7 @@ class TestParallelPrediction:
         assert_no_children()
 
     def test_worker_error_carries_the_worker_traceback(
-        self, prediction_models, fit_processes, monkeypatch
+        self, prediction_models, processes, monkeypatch
     ):
         caller = os.getpid()
         real = est.Stage2Model.ite
@@ -1008,7 +923,7 @@ class TestParallelPrediction:
         assert "in failing" in str(info.value.__cause__)
         assert_no_children()
 
-    def test_a_worker_that_dies_raises(self, prediction_models, fit_processes, monkeypatch):
+    def test_a_worker_that_dies_raises(self, prediction_models, processes, monkeypatch):
         caller = os.getpid()
         real = est.Stage2Model.ite
         monkeypatch.setattr(
@@ -1031,7 +946,7 @@ class TestNonFiniteCovariates:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ROWS, ids=["first-row", "second-block", "last-row"])
     def test_predict_ite_names_the_first_bad_row(
-        self, prediction_models, fit_processes, monkeypatch, count, bad, where
+        self, prediction_models, processes, monkeypatch, count, bad, where
     ):
         model = prediction_models["freezing", "default"]
         block = model.members[0][1].network.block_rows
@@ -1039,24 +954,24 @@ class TestNonFiniteCovariates:
         row = where(block)
         X[row, 1] = bad
         X[-1, 2] = bad  # a later bad row is not the one named
-        fit_processes(count)
+        processes(count)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("predict_ite forked"))
         with pytest.raises(ShapeError, match=rf"finite .*; row {row} is not$"):
             est.predict_ite(model, X)
         assert_no_children()
 
     @pytest.mark.parametrize("count", [1, 2])
-    def test_a_single_bad_vector_is_row_0(self, prediction_models, fit_processes, count):
-        fit_processes(count)
+    def test_a_single_bad_vector_is_row_0(self, prediction_models, processes, count):
+        processes(count)
         with pytest.raises(ShapeError, match="row 0 is not$"):
             est.predict_ite(prediction_models["explicit_residual", "default"], [0.5, np.nan, 1.0])
 
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("stage", [0, 1], ids=["stage1", "stage2"])
     def test_stage_models_name_the_first_bad_row(
-        self, prediction_models, fit_processes, count, stage
+        self, prediction_models, processes, count, stage
     ):
-        fit_processes(count)
+        processes(count)
         model = prediction_models["explicit_residual", "concat-depth-2"].members[0][stage]
         X = covariates(2 * model.network.block_rows + 3)
         X[model.network.block_rows + 2, 0] = np.nan
