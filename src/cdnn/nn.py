@@ -30,12 +30,23 @@ between batch sizes; a batch of more than one block can therefore differ in
 the last bit from one unblocked forward over it. The same code, input and
 parameters still give the same bits.
 
+Each step of training has one body: `_forward`, `_mse`, `_backward` and
+`_update`. The public `Network.forward_batch`, `mse_loss`, `backward` and
+`step` check their arguments and run these bodies. `fit_network`, the
+training loop of every stage fit, checks its inputs once before epoch 0 and
+then runs the bodies directly on each minibatch, with the input [x | t]
+built once per fit, one gradient vector, and the frozen entries read once.
+Its validation pass after each epoch is a forward without a cache into
+activation buffers allocated once per fit. The update runs plain ufuncs
+over the whole flat vector and then writes back the frozen entries, so a
+mask costs a scatter of the frozen entries instead of masked ufuncs.
+
 The swish logistic is computed with numpy's vectorised `exp`, whose bits
 depend on the CPU's instruction set (numpy picks a SIMD kernel at run time),
 so "one platform" includes the CPU family. For pre-activations below about
 -709, `exp(-z)` overflows to inf and the logistic saturates to exactly 0;
-`forward_batch` and `swish` silence overflow warnings (and only those)
-around it.
+`forward_batch`, `swish` and `gradient_check` silence overflow warnings (and
+only those) around it, and `fit_network` around its whole loop.
 """
 
 from __future__ import annotations
@@ -55,13 +66,13 @@ OPTIMIZERS = ("sgd_momentum", "adaptive_moment")
 _BLOCK_BYTES = 1 << 20
 
 
-def _logistic(z):
-    """1 / (1 + exp(-z)) as a fresh float array, computed in place.
+def _logistic(z, out=None):
+    """1 / (1 + exp(-z)), computed in place in `out` or a fresh float array.
 
     For z below about -709, exp(-z) overflows to inf and the result is
     exactly 0; callers hold np.errstate(over="ignore") around it.
     """
-    s = np.negative(z, out=np.empty_like(z))
+    s = np.negative(z, out=np.empty_like(z) if out is None else out)
     np.exp(s, out=s)
     s += 1.0
     return np.reciprocal(s, out=s)
@@ -289,13 +300,14 @@ class Network:
             raise ShapeError("covariate and treatment batch sizes differ")
         if X.shape[0] == 0:
             raise ShapeError("empty batch")
-        # a training minibatch keeps its cache and skips the block arithmetic
-        if keep_cache or X.shape[0] <= (rows := self.block_rows):
-            return _forward(self, self.params, X, T, keep_cache)
-        out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], rows):
-            block = slice(start, start + rows)
-            out[block] = _forward(self, self.params, X[block], T[block], False)[0]
+        with np.errstate(over="ignore"):
+            # a cached forward skips the block arithmetic
+            if keep_cache or X.shape[0] <= (rows := self.block_rows):
+                return _forward(self, self.params, X, T, keep_cache)
+            out = np.empty(X.shape[0])
+            for start in range(0, X.shape[0], rows):
+                block = slice(start, start + rows)
+                out[block] = _forward(self, self.params, X[block], T[block], False)[0]
         return out, None
 
     def check_covariates(self, X):
@@ -313,16 +325,26 @@ class Network:
         return max(16, _BLOCK_BYTES // (8 * widest) // 16 * 16)
 
 
-def _forward(net, params, X, T, keep_cache):
+_FRESH = (None, None, None)  # no workspace: every activation is a fresh array
+
+
+def _forward(net, params, X, T, keep_cache, work=None):
     """The one forward body of `net`, on checked arrays X (n, d) and T (n,).
 
+    With T None, X is already the raw input [x | t], shaped (n, d + 1).
     params are net.views(theta), or net.views of an (S, P) stack of parameter
     vectors: then every activation gains a leading S axis, the stack shares
     the raw input and the predictions are (S, n). Row s of a stacked run is
     bitwise the run of stack[s] alone (each matmul slice is the same BLAS
     call on the same strides). Only an unstacked cache feeds `backward`.
+
+    work, from `_workspace(net, n)`, holds every activation matrix of an
+    unstacked forward without a cache; the forward writes into it instead of
+    allocating, and the predictions are then a view into it. Callers hold
+    np.errstate(over="ignore") around the call (see `_logistic`); entering it
+    (~2 us) costs more than a whole layer of a small network.
     """
-    u = np.concatenate([X, T[:, None]], axis=1)
+    u = X if T is None else np.concatenate([X, T[:, None]], axis=1)
     a = u
     stacked = params[0].ndim == 3
     if stacked and net.concat_inputs:
@@ -330,25 +352,37 @@ def _forward(net, params, X, T, keep_cache):
         # can give a strided result whose matmul rounds differently
         u = np.tile(u, (len(params[0]), 1, 1))
     inputs, preacts, sigmoids = [], [], []
-    # entered once per call, not per layer: entering it (~2 us) costs more
-    # than a whole layer of a small network
-    with np.errstate(over="ignore"):
-        for i, spec in enumerate(net.layers):
-            if i > 0 and net.concat_inputs:
-                a = np.concatenate([a, u], axis=-1)
-            z = a @ params[2 * i]
-            b = params[2 * i + 1]
-            # a stacked bias (S, out) broadcasts over rows as (S, 1, out); the
-            # unstacked add skips that view, which costs ~0.8 us per layer
-            z += b[:, None, :] if stacked else b
-            s = _logistic(z) if spec.activation == "swish" else None
-            if keep_cache:
-                inputs.append(a)
-                preacts.append(z)
-                sigmoids.append(s)
-            a = z if s is None else z * s
+    for i, spec in enumerate(net.layers):
+        cat, lin, sig = work[i] if work else _FRESH
+        if i > 0 and net.concat_inputs:
+            a = np.concatenate([a, u], axis=-1, out=cat)
+        z = np.matmul(a, params[2 * i], out=lin)
+        b = params[2 * i + 1]
+        # a stacked bias (S, out) broadcasts over rows as (S, 1, out); the
+        # unstacked add skips that view, which costs ~0.8 us per layer
+        z += b[:, None, :] if stacked else b
+        s = _logistic(z, sig) if spec.activation == "swish" else None
+        if keep_cache:
+            inputs.append(a)
+            preacts.append(z)
+            sigmoids.append(s)
+        # with a workspace (so without a cache) the activation overwrites the logistic
+        a = z if s is None else np.multiply(z, s, out=sig)
     cache = ForwardCache(net.version, inputs, preacts, sigmoids) if keep_cache else None
     return a[..., 0], cache
+
+
+def _workspace(net, rows):
+    """Per layer (concatenated input, pre-activation, logistic and then
+    activation) buffers for a `rows`-row forward without a cache; None where
+    that layer has no such matrix."""
+    work = []
+    for i, spec in enumerate(net.layers):
+        cat = np.empty((rows, spec.input_width)) if i > 0 and net.concat_inputs else None
+        lin = np.empty((rows, spec.output_width))
+        sig = np.empty_like(lin) if spec.activation == "swish" else None
+        work.append((cat, lin, sig))
+    return work
 
 
 def backward(net, cache, loss_gradient):
@@ -356,7 +390,9 @@ def backward(net, cache, loss_gradient):
 
     loss_gradient is dL/dprediction: a scalar for a single-sample cache or a
     length-n vector for a batch cache. Returns a fresh flat gradient vector
-    laid out like net.theta; net.views(grad) splits it per parameter.
+    laid out like net.theta; net.views(grad) splits it per parameter. This
+    checks the cache and the gradient, then runs `_backward`, the body
+    `fit_network` runs on each minibatch.
     """
     if cache.version != net.version:
         raise StaleCacheError("forward cache is stale: parameters changed since forward")
@@ -364,9 +400,15 @@ def backward(net, cache, loss_gradient):
     lg = np.asarray(loss_gradient, dtype=float).reshape(-1)
     if lg.shape[0] != n:
         raise ShapeError(f"loss gradient length {lg.shape[0]} != batch size {n}")
-
     grad = np.empty_like(net.theta)
-    blocks = net.views(grad)
+    _backward(net, cache, lg, net.views(grad))
+    return grad
+
+
+def _backward(net, cache, lg, blocks):
+    """The one backward body: writes the gradient of lg . predictions into
+    `blocks`, the views net.views(grad) of a flat vector shaped like theta.
+    lg is a checked length-n vector for an n-row cache."""
     delta = lg[:, None]
     for i in reversed(range(net.n_layers)):
         spec = net.layers[i]
@@ -387,7 +429,6 @@ def backward(net, cache, loss_gradient):
         if i > 0:
             da = dz @ net.params[2 * i].T
             delta = da[:, : net.layers[i - 1].output_width]
-    return grad
 
 
 def mse_loss(predictions, targets):
@@ -398,6 +439,11 @@ def mse_loss(predictions, targets):
         raise ShapeError("prediction and target lengths differ")
     if predictions.size == 0:
         raise ShapeError("empty batch")
+    return _mse(predictions, targets)
+
+
+def _mse(predictions, targets):
+    """mse_loss of checked equal-length, non-empty float vectors."""
     diff = predictions - targets
     # bitwise np.mean for float64, without its Python-level overhead
     return float(np.add.reduce(diff * diff) / diff.size), 2.0 * diff / diff.size
@@ -469,8 +515,8 @@ class OptimizerState:
     a first-step magnitude of ~lr regardless of the gradient scale.
     Each slot is one flat buffer (`buffers`); `slots[s][k]` is the view of
     buffer s shaped like parameter k. `scratch` holds as many flat work
-    vectors as there are slots, for `step`. Accumulator entries of frozen
-    parameters are never touched.
+    vectors as there are slots, for the update. An update leaves the
+    accumulator entries of frozen parameters bitwise as they were.
     """
 
     algorithm: str
@@ -502,40 +548,58 @@ def step(net, grad, mask, opt):
     """Apply one optimizer update in place; frozen entries stay bitwise put.
 
     grad is a flat vector laid out like net.theta (what `backward` returns)
-    and is only read. The update runs once over the whole vector.
-    Accumulators are written only where the mask is free, and the update of
-    a frozen entry is set to exactly 0, so `theta - 0.0` leaves it unchanged.
-    The mask is read afresh on every call.
+    and is only read. This checks the mask and the gradient, reads which
+    entries the mask freezes (afresh on every call) and runs `_update`, the
+    body `fit_network` runs on each minibatch.
     """
     mask.check_shapes(net)
     if not isinstance(grad, np.ndarray) or grad.shape != net.theta.shape:
         raise ShapeError("gradient must be a flat vector shaped like net.theta")
+    _update(net, grad, opt, _hold(net, mask, opt))
+    return net
+
+
+def _hold(net, mask, opt):
+    """(flat indices of the entries `mask` freezes, their values in theta and
+    in each of opt.buffers), for `_update` to write back; no values when
+    nothing is frozen."""
+    frozen = np.flatnonzero(mask.frozen)
+    return frozen, [flat[frozen] for flat in (net.theta, *opt.buffers)] if frozen.size else []
+
+
+def _update(net, grad, opt, held):
+    """The one update body, over the whole flat vector with plain ufuncs.
+
+    Raises TrainingDivergenceError on a non-finite gradient, before touching
+    anything. Every entry is updated, then the frozen entries of theta and
+    of each accumulator get back their `held` values. The arithmetic is
+    elementwise, so free entries come out as if updated alone, and frozen
+    ones are bitwise as they were, signed zeros included.
+    """
     if not np.isfinite(grad).all():
         raise TrainingDivergenceError(
             f"non-finite gradient at optimizer step {opt.step_count}",
             step=opt.step_count,
         )
-    frozen = mask.frozen
-    free = ~frozen
     opt.step_count += 1
     t = opt.step_count
     lr = opt.learning_rate
     if opt.algorithm == "sgd_momentum":
         (v,) = opt.buffers
-        np.multiply(v, opt.momentum, out=v, where=free)
-        np.add(v, grad, out=v, where=free)
+        v *= opt.momentum
+        v += grad
         update = np.multiply(v, lr, out=opt.scratch[0])
     else:
         m1, m2 = opt.buffers
         tmp, denom = opt.scratch
         b1, b2 = opt.beta1, opt.beta2
         np.multiply(grad, 1.0 - b1, out=tmp)
-        np.multiply(m1, b1, out=m1, where=free)
-        np.add(m1, tmp, out=m1, where=free)
+        m1 *= b1
+        m1 += tmp
         np.multiply(grad, 1.0 - b2, out=tmp)
         tmp *= grad
-        np.multiply(m2, b2, out=m2, where=free)
-        np.add(m2, tmp, out=m2, where=free)
+        m2 *= b2
+        m2 += tmp
         # (lr * mhat) / (sqrt(vhat) + eps), with mhat in tmp and vhat in denom
         update = np.divide(m1, 1.0 - b1**t, out=tmp)
         np.divide(m2, 1.0 - b2**t, out=denom)
@@ -543,10 +607,11 @@ def step(net, grad, mask, opt):
         denom += opt.epsilon
         update *= lr
         update /= denom
-    np.copyto(update, 0.0, where=frozen)
     net.theta -= update
+    frozen, values = held
+    for flat, kept in zip((net.theta, *opt.buffers), values):
+        flat[frozen] = kept
     net.version += 1
-    return net
 
 
 def gradient_check(net, batch, step_size=1e-5):
@@ -581,7 +646,9 @@ def gradient_check(net, batch, step_size=1e-5):
         for losses, h in ((lp, step_size), (lm, -step_size)):
             probes = np.tile(theta, (cols.size, 1))
             probes[np.arange(cols.size), cols] = theta[cols] + h
-            diff = _forward(net, net.views(probes), X, T, keep_cache=False)[0] - targets
+            with np.errstate(over="ignore"):
+                preds = _forward(net, net.views(probes), X, T, keep_cache=False)[0]
+            diff = preds - targets
             losses[cols] = np.add.reduce(diff * diff, axis=-1) / n
     fd = (lp - lm) / (2.0 * step_size)
     err = np.abs(grad - fd) / np.maximum(np.abs(grad) + np.abs(fd), 1e-2)
@@ -619,55 +686,102 @@ def fit_network(
     validation is (X_val, T_val, Y_val) or None. With validation present the
     loop stops after `patience` epochs without improvement and restores the
     best parameters seen. Returns a TrainingLog.
+
+    Every input is checked once, before epoch 0: X is (n, covariate_width)
+    with n >= 1, T and Y hold n values, the validation triple likewise, all
+    finite; mask fits net and batch_size >= 1. A failed check raises
+    ShapeError naming the array, with net untouched. The loop then builds
+    the input [X | T] once and permutes it once per epoch, and each
+    minibatch runs the kernels behind the public per-minibatch functions
+    directly: `_forward` (Network.forward_batch), `_mse` (mse_loss),
+    `_backward` (backward) into one gradient vector, and `_update` (step),
+    with the frozen entries read once per fit. The validation pass after
+    each epoch runs `_forward` without a cache in forward_batch's row
+    blocks, into activation buffers allocated once per fit. Overflow
+    warnings are silenced for the whole loop; a non-finite loss or gradient
+    still raises TrainingDivergenceError.
     """
-    X = np.asarray(X, dtype=float)
-    T = np.asarray(T, dtype=float).reshape(-1)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    n = X.shape[0]
-    if n == 0:
-        raise ShapeError("empty training set")
+    U, Y = _fit_arrays(net, (X, T, Y), ("X", "T", "Y"))
+    if validation is not None:
+        Uv, Yv = _fit_arrays(net, validation, ("validation X", "validation T", "validation Y"))
+        rows, m = net.block_rows, Uv.shape[0]
+        starts = range(0, m, rows)
+        # one workspace per block length: the full blocks and a shorter last one
+        work = {k: _workspace(net, k) for k in {min(rows, m - s) for s in starts}}
+        vblocks = [(slice(s, s + rows), work[min(rows, m - s)]) for s in starts]
+        vpred, best_theta = np.empty(m), np.empty_like(net.theta)
+    mask.check_shapes(net)
+    if batch_size < 1:
+        raise ShapeError(f"batch_size must be >= 1, got {batch_size}")
     opt = OptimizerState.create(net, optimizer, learning_rate, momentum=momentum)
+    held = _hold(net, mask, opt)
+    grad = np.empty_like(net.theta)
+    blocks = net.views(grad)
+    params = net.params
     log = TrainingLog()
 
+    n = U.shape[0]
     best = np.inf
-    best_theta = None
     wait = patience
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        Xe, Te, Ye = X[order], T[order], Y[order]
-        epoch_losses = []
-        for start in range(0, n, batch_size):
-            batch = slice(start, start + batch_size)
-            preds, cache = net.forward_batch(Xe[batch], Te[batch])
-            loss, dpred = mse_loss(preds, Ye[batch])
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(
-                    f"non-finite training loss at epoch {epoch}", epoch=epoch
-                )
-            grad = backward(net, cache, dpred)
-            try:
-                step(net, grad, mask, opt)
-            except TrainingDivergenceError as err:
-                err.epoch = epoch
-                raise
-            epoch_losses.append(loss)
-        log.train_mse.append(float(np.mean(epoch_losses)))
+    with np.errstate(over="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            Ue, Ye = U[order], Y[order]
+            epoch_losses = []
+            for start in range(0, n, batch_size):
+                batch = slice(start, start + batch_size)
+                preds, cache = _forward(net, params, Ue[batch], None, True)
+                loss, dpred = _mse(preds, Ye[batch])
+                if not math.isfinite(loss):
+                    raise TrainingDivergenceError(
+                        f"non-finite training loss at epoch {epoch}", epoch=epoch
+                    )
+                _backward(net, cache, dpred, blocks)
+                try:
+                    _update(net, grad, opt, held)
+                except TrainingDivergenceError as err:
+                    err.epoch = epoch
+                    raise
+                epoch_losses.append(loss)
+            log.train_mse.append(float(np.mean(epoch_losses)))
 
-        if validation is not None:
-            Xv, Tv, Yv = validation
-            vpred, _ = net.forward_batch(Xv, Tv, keep_cache=False)
-            vmse, _ = mse_loss(vpred, Yv)
-            log.val_mse.append(vmse)
-            if vmse < best:
-                best = vmse
-                best_theta = net.copy_params()
-                log.best_epoch = epoch
-                wait = patience
-            else:
-                wait -= 1
-                if wait <= 0:
-                    log.stopped_early = True
-                    break
-    if best_theta is not None:
+            if validation is not None:
+                for block, space in vblocks:
+                    vpred[block] = _forward(net, params, Uv[block], None, False, space)[0]
+                vmse, _ = _mse(vpred, Yv)
+                log.val_mse.append(vmse)
+                if vmse < best:
+                    best = vmse
+                    np.copyto(best_theta, net.theta)
+                    log.best_epoch = epoch
+                    wait = patience
+                else:
+                    wait -= 1
+                    if wait <= 0:
+                        log.stopped_early = True
+                        break
+    if log.best_epoch >= 0:
         net.set_params(best_theta)
     return log
+
+
+def _fit_arrays(net, arrays, names):
+    """(U, Y) of a training or validation triple (X, T, Y): the input matrix
+    [X | T] and the targets, after the checks `fit_network` documents."""
+    x, t, y = names
+    if len(arrays) != 3:
+        raise ShapeError(f"expected ({x}, {t}, {y}), got {len(arrays)} arrays")
+    X, T, Y = (np.asarray(a, dtype=float) for a in arrays)
+    if X.ndim != 2 or X.shape[1] != net.covariate_width:
+        raise ShapeError(f"{x} must be shaped (n, {net.covariate_width}), got {X.shape}")
+    n = X.shape[0]
+    if n == 0:
+        raise ShapeError(f"{x} has no rows")
+    T, Y = T.reshape(-1), Y.reshape(-1)
+    for name, a in ((t, T), (y, Y)):
+        if a.shape[0] != n:
+            raise ShapeError(f"{name} holds {a.shape[0]} values for the {n} rows of {x}")
+    for name, a in ((x, X), (t, T), (y, Y)):
+        if not np.isfinite(a).all():
+            raise ShapeError(f"{name} holds a non-finite value")
+    return np.concatenate([X, T[:, None]], axis=1), Y

@@ -3,6 +3,7 @@
 import copy
 import io
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -284,6 +285,25 @@ class TestStep:
         row = net.treatment_input_row(0)
         for slot in opt.slots:
             assert np.all(slot[0][row, :] == 0.0)
+
+    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
+    def test_frozen_negative_zeros_keep_their_bytes(self, algorithm):
+        net = nn.Network.build(2, (4,), rng=5, treatment_scale=0.1)
+        mask = nn.FreezeMask.none(net)
+        opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.1)
+        rng = np.random.default_rng(1)
+        nn.step(net, rng.standard_normal(net.theta.size), mask, opt)
+        j = 3  # a free entry with trained moments
+        assert all(buf[j] != 0.0 for buf in opt.buffers)
+        for flat in (net.theta, *opt.buffers):
+            flat[j] = -0.0
+        mask.frozen[j] = True
+        for sign in (1.0, -1.0):
+            grads = rng.standard_normal(net.theta.size)
+            grads[j] = sign
+            nn.step(net, grads, mask, opt)
+            for flat in (net.theta, *opt.buffers):
+                assert flat[j:j + 1].tobytes() == np.array([-0.0]).tobytes()
 
     def test_non_finite_gradient_raises_with_step(self):
         net = nn.Network.build(1, (2,), rng=0)
@@ -706,6 +726,284 @@ class TestFitNetwork:
                 optimizer="sgd_momentum", learning_rate=1e6, epochs=50,
             )
         assert info.value.epoch is not None
+
+
+def reference_fit_network(
+    net,
+    mask,
+    X,
+    T,
+    Y,
+    *,
+    rng,
+    optimizer="adaptive_moment",
+    learning_rate=1e-3,
+    epochs=300,
+    batch_size=64,
+    patience=25,
+    momentum=0.9,
+    validation=None,
+):
+    """The training loop that nn.fit_network replaced, kept as its oracle: it
+    checks, concatenates and allocates through the public per-minibatch
+    functions on every minibatch and every validation pass."""
+    X = np.asarray(X, dtype=float)
+    T = np.asarray(T, dtype=float).reshape(-1)
+    Y = np.asarray(Y, dtype=float).reshape(-1)
+    n = X.shape[0]
+    if n == 0:
+        raise ShapeError("empty training set")
+    opt = nn.OptimizerState.create(net, optimizer, learning_rate, momentum=momentum)
+    log = nn.TrainingLog()
+
+    best = np.inf
+    best_theta = None
+    wait = patience
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        Xe, Te, Ye = X[order], T[order], Y[order]
+        epoch_losses = []
+        for start in range(0, n, batch_size):
+            batch = slice(start, start + batch_size)
+            preds, cache = net.forward_batch(Xe[batch], Te[batch])
+            loss, dpred = nn.mse_loss(preds, Ye[batch])
+            if not np.isfinite(loss):
+                raise TrainingDivergenceError(
+                    f"non-finite training loss at epoch {epoch}", epoch=epoch
+                )
+            grad = nn.backward(net, cache, dpred)
+            try:
+                nn.step(net, grad, mask, opt)
+            except TrainingDivergenceError as err:
+                err.epoch = epoch
+                raise
+            epoch_losses.append(loss)
+        log.train_mse.append(float(np.mean(epoch_losses)))
+
+        if validation is not None:
+            Xv, Tv, Yv = validation
+            vpred, _ = net.forward_batch(Xv, Tv, keep_cache=False)
+            vmse, _ = nn.mse_loss(vpred, Yv)
+            log.val_mse.append(vmse)
+            if vmse < best:
+                best = vmse
+                best_theta = net.copy_params()
+                log.best_epoch = epoch
+                wait = patience
+            else:
+                wait -= 1
+                if wait <= 0:
+                    log.stopped_early = True
+                    break
+    if best_theta is not None:
+        net.set_params(best_theta)
+    return log
+
+
+def _fit_mask(net, kind):
+    """The masks the stage fits train under."""
+    mask = nn.FreezeMask.none(net)
+    if kind == "edges":  # stage 1
+        mask.freeze_treatment_edges(net)
+    elif kind in ("encoder", "depth2"):  # freezing stage 2, freeze_depth 1 and 2
+        mask.freeze_input_encoder(net)
+        if kind == "depth2":
+            mask.freeze_layer(net, 1)
+    return mask
+
+
+def _fit_problem(rng, n, d):
+    X = rng.standard_normal((n, d))
+    T = rng.integers(0, 2, n).astype(float)
+    Y = np.sin(X[:, 0]) + X[:, -1] * T + 0.3 * rng.standard_normal(n)
+    return X, T, Y
+
+
+def _assert_fits_match(d, hidden, n, n_val, mask_kind, seed, *, activation="swish",
+                       concat=False, **kwargs):
+    """fit_network and reference_fit_network from one start: bitwise equal
+    parameters and logs, or the same divergence error."""
+    rng = np.random.default_rng(seed)
+    net = nn.Network.build(
+        d, hidden, activation=activation, concat_inputs=concat, rng=rng, treatment_scale=0.1
+    )
+    ref_net = net.clone()
+    X, T, Y = _fit_problem(rng, n, d)
+    validation = _fit_problem(rng, n_val, d) if n_val else None
+    outcomes = []
+    for fit, model in ((nn.fit_network, net), (reference_fit_network, ref_net)):
+        try:
+            outcome = fit(
+                model, _fit_mask(model, mask_kind), X, T, Y,
+                rng=np.random.default_rng(seed + 1), validation=validation, **kwargs,
+            )
+        except TrainingDivergenceError as err:
+            outcome = (type(err), str(err), err.epoch, err.step)
+        outcomes.append(outcome)
+    log, ref_log = outcomes
+    assert net.theta.tobytes() == ref_net.theta.tobytes()
+    if isinstance(log, nn.TrainingLog):
+        assert np.array(log.train_mse).tobytes() == np.array(ref_log.train_mse).tobytes()
+        assert np.array(log.val_mse).tobytes() == np.array(ref_log.val_mse).tobytes()
+        assert (log.best_epoch, log.stopped_early) == (ref_log.best_epoch, ref_log.stopped_early)
+    else:
+        assert log == ref_log
+    return log
+
+
+class TestFitMatchesReference:
+    """nn.fit_network trains bit for bit as the loop through the public
+    per-minibatch functions did."""
+
+    @pytest.mark.parametrize("mask_kind", ["none", "edges", "encoder", "depth2"])
+    @pytest.mark.parametrize("optimizer", nn.OPTIMIZERS)
+    def test_masks_and_optimizers(self, optimizer, mask_kind):
+        lr = 1e-2 if optimizer == "adaptive_moment" else 1e-3
+        log = _assert_fits_match(
+            3, (8, 8, 8), 203, 64, mask_kind, 11,
+            optimizer=optimizer, learning_rate=lr, epochs=12, batch_size=32,
+        )
+        assert len(log.train_mse) == 12
+
+    @pytest.mark.parametrize(
+        "activation, concat", [("swish", True), ("identity", False), ("identity", True)]
+    )
+    def test_wiring_and_activation(self, activation, concat):
+        _assert_fits_match(
+            2, (6, 5), 150, 40, "edges", 3, activation=activation, concat=concat,
+            epochs=10, batch_size=16,
+        )
+
+    def test_default_widths_with_a_large_validation_set(self):
+        # 600 validation rows: each activation matrix holds 300 KB
+        _assert_fits_match(5, (64, 64, 64), 300, 600, "encoder", 5, epochs=4)
+
+    def test_validation_set_of_several_row_blocks(self):
+        # block_rows is 2048 for width 64: two full blocks and a shorter one
+        _assert_fits_match(2, (64,), 100, 2 * 2048 + 77, "none", 6, epochs=3)
+
+    @pytest.mark.parametrize("optimizer", nn.OPTIMIZERS)
+    def test_without_validation(self, optimizer):
+        log = _assert_fits_match(
+            2, (7,), 90, 0, "edges", 8, optimizer=optimizer, epochs=6, batch_size=20
+        )
+        assert log.val_mse == [] and log.best_epoch == -1
+
+    def test_early_stop(self):
+        log = _assert_fits_match(
+            2, (8,), 120, 60, "none", 9, learning_rate=0.5, epochs=200, patience=3,
+            batch_size=16,
+        )
+        assert log.stopped_early and len(log.train_mse) < 200
+
+    @pytest.mark.parametrize("n, batch_size", [(101, 10), (37, 64), (5, 1)])
+    def test_batch_sizes(self, n, batch_size):
+        _assert_fits_match(3, (5,), n, 20, "edges", n, epochs=5, batch_size=batch_size)
+
+    def test_divergence_raises_the_same_error(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((256, 2))
+        T = rng.integers(0, 2, 256).astype(float)
+        Y = (1.5 * X[:, 0] - 0.5 * X[:, 1] + T) * 1e150
+        errors = []
+        for fit in (nn.fit_network, reference_fit_network):
+            net = nn.Network.build(2, (8,), rng=3, treatment_scale=0.01)
+            with pytest.raises(TrainingDivergenceError) as info:
+                fit(
+                    net, nn.FreezeMask.none(net), X, T, Y, rng=np.random.default_rng(7),
+                    optimizer="sgd_momentum", learning_rate=1e6, epochs=50,
+                )
+            errors.append((type(info.value), str(info.value), info.value.epoch, info.value.step))
+        assert errors[0] == errors[1]
+        assert errors[0][2] is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        hidden=st.lists(st.integers(1, 6), max_size=3).map(tuple),
+        activation=st.sampled_from(nn.ACTIVATIONS),
+        concat=st.booleans(),
+        optimizer=st.sampled_from(nn.OPTIMIZERS),
+        mask_kind=st.sampled_from(["none", "edges", "encoder", "depth2"]),
+        n=st.integers(1, 40),
+        n_val=st.integers(0, 30),
+        batch_size=st.integers(1, 48),
+        patience=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bitwise_equal(
+        self, d, hidden, activation, concat, optimizer, mask_kind, n, n_val, batch_size,
+        patience, seed,
+    ):
+        if mask_kind == "depth2" and len(hidden) < 2:
+            mask_kind = "encoder"
+        _assert_fits_match(
+            d, hidden, n, n_val, mask_kind, seed, activation=activation, concat=concat,
+            optimizer=optimizer, learning_rate=0.05, epochs=6, batch_size=batch_size,
+            patience=patience,
+        )
+
+
+class TestFitRejectsBadInput:
+    """Each bad input raises ShapeError naming the array before any training."""
+
+    def _fit(self, X, T, Y, **kwargs):
+        net = nn.Network.build(2, (4,), rng=1, treatment_scale=0.1)
+        before = net.theta.copy()
+        with pytest.raises(ShapeError) as info:
+            nn.fit_network(
+                net, nn.FreezeMask.none(net), X, T, Y, rng=np.random.default_rng(0),
+                epochs=3, **kwargs,
+            )
+        assert net.theta.tobytes() == before.tobytes()
+        return str(info.value)
+
+    def _data(self, n=47):
+        return _fit_problem(np.random.default_rng(n), n, 2)
+
+    @pytest.mark.parametrize("name", ["T", "Y"])
+    def test_longer_target_or_treatment(self, name):
+        X, T, Y = self._data()
+        arrays = {"T": T, "Y": Y}
+        arrays[name] = np.append(arrays[name], 1.0)
+        message = self._fit(X, arrays["T"], arrays["Y"])
+        assert message.startswith(f"{name} holds 48 values for the 47 rows of X")
+
+    def test_shorter_target(self):
+        X, T, Y = self._data()
+        assert self._fit(X, T, Y[:40]).startswith("Y holds 40 values")
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda v: (v[0][:, :1], v[1], v[2]), r"validation X must be shaped \(n, 2\)"),
+            (lambda v: (v[0], v[1][:-1], v[2]), "validation T holds 9 values"),
+            (lambda v: (v[0], v[1], v[2][:-2]), "validation Y holds 8 values"),
+            (lambda v: (v[0][:0], v[1][:0], v[2][:0]), "validation X has no rows"),
+            (lambda v: v[:2], r"expected \(validation X, validation T, validation Y\)"),
+        ],
+        ids=["width", "short-T", "short-Y", "empty", "pair"],
+    )
+    def test_bad_validation_set(self, edit, expected):
+        validation = edit(self._data(10))
+        assert re.match(expected, self._fit(*self._data(), validation=validation))
+
+    @pytest.mark.parametrize("name", ["X", "T", "Y", "validation X", "validation Y"])
+    def test_non_finite_value(self, name):
+        (X, T, Y), (Xv, Tv, Yv) = self._data(), self._data(10)
+        arrays = {"X": X, "T": T, "Y": Y, "validation X": Xv, "validation Y": Yv}
+        arrays[name].flat[3] = np.nan
+        message = self._fit(X, T, Y, validation=(Xv, Tv, Yv))
+        assert message == f"{name} holds a non-finite value"
+
+    def test_empty_training_set(self):
+        X, T, Y = self._data()
+        assert self._fit(X[:0], T[:0], Y[:0]) == "X has no rows"
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one(self, batch_size):
+        message = self._fit(*self._data(), batch_size=batch_size)
+        assert message == f"batch_size must be >= 1, got {batch_size}"
 
 
 def reference_step(net, grads, mask, opt):
