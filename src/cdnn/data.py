@@ -597,9 +597,15 @@ def load_csv(path):
 # replications
 
 
+def _seed_sequence(*parts):
+    """The one seed derivation: every random stream of a replication, an
+    ensemble member or a bench probe starts from the SeedSequence of its
+    integer parts."""
+    return np.random.SeedSequence([int(p) for p in parts])
+
+
 def _derived_seed(*parts):
-    ss = np.random.SeedSequence([int(p) for p in parts])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+    return int(_seed_sequence(*parts).generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import nn
 from ._workers import _map
-from .data import Dataset
+from .data import Dataset, _seed_sequence
 from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationError, ShapeError
 
 VARIANTS = ("explicit_residual", "freezing")
@@ -91,9 +91,7 @@ class Stage1Model:
     training_log: nn.TrainingLog
 
     def predict(self, X):
-        X = _checked_covariates(self.network, X)
-        preds, _ = self.network.forward_batch(X, np.zeros(X.shape[0]), keep_cache=False)
-        return preds
+        return nn._predict(self.network, nn._inputs(nn._covariates(self.network, X), 0.0))
 
     def treatment_edges_zero(self):
         return all(np.all(w == 0.0) for _, w in self.network.treatment_weights())
@@ -110,26 +108,10 @@ class Stage2Model:
     training_log: nn.TrainingLog
 
     def predict(self, X, t):
-        X = _checked_covariates(self.network, X)
-        preds, _ = self.network.forward_batch(
-            X, np.full(X.shape[0], float(t)), keep_cache=False
-        )
-        return preds
+        return nn._predict(self.network, nn._inputs(nn._covariates(self.network, X), t))
 
     def ite(self, X):
         return self.predict(X, 1) - self.predict(X, 0)
-
-
-def _checked_covariates(net, x):
-    """x as a 2-d float array; ShapeError unless it is shaped
-    (n, covariate_width) with every value finite, naming the first row
-    (0-based) that is not: a NaN covariate would give a NaN prediction."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    net.check_covariates(X)
-    if not np.isfinite(X).all():
-        row = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ShapeError(f"covariates must be finite (no NaN or inf); row {row} is not")
-    return X
 
 
 @dataclass
@@ -146,8 +128,7 @@ def _as_arrays(data):
 
 
 def _member_rng(config, member, stream):
-    ss = np.random.SeedSequence([int(config.seed), int(member), int(stream)])
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(config.seed, member, stream))
 
 
 def _carve_validation(data, config, rng):
@@ -385,26 +366,27 @@ def predict_ite(estimator, x):
     """Per-unit effect: stage-2 scored at t=1 minus t=0, ensemble-averaged.
 
     Accepts one covariate vector (returns a float) or a matrix (returns an
-    array). Each forward block (nn.Network.block_rows) of the matrix is one
-    of _map's tasks, so several blocks are scored in up to one process per
-    CPU; a block holds the rows it holds in one process, so every bit is the
-    same.
+    array), checked before any worker starts. Each forward block
+    (nn.Network.block_rows) of the matrix is one of _map's tasks, so several
+    blocks are scored in up to one process per CPU; a block holds the rows
+    it holds in one process, so every bit is the same. A task shares the
+    block's [x | 1] and [x | 0] across members and sums their
+    Stage2Model.ite.
     """
     single = np.ndim(x) == 1
     stage2 = [s for _, s in estimator.members]
     net = stage2[0].network  # every member has the config's layers
-    X = _checked_covariates(net, x)  # before any worker starts
+    X = nn._covariates(net, x)
     rows = net.block_rows
 
     def mean_ite(b):
-        block = X[b * rows : (b + 1) * rows]
-        total = np.zeros(block.shape[0])
+        treated, control = (nn._inputs(X[b * rows : (b + 1) * rows], t) for t in (1.0, 0.0))
+        total = np.zeros(len(treated))
         for s in stage2:
-            total += s.ite(block)
+            total += nn._predict(s.network, treated) - nn._predict(s.network, control)
         return total / len(stage2)
 
-    # a batch of 0 rows is one empty block, whose forward raises "empty batch"
-    out = np.concatenate(_map(mean_ite, max(1, -(-X.shape[0] // rows))))
+    out = np.concatenate(_map(mean_ite, -(-X.shape[0] // rows)))
     return float(out[0]) if single else out
 
 

@@ -20,15 +20,15 @@ identical seed + config + data gives bitwise identical parameters on one
 platform.
 
 A forward without a cache (prediction, stage-1 residuals, the validation
-loss) runs in row blocks under the same byte budget, one activation matrix
-per block: 2,048 rows for a 64-wide network. On a large batch, allocating
-and faulting in full-size activations cost more than the arithmetic, while
-a block's activations stay in cache. A batch of at most one block is one
-forward, exactly as without blocking. OpenBLAS picks its matmul kernel path
-from the row count, so a row's prediction can differ in the last bit
-between batch sizes; a batch of more than one block can therefore differ in
-the last bit from one unblocked forward over it. The same code, input and
-parameters still give the same bits.
+loss) runs through one blocked predictor, `_predict`: one `_forward` per
+row block under the same byte budget, one activation matrix per block:
+2,048 rows for a 64-wide network. On a large batch, allocating and faulting
+in full-size activations cost more than the arithmetic, while a block's
+activations stay in cache. A batch of at most one block is one forward.
+OpenBLAS picks its matmul kernel path from the row count, so a row's
+prediction can differ in the last bit between batch sizes, and a batch of
+several blocks from one unblocked forward over it; the same code, input and
+parameters give the same bits. Prediction checks covariates once.
 
 Each step of training has one body: `_forward`, `_mse`, `_backward` and
 `_update`. The public `Network.forward_batch`, `mse_loss`, `backward` and
@@ -45,8 +45,8 @@ The swish logistic is computed with numpy's vectorised `exp`, whose bits
 depend on the CPU's instruction set (numpy picks a SIMD kernel at run time),
 so "one platform" includes the CPU family. For pre-activations below about
 -709, `exp(-z)` overflows to inf and the logistic saturates to exactly 0;
-`forward_batch`, `swish` and `gradient_check` silence overflow warnings (and
-only those) around it, and `fit_network` around its whole loop.
+`forward_batch`, `_predict`, `swish` and `gradient_check` silence overflow
+warnings (only those) around it, and `fit_network` around its whole loop.
 """
 
 from __future__ import annotations
@@ -286,36 +286,19 @@ class Network:
     def forward_batch(self, X, T, keep_cache=True):
         """Run the network on a batch.
 
-        X: (n, covariate_width), T: (n,). Returns (predictions (n,), cache).
-        With keep_cache=False the cache is None and each layer's values are
-        dropped once the next layer has read them: prediction needs no
-        backward, and on large batches the cache dominates memory. Such a
-        batch then runs in blocks of `block_rows` rows, one forward per
-        block, so that no activation matrix outgrows _BLOCK_BYTES.
+        X: (n, covariate_width) finite covariates, n >= 1 (one vector is one
+        row), T: (n,). Returns (predictions (n,), cache). With keep_cache=False
+        the cache, most of the memory of a large batch, is None and the batch
+        runs through the blocked `_predict`.
         """
-        X = np.asarray(X, dtype=float)
-        self.check_covariates(X)
+        X = _covariates(self, X)
         T = np.asarray(T, dtype=float).reshape(-1)
         if T.shape[0] != X.shape[0]:
             raise ShapeError("covariate and treatment batch sizes differ")
-        if X.shape[0] == 0:
-            raise ShapeError("empty batch")
+        if not keep_cache:
+            return _predict(self, _inputs(X, T)), None
         with np.errstate(over="ignore"):
-            # a cached forward skips the block arithmetic
-            if keep_cache or X.shape[0] <= (rows := self.block_rows):
-                return _forward(self, self.params, X, T, keep_cache)
-            out = np.empty(X.shape[0])
-            for start in range(0, X.shape[0], rows):
-                block = slice(start, start + rows)
-                out[block] = _forward(self, self.params, X[block], T[block], False)[0]
-        return out, None
-
-    def check_covariates(self, X):
-        """ShapeError unless the array X is shaped (n, covariate_width)."""
-        if X.ndim != 2 or X.shape[1] != self.covariate_width:
-            raise ShapeError(
-                f"expected covariates shaped (n, {self.covariate_width}), got {X.shape}"
-            )
+            return _forward(self, self.params, X, T, True)
 
     @property
     def block_rows(self):
@@ -338,13 +321,13 @@ def _forward(net, params, X, T, keep_cache, work=None):
     bitwise the run of stack[s] alone (each matmul slice is the same BLAS
     call on the same strides). Only an unstacked cache feeds `backward`.
 
-    work, from `_workspace(net, n)`, holds every activation matrix of an
-    unstacked forward without a cache; the forward writes into it instead of
-    allocating, and the predictions are then a view into it. Callers hold
-    np.errstate(over="ignore") around the call (see `_logistic`); entering it
-    (~2 us) costs more than a whole layer of a small network.
+    work, one value of `_workspace(net, n)`, holds the activation matrices of
+    an unstacked n-row forward without a cache, which then writes into it and
+    returns a view into it. Callers hold np.errstate(over="ignore") around
+    the call (see `_logistic`); entering it (~2 us) costs more than a whole
+    layer of a small network.
     """
-    u = X if T is None else np.concatenate([X, T[:, None]], axis=1)
+    u = X if T is None else _inputs(X, T)
     a = u
     stacked = params[0].ndim == 3
     if stacked and net.concat_inputs:
@@ -372,16 +355,58 @@ def _forward(net, params, X, T, keep_cache, work=None):
     return a[..., 0], cache
 
 
-def _workspace(net, rows):
-    """Per layer (concatenated input, pre-activation, logistic and then
-    activation) buffers for a `rows`-row forward without a cache; None where
-    that layer has no such matrix."""
-    work = []
-    for i, spec in enumerate(net.layers):
-        cat = np.empty((rows, spec.input_width)) if i > 0 and net.concat_inputs else None
-        lin = np.empty((rows, spec.output_width))
-        sig = np.empty_like(lin) if spec.activation == "swish" else None
-        work.append((cat, lin, sig))
+def _covariates(net, x):
+    """x as a 2-d float array (one vector is one row), after the one check of
+    every prediction entry point: ShapeError unless it is shaped
+    (n, covariate_width), n >= 1, and finite, naming the first bad row."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    if X.ndim != 2 or X.shape[1] != net.covariate_width:
+        raise ShapeError(f"expected covariates shaped (n, {net.covariate_width}), got {X.shape}")
+    if X.shape[0] == 0:
+        raise ShapeError("empty batch")
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ShapeError(f"covariates must be finite (no NaN or inf); row {row} is not")
+    return X
+
+
+def _inputs(X, t):
+    """The raw input [X | t] of covariates X (n, d) and a treatment t, one
+    value for all rows or one per row."""
+    U = np.empty((X.shape[0], X.shape[1] + 1))
+    U[:, :-1] = X
+    U[:, -1] = t
+    return U
+
+
+def _predict(net, U, work=None):
+    """The one blocked predictor: `net`'s predictions on checked raw input
+    rows U = [x | t], one `_forward` without a cache per `block_rows` slice,
+    under np.errstate(over="ignore"). Each block's activations are fresh
+    arrays, or buffers of `work` = `_workspace(net, len(U))` when given;
+    prediction passes none, as buffers held through a whole call raised the
+    peak memory of `cdnn score` by 6-9 %."""
+    rows, n = net.block_rows, U.shape[0]
+    out = np.empty(n)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            space = work[min(rows, n - start)] if work else None
+            out[block] = _forward(net, net.params, U[block], None, False, space)[0]
+    return out
+
+
+def _workspace(net, n):
+    """{block length: per layer (concatenated input, pre-activation, logistic
+    and then activation) buffers} for `_predict` on n rows: the full blocks
+    and a shorter last one; None where a layer has no such matrix."""
+    rows, work = net.block_rows, {}
+    for k in {min(rows, n - s) for s in range(0, n, rows)}:
+        for i, spec in enumerate(net.layers):
+            cat = np.empty((k, spec.input_width)) if i > 0 and net.concat_inputs else None
+            lin = np.empty((k, spec.output_width))
+            sig = np.empty_like(lin) if spec.activation == "swish" else None
+            work.setdefault(k, []).append((cat, lin, sig))
     return work
 
 
@@ -696,20 +721,15 @@ def fit_network(
     directly: `_forward` (Network.forward_batch), `_mse` (mse_loss),
     `_backward` (backward) into one gradient vector, and `_update` (step),
     with the frozen entries read once per fit. The validation pass after
-    each epoch runs `_forward` without a cache in forward_batch's row
-    blocks, into activation buffers allocated once per fit. Overflow
-    warnings are silenced for the whole loop; a non-finite loss or gradient
-    still raises TrainingDivergenceError.
+    each epoch runs `_predict`, the blocked predictor, into activation
+    buffers allocated once per fit. Overflow warnings are silenced for the
+    whole loop; a non-finite loss or gradient still raises
+    TrainingDivergenceError.
     """
     U, Y = _fit_arrays(net, (X, T, Y), ("X", "T", "Y"))
     if validation is not None:
         Uv, Yv = _fit_arrays(net, validation, ("validation X", "validation T", "validation Y"))
-        rows, m = net.block_rows, Uv.shape[0]
-        starts = range(0, m, rows)
-        # one workspace per block length: the full blocks and a shorter last one
-        work = {k: _workspace(net, k) for k in {min(rows, m - s) for s in starts}}
-        vblocks = [(slice(s, s + rows), work[min(rows, m - s)]) for s in starts]
-        vpred, best_theta = np.empty(m), np.empty_like(net.theta)
+        work, best_theta = _workspace(net, len(Yv)), np.empty_like(net.theta)
     mask.check_shapes(net)
     if batch_size < 1:
         raise ShapeError(f"batch_size must be >= 1, got {batch_size}")
@@ -746,9 +766,7 @@ def fit_network(
             log.train_mse.append(float(np.mean(epoch_losses)))
 
             if validation is not None:
-                for block, space in vblocks:
-                    vpred[block] = _forward(net, params, Uv[block], None, False, space)[0]
-                vmse, _ = _mse(vpred, Yv)
+                vmse, _ = _mse(_predict(net, Uv, work), Yv)
                 log.val_mse.append(vmse)
                 if vmse < best:
                     best = vmse
@@ -784,4 +802,4 @@ def _fit_arrays(net, arrays, names):
     for name, a in ((x, X), (t, T), (y, Y)):
         if not np.isfinite(a).all():
             raise ShapeError(f"{name} holds a non-finite value")
-    return np.concatenate([X, T[:, None]], axis=1), Y
+    return _inputs(X, T), Y

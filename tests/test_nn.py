@@ -168,6 +168,19 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward_batch(np.zeros((2, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    def test_the_covariate_check_of_prediction(self, keep_cache):
+        net = nn.Network.build(3, (4,), rng=0)
+        X = np.zeros((5, 3))
+        X[2, 1] = np.nan
+        with pytest.raises(ShapeError, match="row 2 is not$"):
+            net.forward_batch(X, np.zeros(5), keep_cache=keep_cache)
+        with pytest.raises(ShapeError, match="^empty batch$"):
+            net.forward_batch(X[:0], np.zeros(0), keep_cache=keep_cache)
+        vector, _ = net.forward_batch(np.ones(3), [1.0], keep_cache=keep_cache)
+        row, _ = net.forward_batch(np.ones((1, 3)), [1.0], keep_cache=keep_cache)
+        assert vector.tobytes() == row.tobytes()
+
     @pytest.mark.parametrize(
         "activation, concat", [("swish", False), ("swish", True), ("identity", False)]
     )
@@ -467,10 +480,10 @@ class TestStackedProbes:
         stacks = []
         forward = nn._forward
 
-        def spy(net, params, X, T, keep_cache):
+        def spy(net, params, X, T, keep_cache, work=None):
             if params[0].ndim == 3:
                 stacks.append(params[0].shape[0])
-            return forward(net, params, X, T, keep_cache)
+            return forward(net, params, X, T, keep_cache, work)
 
         monkeypatch.setattr(nn, "_forward", spy)
         assert nn.gradient_check(net, batch) == reference_gradient_check(net, batch)
@@ -507,9 +520,9 @@ def _spy_forward_rows(monkeypatch):
     """Record the row count of every _forward call."""
     rows, forward = [], nn._forward
 
-    def spy(net, params, X, T, keep_cache):
+    def spy(net, params, X, T, keep_cache, work=None):
         rows.append(X.shape[0])
-        return forward(net, params, X, T, keep_cache)
+        return forward(net, params, X, T, keep_cache, work)
 
     monkeypatch.setattr(nn, "_forward", spy)
     return rows
