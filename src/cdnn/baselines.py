@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateArmError,
     DegenerateTreatmentError,
     OverlapError,
@@ -117,6 +118,9 @@ def dml_ate(
         raise DegenerateTreatmentError("both treatment arms are required")
     if folds < 2:
         raise ShapeError("need at least 2 folds")
+    lo, hi = clamp
+    if not lo < hi:
+        raise ConfigError(f"propensity clamp needs lo < hi, got {clamp!r}")
     n = len(data)
     X, T, Y = data.x, data.t.astype(float), data.y
 
@@ -141,7 +145,6 @@ def dml_ate(
             ghat[hold] = _ridge_predict(bg, X[hold])
             ehat[hold] = _ridge_predict(be, X[hold])
 
-    lo, hi = clamp
     n_clamped = int(np.sum((ehat < lo) | (ehat > hi)))
     if n_clamped:
         warnings.warn(f"dml_ate: clamped {n_clamped} propensity estimates to [{lo}, {hi}]")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import glob as globmod
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -108,17 +109,48 @@ def _estimator_spec_from(entry):
             params["hidden_widths"] = tuple(params["hidden_widths"])
         est_mod.CdnnConfig(**params)  # a bad setting fails here, before any work
     elif name == "dml":
-        _reject_unknown(params, _DML_PARAM_KEYS, "dml parameter")
-        if "clamp" in params:
-            params["clamp"] = tuple(params["clamp"])
+        _check_dml_params(params)
     else:
         _reject_unknown(params, (), f"{name} parameter")
     return EstimatorSpec(name, tuple(sorted(params.items())))
 
 
+def _is_number(value):
+    return type(value) in (int, float)  # a JSON number, never a bool
+
+
+def _check_dml_params(params):
+    """dml settings, checked before any replication runs: folds an integer
+    >= 2, crossfit true or false, ridge_lambda a finite number >= 0, and
+    clamp two numbers with 0 < lo < hi < 1 (made a tuple in place)."""
+    _reject_unknown(params, _DML_PARAM_KEYS, "dml parameter")
+    if _json_value(params, "folds", int, 2) < 2:
+        raise ConfigError(f"bad config value: dml folds must be >= 2, got {params['folds']}")
+    _json_value(params, "crossfit", bool, True)
+    lam = params.get("ridge_lambda", 0.0)
+    if not (_is_number(lam) and math.isfinite(lam) and lam >= 0):
+        raise ConfigError(
+            f"bad config value: dml ridge_lambda must be a finite number >= 0, got {lam!r}"
+        )
+    if "clamp" in params:
+        clamp = params["clamp"]
+        if not (
+            isinstance(clamp, (list, tuple))
+            and len(clamp) == 2
+            and all(map(_is_number, clamp))
+            and 0 < clamp[0] < clamp[1] < 1
+        ):
+            raise ConfigError(
+                f"bad config value: dml clamp must be two numbers 0 < lo < hi < 1, got {clamp!r}"
+            )
+        params["clamp"] = tuple(clamp)
+
+
 def _split_spec_from(entry):
     if entry is None:
         return SplitSpec.ihdp()
+    if type(entry) is not dict:
+        raise ConfigError(f"bad config value: split must be an object, got {entry!r}")
     _reject_unknown(entry, ("scheme", "fractions"), "split")
     scheme = entry.get("scheme", "custom")
     if scheme == "ihdp_63_27_10":
@@ -132,16 +164,23 @@ def _split_spec_from(entry):
     raise ConfigError(f"unknown split scheme {scheme!r}")
 
 
+_JSON_KINDS = {
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    dict: "an object",
+    list: "an array",
+}
+
+
 def _json_value(entry, key, kind, default):
-    """entry[key], or `default` when absent: a JSON integer (never a bool)
-    where `kind` is int, true or false where it is bool, a string where it
-    is str."""
+    """entry[key], or `default` when absent, of the JSON type that `kind`
+    names in _JSON_KINDS."""
     if key not in entry:
         return default
     value = entry[key]
     if type(value) is not kind:  # bool is a subclass of int, not an int here
-        name = {int: "an integer", bool: "true or false", str: "a string"}[kind]
-        raise ConfigError(f"bad config value: {key} must be {name}, got {value!r}")
+        raise ConfigError(f"bad config value: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -157,17 +196,19 @@ def config_from_dict(raw):
 
 
 def _config_from_dict(raw):
+    if type(raw) is not dict:
+        raise ConfigError(f"bad config value: the config must be an object, got {raw!r}")
     allowed = {f.name for f in fields(ExperimentConfig)} - {"csv_files"}
     _reject_unknown(raw, allowed, "config")
     if "estimators" not in raw or "dgp" not in raw:
         raise ConfigError("config needs 'dgp' and 'estimators'")
-    dgp_entry = raw["dgp"]
+    dgp_entry = _json_value(raw, "dgp", dict, None)
     dgp = None
     csv_files = ()
     replications = _json_value(raw, "replications", int, 0)
     if "csv" in dgp_entry:
         _reject_unknown(dgp_entry, ("csv",), "dgp")
-        csv_files = tuple(sorted(globmod.glob(dgp_entry["csv"])))
+        csv_files = tuple(sorted(globmod.glob(_json_value(dgp_entry, "csv", str, None))))
         if not csv_files:
             raise ConfigError(f"csv glob {dgp_entry['csv']!r} matched no files")
         if replications == 0:
@@ -187,7 +228,7 @@ def _config_from_dict(raw):
         )
         if replications == 0:
             replications = 1
-    estimators = tuple(_estimator_spec_from(e) for e in raw["estimators"])
+    estimators = tuple(_estimator_spec_from(e) for e in _json_value(raw, "estimators", list, None))
     names = [spec.name for spec in estimators]
     for name in names:
         if names.count(name) > 1:  # the report keys its aggregates by name

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from ._workers import _map
 from .errors import ConfigError, SchemaError, SplitError
@@ -29,8 +28,21 @@ from .theory import NuisanceOracle
 
 COVARIATE_LAWS = ("standard_normal", "uniform")
 
-# expit(3.8918) ~ 0.98: overlap bound for logistic propensities on the 3-sigma ball
+# logistic(3.8918) ~ 0.98: overlap bound for logistic propensities on the 3-sigma ball
 _MAX_ABS_LOGIT = math.log(0.98 / 0.02)
+
+
+def _logistic(v):
+    """1 / (1 + exp(-v)) per value by libm's exp, in v's shape: scipy's expit, bit for bit.
+    nn._logistic's faster numpy exp differs on ~2 % of values and would change the data."""
+    def one(z):
+        try:
+            return 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:  # exp(-z) past the double range: the limit 0
+            return 0.0
+
+    v = np.asarray(v, dtype=float)
+    return np.fromiter(map(one, v.ravel().tolist()), float, v.size).reshape(v.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +65,7 @@ class SigmoidSurface:
     offset: float
 
     def values(self, X):
-        return self.scale * expit(X @ np.asarray(self.slopes, dtype=float) + self.offset)
+        return self.scale * _logistic(X @ np.asarray(self.slopes, dtype=float) + self.offset)
 
 
 @dataclass(frozen=True)
@@ -74,7 +86,7 @@ class LogisticPropensity:
     offset: float = 0.0
 
     def values(self, X):
-        return expit(np.asarray(X, dtype=float) @ np.asarray(self.slopes, dtype=float) + self.offset)
+        return _logistic(np.asarray(X, dtype=float) @ np.asarray(self.slopes, float) + self.offset)
 
     def check_overlap(self, covariate_law):
         # worst-case |logit| over the law's 3-sigma ball must keep e in (0.02, 0.98)

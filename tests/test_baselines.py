@@ -18,7 +18,7 @@ from cdnn.data import (
     named_dgp,
     oracle_of,
 )
-from cdnn.errors import DegenerateArmError, DegenerateTreatmentError, OverlapError
+from cdnn.errors import ConfigError, DegenerateArmError, DegenerateTreatmentError, OverlapError
 from cdnn.metrics import sqrt_pehe
 
 
@@ -226,6 +226,12 @@ class TestDmlAte:
                 oracle_e=lambda xi: 1.0 - 1e-9 if xi[0] > 0 else 1e-9,
                 clamp=(1e-12, 1.0 - 1e-12),
             )
+
+    @pytest.mark.parametrize("clamp", [(0.9, 0.1), (0.5, 0.5)])
+    def test_a_clamp_without_lo_below_hi_is_rejected(self, clamp):
+        ds = generate(named_dgp("confound-linear", seed=51), 200)
+        with pytest.raises(ConfigError, match="lo < hi"):
+            dml_ate(ds, clamp=clamp)
 
     def test_no_crossfit_mode(self):
         ds = generate(named_dgp("confound-linear", seed=51), 4000)

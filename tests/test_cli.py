@@ -120,6 +120,80 @@ class TestBench:
         assert capsys.readouterr().err == f"error: estimator {name!r} is named more than once\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"clamp": [0.9, 0.1]}, "dml clamp must be two numbers 0 < lo < hi < 1"),
+            ({"clamp": [0.0, 0.5]}, "dml clamp must be two numbers 0 < lo < hi < 1"),
+            ({"clamp": [0.5, 1.0]}, "dml clamp must be two numbers 0 < lo < hi < 1"),
+            ({"clamp": [0.1]}, "dml clamp must be two numbers 0 < lo < hi < 1"),
+            ({"clamp": ["0.1", 0.9]}, "dml clamp must be two numbers 0 < lo < hi < 1"),
+            ({"clamp": 0.1}, "dml clamp must be two numbers 0 < lo < hi < 1"),
+            ({"crossfit": "no"}, "crossfit must be true or false"),
+            ({"crossfit": 0}, "crossfit must be true or false"),
+            ({"ridge_lambda": -5}, "dml ridge_lambda must be a finite number >= 0"),
+            ({"ridge_lambda": "1"}, "dml ridge_lambda must be a finite number >= 0"),
+            ({"ridge_lambda": True}, "dml ridge_lambda must be a finite number >= 0"),
+            ({"ridge_lambda": float("inf")}, "dml ridge_lambda must be a finite number >= 0"),
+            ({"folds": 1}, "dml folds must be >= 2"),
+            ({"folds": "x"}, "folds must be an integer"),
+            ({"folds": 2.0}, "folds must be an integer"),
+        ],
+        ids=["reversed-clamp", "zero-clamp", "one-clamp", "short-clamp", "string-clamp",
+             "scalar-clamp", "string-crossfit", "int-crossfit", "negative-ridge",
+             "string-ridge", "bool-ridge", "infinite-ridge", "one-fold", "string-folds",
+             "float-folds"],
+    )
+    def test_bad_dml_setting_returns_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "replications": 2,
+               "estimators": ["ols_lr1", {"name": "dml", **setting}],
+               "output": str(tmp_path / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad config value: {message}, got ")
+        assert not (tmp_path / "out").exists()
+
+    def test_good_dml_settings_run(self, tmp_path):
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 200,
+               "estimators": [{"name": "dml", "folds": 3, "crossfit": False,
+                               "ridge_lambda": 0, "clamp": [0.05, 0.95]}],
+               "output": str(tmp_path / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"dgp": "csv", "estimators": ["ols_lr1"]}, "dgp must be an object, got 'csv'"),
+            ({"dgp": {"csv": 5}, "estimators": ["ols_lr1"]}, "csv must be a string, got 5"),
+            ({"dgp": {"family": "confound-linear"}, "estimators": ["ols_lr1"],
+              "split": "ihdp_63_27_10"}, "split must be an object, got 'ihdp_63_27_10'"),
+            ({"dgp": {"family": "confound-linear"}, "estimators": "ols_lr1"},
+             "estimators must be an array, got 'ols_lr1'"),
+            ({"dgp": {"family": "confound-linear"}, "estimators": {"name": "ols_lr1"}},
+             "estimators must be an array, got {'name': 'ols_lr1'}"),
+            ([1, 2], "the config must be an object, got [1, 2]"),
+            ("config", "the config must be an object, got 'config'"),
+        ],
+        ids=["string-dgp", "int-csv-glob", "string-split", "string-estimators",
+             "object-estimators", "array-config", "string-config"],
+    )
+    def test_a_container_of_the_wrong_type_is_named(
+        self, tmp_path, capsys, monkeypatch, config, message
+    ):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        if isinstance(config, dict):
+            config = {"n": 100, **config}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: bad config value: {message}\n"
+
     def test_workers_key_returns_2(self, tmp_path, capsys):
         cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"],
                "workers": 2}

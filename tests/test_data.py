@@ -1,11 +1,14 @@
 """Data generation, splits, CSV round trips, replications."""
 
 import csv
+import hashlib
 import math
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -179,6 +182,93 @@ class TestGenerate:
                 noise_sigma=0.0,
                 seed=0,
             )
+
+
+def _generated_digest(spec, n):
+    """SHA-256 of generate(spec, n) and of its true propensities: a treatment
+    draw rarely flips on a last-bit change, so the propensities carry them."""
+    ds = generate(spec, n)
+    h = hashlib.sha256()
+    e = spec.propensity.values(ds.x)
+    for a in (ds.x, ds.t.astype(np.int64), ds.y, ds.y1, ds.y0, ds.theta, e):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# _generated_digest(named_dgp(family, seed=seed), 2000), from the version that
+# drew its logistic propensities with scipy.special.expit
+GENERATED_DIGESTS = {
+    ("confound-linear", 0): "138f620f04c8737559a428262cddfa5ee1094acd249da583bee80acde36d939f",
+    ("confound-linear", 1): "9f7a6895c759a38dc7517c723204a814852cb5605fee87c01ac8a9c560850f87",
+    ("confound-linear", 2): "ca3e60bc04dbae8e3d00ef879f484b20216398589fdba228e9e400ed77fa993a",
+    ("confound-hetero", 0): "cfcbe901309cd5d70f6f0a084550181e415d923e039f87464e0cddceba93c21f",
+    ("confound-hetero", 1): "86ef4b56201c3d16e17799faad5f973f43f27a6948de2c9d2153a3e0d50a7c84",
+    ("confound-hetero", 2): "e7bbaa8637aab49e8d26e082a624cea91798a5def5e0c05942735f67a9bfa870",
+    ("null-effect", 0): "ff6fbe033d78379d13efb56a41522e75824373abc0643fceffe943ffa6e131e7",
+    ("null-effect", 1): "5a28862241690931ae9b310a00c2744a48bb3a80381c8e9e0ec30e5950c613eb",
+    ("null-effect", 2): "fe6fc98b8a552e80ccbb387296de2fcb765f9d810008a9b39a512a02cf18c11f",
+}
+
+# a logistic grid over the whole double range, NaN included: normal draws at
+# several scales, a grid over [-800, 800], and the overflow edges
+LOGISTIC_GRID = np.concatenate(
+    [np.random.default_rng(0).standard_normal(20_000) * s for s in (0.1, 1.0, 5.0, 40.0)]
+    + [
+        np.linspace(-800.0, 800.0, 16_001),
+        [0.0, -0.0, 709.8, -709.8, 746.0, -746.0, 5e-324, -5e-324],
+        [np.inf, -np.inf, np.nan],
+    ]
+)
+
+
+class TestLogistic:
+    """data._logistic draws every logistic propensity and sigmoid surface, so
+    its bits fix every generated dataset."""
+
+    @pytest.mark.parametrize("family, seed", sorted(GENERATED_DIGESTS))
+    def test_generated_data_are_pinned(self, family, seed):
+        digest = _generated_digest(named_dgp(family, seed=seed), 2000)
+        assert digest == GENERATED_DIGESTS[family, seed]
+
+    def test_a_random_dgp_with_sigmoid_surfaces_is_pinned(self):
+        spec = dmod.random_dgp(np.random.default_rng(5))
+        assert isinstance(spec.baseline, SigmoidSurface)
+        assert isinstance(spec.effect, SigmoidSurface)
+        assert isinstance(spec.propensity, LogisticPropensity)
+        assert _generated_digest(spec, 2000) == (
+            "44289473dd9a30941b0e4e02a9165f393fa3260749bc8ac1f9faa01eb2471339"
+        )
+
+    def test_bitwise_scipy_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        ours = dmod._logistic(LOGISTIC_GRID)
+        assert ours.dtype == np.float64
+        assert np.array_equal(ours.view(np.int64), expit(LOGISTIC_GRID).view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 4)])
+    def test_keeps_the_input_shape(self, shape):
+        expit = pytest.importorskip("scipy.special").expit
+        v = np.random.default_rng(1).standard_normal(shape) * 10.0
+        ours, theirs = dmod._logistic(v), expit(v)
+        assert type(ours) is type(theirs)
+        assert np.shape(ours) == shape
+        assert np.array_equal(ours, theirs)
+
+    def test_saturates_without_overflow(self):
+        v = np.array([-1e308, -746.0, 0.0, 746.0, 1e308])
+        assert dmod._logistic(v).tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(dmod.__file__))
+        code = "import sys, cdnn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "[]\n"
 
 
 class TestOracleOf:

@@ -52,7 +52,7 @@ class TestSwish:
     def test_matches_definition_on_grid(self):
         z = np.linspace(-30.0, 30.0, 1201)
         direct = z * (1.0 / (1.0 + np.exp(-z)))
-        # a few ulps: expit and the naive formula round differently
+        # swish's logistic is this same formula on numpy's exp; the bound allows a few ulps
         assert np.max(np.abs(nn.swish(z) - direct)) <= 4e-15
 
     def test_extreme_arguments_saturate(self):
