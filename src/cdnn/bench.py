@@ -13,6 +13,7 @@ import glob as globmod
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from ._workers import _map
 from .baselines import dml_ate, ols_lr1, ols_lr2
 from .data import (
     DGP_FAMILIES,
+    SPLIT_SCHEMES,
     ReplicationSet,
     SplitSpec,
     _derived_seed,
@@ -42,8 +44,6 @@ from .theory import (
     residualized_h,
     standard_perturbations,
 )
-
-ESTIMATOR_NAMES = ("cdnn_freezing", "cdnn_explicit", "ols_lr1", "ols_lr2", "dml")
 
 # every CdnnConfig field but the seed, which each replication derives
 _CDNN_PARAM_KEYS = {f.name for f in fields(est_mod.CdnnConfig)} - {"seed"}
@@ -103,16 +103,19 @@ def _estimator_spec_from(entry):
     if name not in ESTIMATOR_NAMES:
         raise ConfigError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
     params = {k: v for k, v in entry.items() if k != "name"}
-    if name.startswith("cdnn"):
-        _reject_unknown(params, _CDNN_PARAM_KEYS, f"{name} parameter")
-        if "hidden_widths" in params:
-            params["hidden_widths"] = tuple(params["hidden_widths"])
-        est_mod.CdnnConfig(**params)  # a bad setting fails here, before any work
-    elif name == "dml":
-        _check_dml_params(params)
-    else:
-        _reject_unknown(params, (), f"{name} parameter")
+    _ESTIMATORS[name][0](name, params)
     return EstimatorSpec(name, tuple(sorted(params.items())))
+
+
+def _check_cdnn_params(name, params):
+    _reject_unknown(params, _CDNN_PARAM_KEYS, f"{name} parameter")
+    if "hidden_widths" in params:
+        params["hidden_widths"] = tuple(params["hidden_widths"])
+    est_mod.CdnnConfig(**params)  # a bad setting fails here, before any work
+
+
+def _check_no_params(name, params):
+    _reject_unknown(params, (), f"{name} parameter")
 
 
 def _is_number(value):
@@ -146,6 +149,27 @@ def _check_dml_params(params):
         params["clamp"] = tuple(clamp)
 
 
+def _cdnn_ite(variant, pool, query_x, seed, default_val_fraction, **params):
+    params.setdefault("validation_fraction", default_val_fraction)
+    fitted = est_mod.fit(pool, variant, est_mod.CdnnConfig(seed=seed, **params))
+    return est_mod.predict_ite(fitted, query_x)
+
+
+def _dml_ite(pool, query_x, seed, default_val_fraction, **params):
+    return np.full(query_x.shape[0], dml_ate(pool, seed=seed, **params)[0])
+
+
+# name -> (check(name, settings), fit_and_predict(pool, query x, seed, val fraction, **settings))
+_ESTIMATORS = {
+    "cdnn_freezing": (_check_cdnn_params, partial(_cdnn_ite, "freezing")),
+    "cdnn_explicit": (_check_cdnn_params, partial(_cdnn_ite, "explicit_residual")),
+    "ols_lr1": (_check_no_params, lambda pool, query_x, *_: ols_lr1(pool)[-1](query_x)),
+    "ols_lr2": (_check_no_params, lambda pool, query_x, *_: ols_lr2(pool)[-1](query_x)),
+    "dml": (lambda name, params: _check_dml_params(params), _dml_ite),
+}
+ESTIMATOR_NAMES = tuple(_ESTIMATORS)
+
+
 def _split_spec_from(entry):
     if entry is None:
         return SplitSpec.ihdp()
@@ -153,15 +177,13 @@ def _split_spec_from(entry):
         raise ConfigError(f"bad config value: split must be an object, got {entry!r}")
     _reject_unknown(entry, ("scheme", "fractions"), "split")
     scheme = entry.get("scheme", "custom")
-    if scheme == "ihdp_63_27_10":
-        return SplitSpec.ihdp()
-    if scheme == "twins_news_56_24_20":
-        return SplitSpec.twins_news()
     if scheme == "custom":
         if "fractions" not in entry:
             raise ConfigError("custom split needs fractions")
         return SplitSpec.custom(entry["fractions"])
-    raise ConfigError(f"unknown split scheme {scheme!r}")
+    if not isinstance(scheme, str) or scheme not in SPLIT_SCHEMES:
+        raise ConfigError(f"unknown split scheme {scheme!r}")
+    return SplitSpec(scheme, SPLIT_SCHEMES[scheme])
 
 
 _JSON_KINDS = {
@@ -266,24 +288,6 @@ class RepRow:
         return self.error is None
 
 
-def _fit_and_predict(spec, pool, query_x, seed, default_val_fraction):
-    params = dict(spec.params)
-    if spec.name in ("cdnn_freezing", "cdnn_explicit"):
-        params.setdefault("validation_fraction", default_val_fraction)
-        config = est_mod.CdnnConfig(seed=seed, **params)
-        variant = "freezing" if spec.name == "cdnn_freezing" else "explicit_residual"
-        fitted = est_mod.fit(pool, variant, config)
-        return est_mod.predict_ite(fitted, query_x)
-    if spec.name == "ols_lr1":
-        _, ite = ols_lr1(pool)
-        return ite(query_x)
-    if spec.name == "ols_lr2":
-        _, _, ite = ols_lr2(pool)
-        return ite(query_x)
-    ate, _ = dml_ate(pool, seed=seed, **params)
-    return np.full(query_x.shape[0], ate)
-
-
 def _run_replication(config, i):
     if config.csv_files:
         data = load_csv(config.csv_files[i])
@@ -300,9 +304,9 @@ def _run_replication(config, i):
     for j, spec in enumerate(config.estimators):
         t0 = time.perf_counter()
         try:
-            pred = _fit_and_predict(
-                spec, pool, eval_data.x, _derived_seed(config.seed, i, 2 + j), default_val_fraction
-            )
+            fit_predict = _ESTIMATORS[spec.name][1]
+            seed = _derived_seed(config.seed, i, 2 + j)
+            pred = fit_predict(pool, eval_data.x, seed, default_val_fraction, **dict(spec.params))
             truth = eval_data.theta
             if truth is None:
                 raise MetricUnavailableError(
@@ -534,8 +538,8 @@ def verify_lemma(seed=0, oracles=1000, tolerance=1e-12):
     return VerifyResult("lemma", passed, lines)
 
 
-def _is_constant_g_direction(perturbation, rng, d):
-    probes = [perturbation.delta_g(rng.standard_normal(d)) for _ in range(3)]
+def _is_constant_g_direction(perturbation, xs):
+    probes = [perturbation.delta_g(x) for x in xs]
     return max(probes) - min(probes) < 1e-12, probes[0]
 
 
@@ -591,8 +595,8 @@ def verify_orthogonality(seed=0, n_x=20, n_samples=100_000, min_pass_fraction=0.
 
     controls_checked = 0
     controls_rejected = 0
-    for k, pert in enumerate(directions):
-        is_const, c = _is_constant_g_direction(pert, np.random.default_rng(seed + k), spec.d)
+    for pert in directions:
+        is_const, c = _is_constant_g_direction(pert, xs[:3])
         if not (is_const and abs(c) >= 0.5):
             continue
         for x in xs[:5]:

@@ -68,12 +68,15 @@ def _cmd_generate(args):
 
 
 def _cmd_bench(args):
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {args.config} is not UTF-8 text") from None
     config = bench.config_from_dict(raw)
-    report = bench.run(config)
     out_dir = Path(config.output or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
+    report = bench.run(config)
     csv_path = out_dir / "report.csv"
     md_path = out_dir / "report.md"
     report.to_csv(csv_path, include_runtime=args.include_runtime)

@@ -27,6 +27,7 @@ from .errors import ConfigError, SchemaError, SplitError
 from .theory import NuisanceOracle
 
 COVARIATE_LAWS = ("standard_normal", "uniform")
+SPLIT_SCHEMES = {"ihdp_63_27_10": (0.63, 0.27, 0.10), "twins_news_56_24_20": (0.56, 0.24, 0.20)}
 
 # logistic(3.8918) ~ 0.98: overlap bound for logistic propensities on the 3-sigma ball
 _MAX_ABS_LOGIT = math.log(0.98 / 0.02)
@@ -346,11 +347,11 @@ class SplitSpec:
 
     @classmethod
     def ihdp(cls):
-        return cls("ihdp_63_27_10", (0.63, 0.27, 0.10))
+        return cls("ihdp_63_27_10", SPLIT_SCHEMES["ihdp_63_27_10"])
 
     @classmethod
     def twins_news(cls):
-        return cls("twins_news_56_24_20", (0.56, 0.24, 0.20))
+        return cls("twins_news_56_24_20", SPLIT_SCHEMES["twins_news_56_24_20"])
 
     @classmethod
     def custom(cls, fractions):
@@ -666,6 +667,25 @@ def make_replications(base, count, redraw_baseline=False):
 # named desk-scale DGP families
 
 
+def _slopes(d, *leading):
+    """`leading`, then zeros up to d slopes."""
+    return tuple((list(leading) + [0.0] * d)[:d])
+
+
+# family -> d -> (propensity, baseline or None for the shared one, effect, noise sigma)
+_FAMILY_PARTS = {
+    "confound-linear": lambda d: (
+        LogisticPropensity(_slopes(d, 0.8), -0.2), None, AffineSurface(2.0, _slopes(d)), 1.0),
+    "confound-hetero": lambda d: (
+        LogisticPropensity(tuple(np.add(_slopes(d, 0.6), _slopes(d, 0.0, 0.3))), 0.0), None,
+        AffineSurface(1.0, _slopes(d, 2.0)), 0.5),
+    "null-effect": lambda d: (
+        LogisticPropensity(_slopes(d, 1.0), 0.0), AffineSurface(1.0, _slopes(d, 1.5, 0.5)),
+        AffineSurface(0.0, _slopes(d)), 0.5),
+}
+DGP_FAMILIES = tuple(_FAMILY_PARTS)
+
+
 def named_dgp(name, d=5, seed=0):
     """The documented benchmark families.
 
@@ -675,48 +695,11 @@ def named_dgp(name, d=5, seed=0):
     """
     if d < 2:
         raise ConfigError("named families need d >= 2")
-
-    def axis(weight, index):
-        s = [0.0] * d
-        s[index] = weight
-        return tuple(s)
-
-    base_slopes = [1.0, 0.5, -0.5, 0.25] + [0.0] * max(0, d - 4)
-    baseline = AffineSurface(1.0, tuple(base_slopes[:d]))
-    if name == "confound-linear":
-        return DgpSpec(
-            d=d,
-            covariate_law="standard_normal",
-            propensity=LogisticPropensity(axis(0.8, 0), -0.2),
-            baseline=baseline,
-            effect=AffineSurface(2.0, tuple([0.0] * d)),
-            noise_sigma=1.0,
-            seed=seed,
-        )
-    if name == "confound-hetero":
-        return DgpSpec(
-            d=d,
-            covariate_law="standard_normal",
-            propensity=LogisticPropensity(tuple(np.add(axis(0.6, 0), axis(0.3, 1))), 0.0),
-            baseline=baseline,
-            effect=AffineSurface(1.0, axis(2.0, 0)),
-            noise_sigma=0.5,
-            seed=seed,
-        )
-    if name == "null-effect":
-        return DgpSpec(
-            d=d,
-            covariate_law="standard_normal",
-            propensity=LogisticPropensity(axis(1.0, 0), 0.0),
-            baseline=AffineSurface(1.0, tuple([1.5, 0.5] + [0.0] * (d - 2))),
-            effect=AffineSurface(0.0, tuple([0.0] * d)),
-            noise_sigma=0.5,
-            seed=seed,
-        )
-    raise ConfigError(f"unknown DGP family {name!r}")
-
-
-DGP_FAMILIES = ("confound-linear", "confound-hetero", "null-effect")
+    if name not in DGP_FAMILIES:  # a tuple scan: an unhashable name is unknown, not a TypeError
+        raise ConfigError(f"unknown DGP family {name!r}")
+    propensity, baseline, effect, noise_sigma = _FAMILY_PARTS[name](d)
+    baseline = baseline or AffineSurface(1.0, _slopes(d, 1.0, 0.5, -0.5, 0.25))
+    return DgpSpec(d, "standard_normal", propensity, baseline, effect, noise_sigma, seed)
 
 
 def random_dgp(rng, d=None, noise_sigma=0.5):

@@ -60,27 +60,42 @@ class CdnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.patience, self.ensemble_size) < 1:
-            raise ConfigError("epochs, batch size, patience and ensemble size must be >= 1")
-        if not 0.0 < self.learning_rate < math.inf:
+        """Checks every type and range, so a bad setting fails before any work."""
+        for name in ("epochs", "batch_size", "patience", "ensemble_size", "freeze_depth"):
+            if not _is_count(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "momentum", "treatment_scale", "validation_fraction"):
+            if not _is_finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if not self.learning_rate > 0.0:
             raise ConfigError("learning rate must be finite and positive")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation fraction must lie in [0, 1)")
-        if self.freeze_depth < 1:
-            raise ConfigError("freeze depth must be >= 1")
+        if not isinstance(self.concat_inputs, bool):
+            raise ConfigError(f"concat_inputs must be true or false, got {self.concat_inputs!r}")
         if not all(_is_count(w) for w in self.hidden_widths):
             raise ConfigError(f"hidden widths must be integers >= 1, got {self.hidden_widths!r}")
         if self.optimizer not in nn.OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in nn.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.seed < 0:
+        if not _is_count(self.seed, least=0):
             raise ConfigError("seed must be a nonnegative integer")
 
 
-def _is_count(value):
-    """An integer >= 1 (a bool is not one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def _is_count(value, least=1):
+    """An integer >= least (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_finite_number(value):
+    """A real number with a finite float value (a bool is not one)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 @dataclass
@@ -148,6 +163,13 @@ def _require_both_arms(data, context):
         )
 
 
+def _fresh_network(config, d, treatment_scale, rng):
+    """A newly drawn network of the config's architecture on d covariates."""
+    return nn.Network.build(d, config.hidden_widths, activation=config.activation,
+                            concat_inputs=config.concat_inputs,
+                            treatment_scale=treatment_scale, rng=rng)
+
+
 def _train(net, mask, data, validation, rng, config):
     """Minibatch-train `net` in place on (x, t) -> y; every stage fit goes here.
 
@@ -180,14 +202,7 @@ def fit_stage1(data, config, validation=None, seed_stream=0):
     rng = _member_rng(config, seed_stream, 1)
     if validation is None:
         data, validation = _carve_validation(data, config, rng)
-    net = nn.Network.build(
-        data.d,
-        config.hidden_widths,
-        activation=config.activation,
-        concat_inputs=config.concat_inputs,
-        treatment_scale=0.0,
-        rng=rng,
-    )
+    net = _fresh_network(config, data.d, 0.0, rng)
     mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
     model = Stage1Model(net, _train(net, mask, data, validation, rng, config))
     if not model.treatment_edges_zero():
@@ -214,14 +229,7 @@ def fit_stage2_explicit(residuals, config, validation=None, seed_stream=0):
     rng = _member_rng(config, seed_stream, 2)
     if validation is None:
         residuals, validation = _carve_validation(residuals, config, rng)
-    net = nn.Network.build(
-        residuals.d,
-        config.hidden_widths,
-        activation=config.activation,
-        concat_inputs=config.concat_inputs,
-        treatment_scale=config.treatment_scale,
-        rng=rng,
-    )
+    net = _fresh_network(config, residuals.d, config.treatment_scale, rng)
     mask = _stage2_mask(net, "explicit_residual", config)
     log = _train(net, mask, residuals, validation, rng, config)
     return Stage2Model("explicit_residual", net, mask, "residual", log)

@@ -11,9 +11,22 @@ import numpy as np
 import pytest
 
 from cdnn import bench, nn
-from cdnn.data import generate, named_dgp, oracle_of, write_csv
+from cdnn.baselines import ols_lr1
+from cdnn.data import (
+    DGP_FAMILIES,
+    SPLIT_SCHEMES,
+    SplitSpec,
+    _derived_seed,
+    concat_datasets,
+    generate,
+    named_dgp,
+    oracle_of,
+    split,
+    write_csv,
+)
 from cdnn.cli import main
 from cdnn.errors import ConfigError, SchemaError
+from cdnn.metrics import eps_ate, sqrt_pehe
 from cdnn.theory import standard_perturbations
 
 
@@ -138,6 +151,53 @@ ALL_FIVE = [
     "ols_lr2",
     "dml",
 ]
+
+
+class TestMetricsOn:
+    @pytest.mark.parametrize("metrics_on", [None, "test", "all"], ids=["default", "test", "all"])
+    def test_metrics_are_taken_on_the_rows_it_names(self, metrics_on):
+        raw = {"dgp": {"family": "confound-hetero", "seed": 4}, "n": 300,
+               "estimators": ["ols_lr1"], "seed": 6}
+        if metrics_on is not None:
+            raw["metrics_on"] = metrics_on
+        cfg = bench.config_from_dict(raw)
+        (row,) = bench.run(cfg).rows
+        data = generate(cfg.dgp, 300)
+        train, val, test = split(data, cfg.split, _derived_seed(6, 0, 1))
+        _, ite = ols_lr1(concat_datasets([train, val]))
+        rows = data if metrics_on == "all" else test
+        pred = ite(rows.x)
+        assert (row.sqrt_pehe, row.eps_ate) == (sqrt_pehe(pred, rows.theta),
+                                               eps_ate(pred, rows.theta))
+        other = test if metrics_on == "all" else data
+        assert row.sqrt_pehe != sqrt_pehe(ite(other.x), other.theta)
+
+
+SMALL_CDNN = {"hidden_widths": [8], "epochs": 3, "ensemble_size": 2}
+TABLE_ENTRIES = (
+    [("dgp", {"family": family}) for family in DGP_FAMILIES]
+    + [("split", {"scheme": scheme}) for scheme in SPLIT_SCHEMES]
+    + [("estimators", [{"name": name, **(SMALL_CDNN if name.startswith("cdnn") else {})}])
+       for name in bench.ESTIMATOR_NAMES]
+)
+
+
+@pytest.mark.parametrize(
+    "key, value", TABLE_ENTRIES,
+    ids=[f"{key}-{json.dumps(value)}" for key, value in TABLE_ENTRIES],
+)
+def test_every_table_name_resolves_and_runs(key, value):
+    raw = {"dgp": {"family": "confound-linear"}, "n": 200, "estimators": ["ols_lr1"], "seed": 2,
+           key: value}
+    cfg = bench.config_from_dict(raw)
+    if key == "dgp":
+        assert cfg.dgp == named_dgp(value["family"])
+    elif key == "split":
+        assert cfg.split == SplitSpec(value["scheme"], SPLIT_SCHEMES[value["scheme"]])
+    else:
+        assert [spec.name for spec in cfg.estimators] == [value[0]["name"]]
+    report = bench.run(cfg)
+    assert report.rows and all(row.ok for row in report.rows)
 
 
 def write_replication_csvs(tmp_path, count):
@@ -362,6 +422,23 @@ class TestOrthogonalityProbePoints:
         for x_plain, x, ok in zip(plain, xs, kept):
             assert np.array_equal(x_plain, x) == ok
             assert bench._admissible(oracle, directions, x)
+
+    @pytest.mark.parametrize("seed", [0, 1, 23])
+    def test_constant_directions_are_found_at_the_probe_points(self, seed):
+        # the same directions and constants as three fresh draws from
+        # default_rng(seed + k), the rule before, which collided across seeds
+        _, directions, _, xs = self._points(seed)
+        d = xs.shape[1]
+        found = 0
+        for k, pert in enumerate(directions):
+            rng = np.random.default_rng(seed + k)
+            fresh = [pert.delta_g(rng.standard_normal(d)) for _ in range(3)]
+            is_const, c = bench._is_constant_g_direction(pert, xs[:3])
+            assert is_const == (max(fresh) - min(fresh) < 1e-12)
+            if is_const:
+                found += abs(c) >= 0.5
+                assert c == fresh[0]
+        assert found > 0
 
     def test_seed_0_report_unchanged(self):
         result = bench.verify_orthogonality(seed=0)

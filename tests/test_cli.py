@@ -83,8 +83,26 @@ class TestBench:
             ({"name": "cdnn_freezing", "epochs": 0}, "epochs"),
             ({"name": "cdnn_explicit", "hidden_widths": [2.5]}, "hidden widths"),
             ({"name": "cdnn_freezing", "optimizer": "bogus"}, "unknown optimizer"),
+            ({"name": "cdnn_freezing", "epochs": 2.5}, "epochs must be an integer >= 1"),
+            ({"name": "cdnn_freezing", "batch_size": 1.5}, "batch_size must be an integer >= 1"),
+            ({"name": "cdnn_explicit", "ensemble_size": 2.0},
+             "ensemble_size must be an integer >= 1"),
+            ({"name": "cdnn_freezing", "freeze_depth": "2"},
+             "freeze_depth must be an integer >= 1"),
+            ({"name": "cdnn_freezing", "treatment_scale": "x"},
+             "treatment_scale must be a finite number"),
+            ({"name": "cdnn_freezing", "learning_rate": True},
+             "learning_rate must be a finite number"),
+            ({"name": "cdnn_explicit", "momentum": None}, "momentum must be a finite number"),
+            ({"name": "cdnn_explicit", "validation_fraction": True},
+             "validation_fraction must be a finite number"),
+            ({"name": "cdnn_freezing", "concat_inputs": "no"},
+             "concat_inputs must be true or false"),
         ],
-        ids=["zero-epochs", "fractional-width", "unknown-optimizer"],
+        ids=["zero-epochs", "fractional-width", "unknown-optimizer", "fractional-epochs",
+             "fractional-batch-size", "float-ensemble-size", "string-freeze-depth",
+             "string-treatment-scale", "bool-learning-rate", "null-momentum",
+             "bool-validation-fraction", "string-concat-inputs"],
     )
     def test_bad_cdnn_setting_returns_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, entry, message
@@ -201,6 +219,25 @@ class TestBench:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == "error: unknown config keys: workers\n"
+
+    def test_non_utf8_config_returns_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: config {cfg_path} is not UTF-8 text\n"
+
+    def test_output_that_cannot_be_a_directory_returns_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(bench, "run", lambda config: pytest.fail("ran"))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"],
+               "output": str(afile)}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert "File exists" in capsys.readouterr().err
 
     def test_missing_config_file_returns_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1360,6 +1360,26 @@ class TestCdnnConfig:
             ("hidden_widths", (8, -1)),
             ("hidden_widths", ("8",)),
             ("hidden_widths", (True,)),
+            ("epochs", 2.5),
+            ("batch_size", 1.5),
+            ("patience", "3"),
+            ("ensemble_size", True),
+            ("freeze_depth", 0),
+            ("freeze_depth", 1.0),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("learning_rate", True),
+            ("learning_rate", "0.1"),
+            ("momentum", "x"),
+            ("momentum", math.nan),
+            ("treatment_scale", "x"),
+            ("treatment_scale", math.inf),
+            ("treatment_scale", 10**400),
+            ("validation_fraction", None),
+            ("validation_fraction", True),
+            ("concat_inputs", "no"),
+            ("concat_inputs", 1),
         ],
         ids=[
             "zero-epochs",
@@ -1376,11 +1396,39 @@ class TestCdnnConfig:
             "negative-width",
             "string-width",
             "bool-width",
+            "fractional-epochs",
+            "fractional-batch-size",
+            "string-patience",
+            "bool-ensemble-size",
+            "zero-freeze-depth",
+            "float-freeze-depth",
+            "negative-seed",
+            "fractional-seed",
+            "bool-seed",
+            "bool-learning-rate",
+            "string-learning-rate",
+            "string-momentum",
+            "nan-momentum",
+            "string-treatment-scale",
+            "infinite-treatment-scale",
+            "huge-int-treatment-scale",
+            "null-validation-fraction",
+            "bool-validation-fraction",
+            "string-concat-inputs",
+            "int-concat-inputs",
         ],
     )
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ConfigError):
             est.CdnnConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = est.CdnnConfig(epochs=np.int64(2), batch_size=np.int32(8), patience=np.uint8(1),
+                             ensemble_size=np.int64(1), freeze_depth=np.int16(2), seed=np.int64(0),
+                             learning_rate=np.float32(0.01), momentum=np.float64(0.5),
+                             treatment_scale=np.float64(0.0), validation_fraction=np.float32(0.25))
+        assert (cfg.epochs, cfg.seed, cfg.validation_fraction) == (2, 0, 0.25)
+        assert est.CdnnConfig(treatment_scale=0, validation_fraction=0, momentum=1).momentum == 1
 
     def test_integer_widths_accepted(self):
         assert est.CdnnConfig(hidden_widths=(np.int64(3), 1)).hidden_widths == (3, 1)
