@@ -3,6 +3,7 @@ residual-on-residual average-effect estimator with cross-fitting."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,13 +16,13 @@ from .errors import (
     OverlapError,
     ShapeError,
 )
+from .errors import _is_count, _is_finite_number
 
 
 @dataclass
 class LinearModel:
     coefficients: np.ndarray
     intercept: float
-    fitted_on: str
     ridge_fallback: bool = False
 
     def predict(self, X):
@@ -54,7 +55,7 @@ def ols_lr1(data):
         raise ShapeError(f"need n > d+2 samples, got n={n}, d={d}")
     A = np.column_stack([np.ones(n), data.x, data.t.astype(float)])
     beta, fell_back = _lstsq_with_fallback(A, data.y, "ols_lr1")
-    model = LinearModel(beta[1:], float(beta[0]), "pooled", fell_back)
+    model = LinearModel(beta[1:], float(beta[0]), fell_back)
     tau = float(beta[-1])
 
     def ite(X):
@@ -75,7 +76,7 @@ def ols_lr2(data):
             raise DegenerateArmError(f"{name} arm has {n_arm} samples, need > {d + 2}")
         A = np.column_stack([np.ones(n_arm), data.x[idx]])
         beta, fell_back = _lstsq_with_fallback(A, data.y[idx], f"ols_lr2[{name}]")
-        models[arm] = LinearModel(beta[1:], float(beta[0]), name, fell_back)
+        models[arm] = LinearModel(beta[1:], float(beta[0]), fell_back)
 
     def ite(X):
         return models[1].predict(X) - models[0].predict(X)
@@ -96,6 +97,27 @@ def _ridge_predict(beta, X):
     return beta[0] + X @ beta[1:]
 
 
+def _check_dml_settings(folds=2, crossfit=True, ridge_lambda=1e-3, clamp=(0.01, 0.99)):
+    """The one check of dml_ate's settings, with its defaults: folds an integer
+    >= 2, crossfit true or false, ridge_lambda a finite number >= 0, and clamp
+    two numbers with 0 < lo < hi < 1. `cdnn bench` runs it before any work."""
+    if not _is_count(folds, least=-math.inf):
+        raise ConfigError(f"bad config value: folds must be an integer, got {folds!r}")
+    if folds < 2:
+        raise ConfigError(f"bad config value: dml folds must be >= 2, got {folds}")
+    if not isinstance(crossfit, bool):
+        raise ConfigError(f"bad config value: crossfit must be true or false, got {crossfit!r}")
+    if not (_is_finite_number(ridge_lambda) and ridge_lambda >= 0):
+        raise ConfigError(
+            f"bad config value: dml ridge_lambda must be a finite number >= 0, got {ridge_lambda!r}"
+        )
+    if not (isinstance(clamp, (list, tuple)) and len(clamp) == 2
+            and all(map(_is_finite_number, clamp)) and 0 < clamp[0] < clamp[1] < 1):
+        raise ConfigError(
+            f"bad config value: dml clamp must be two numbers 0 < lo < hi < 1, got {clamp!r}"
+        )
+
+
 def dml_ate(
     data,
     folds=2,
@@ -111,16 +133,14 @@ def dml_ate(
     Nuisances are ridge-regularized linear fits of y on x and t on x,
     cross-fit over `folds` folds (set crossfit=False to fit on all rows, the
     whole-data protocol). Exact nuisance callables can be injected through
-    oracle_g / oracle_e, bypassing fitting. Returns (ate, stderr).
+    oracle_g / oracle_e, bypassing fitting. Returns (ate, stderr); a setting
+    outside _check_dml_settings' contract raises ConfigError.
     """
+    _check_dml_settings(folds, crossfit, ridge_lambda, clamp)
     treated, control = data.arm_counts()
     if treated == 0 or control == 0:
         raise DegenerateTreatmentError("both treatment arms are required")
-    if folds < 2:
-        raise ShapeError("need at least 2 folds")
     lo, hi = clamp
-    if not lo < hi:
-        raise ConfigError(f"propensity clamp needs lo < hi, got {clamp!r}")
     n = len(data)
     X, T, Y = data.x, data.t.astype(float), data.y
 

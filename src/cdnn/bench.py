@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import glob as globmod
-import math
+import inspect
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import estimator as est_mod
 from ._workers import _map
-from .baselines import dml_ate, ols_lr1, ols_lr2
+from .baselines import _check_dml_settings, dml_ate, ols_lr1, ols_lr2
 from .data import (
     DGP_FAMILIES,
     SPLIT_SCHEMES,
@@ -45,10 +45,6 @@ from .theory import (
     standard_perturbations,
 )
 
-# every CdnnConfig field but the seed, which each replication derives
-_CDNN_PARAM_KEYS = {f.name for f in fields(est_mod.CdnnConfig)} - {"seed"}
-_DML_PARAM_KEYS = {"folds", "crossfit", "ridge_lambda", "clamp"}
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -57,7 +53,7 @@ _DML_PARAM_KEYS = {"folds", "crossfit", "ridge_lambda", "clamp"}
 @dataclass(frozen=True)
 class EstimatorSpec:
     name: str
-    params: tuple = ()  # sorted (key, value) pairs, hashable
+    params: tuple = ()  # sorted (key, value) pairs, as the config gives them
 
 
 @dataclass(frozen=True)
@@ -103,50 +99,12 @@ def _estimator_spec_from(entry):
     if name not in ESTIMATOR_NAMES:
         raise ConfigError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
     params = {k: v for k, v in entry.items() if k != "name"}
-    _ESTIMATORS[name][0](name, params)
+    check = _ESTIMATORS[name][0]
+    # the seed is no setting: each replication derives it
+    _reject_unknown(params, inspect.signature(check).parameters.keys() - {"seed"},
+                    f"{name} parameter")
+    check(**params)  # a bad setting fails here, before any work
     return EstimatorSpec(name, tuple(sorted(params.items())))
-
-
-def _check_cdnn_params(name, params):
-    _reject_unknown(params, _CDNN_PARAM_KEYS, f"{name} parameter")
-    if "hidden_widths" in params:
-        params["hidden_widths"] = tuple(params["hidden_widths"])
-    est_mod.CdnnConfig(**params)  # a bad setting fails here, before any work
-
-
-def _check_no_params(name, params):
-    _reject_unknown(params, (), f"{name} parameter")
-
-
-def _is_number(value):
-    return type(value) in (int, float)  # a JSON number, never a bool
-
-
-def _check_dml_params(params):
-    """dml settings, checked before any replication runs: folds an integer
-    >= 2, crossfit true or false, ridge_lambda a finite number >= 0, and
-    clamp two numbers with 0 < lo < hi < 1 (made a tuple in place)."""
-    _reject_unknown(params, _DML_PARAM_KEYS, "dml parameter")
-    if _json_value(params, "folds", int, 2) < 2:
-        raise ConfigError(f"bad config value: dml folds must be >= 2, got {params['folds']}")
-    _json_value(params, "crossfit", bool, True)
-    lam = params.get("ridge_lambda", 0.0)
-    if not (_is_number(lam) and math.isfinite(lam) and lam >= 0):
-        raise ConfigError(
-            f"bad config value: dml ridge_lambda must be a finite number >= 0, got {lam!r}"
-        )
-    if "clamp" in params:
-        clamp = params["clamp"]
-        if not (
-            isinstance(clamp, (list, tuple))
-            and len(clamp) == 2
-            and all(map(_is_number, clamp))
-            and 0 < clamp[0] < clamp[1] < 1
-        ):
-            raise ConfigError(
-                f"bad config value: dml clamp must be two numbers 0 < lo < hi < 1, got {clamp!r}"
-            )
-        params["clamp"] = tuple(clamp)
 
 
 def _cdnn_ite(variant, pool, query_x, seed, default_val_fraction, **params):
@@ -159,13 +117,14 @@ def _dml_ite(pool, query_x, seed, default_val_fraction, **params):
     return np.full(query_x.shape[0], dml_ate(pool, seed=seed, **params)[0])
 
 
-# name -> (check(name, settings), fit_and_predict(pool, query x, seed, val fraction, **settings))
+# name -> (check(**settings), fit_and_predict(pool, query x, seed, val fraction, **settings));
+# check's parameters name the settings, and it raises ConfigError on a bad one
 _ESTIMATORS = {
-    "cdnn_freezing": (_check_cdnn_params, partial(_cdnn_ite, "freezing")),
-    "cdnn_explicit": (_check_cdnn_params, partial(_cdnn_ite, "explicit_residual")),
-    "ols_lr1": (_check_no_params, lambda pool, query_x, *_: ols_lr1(pool)[-1](query_x)),
-    "ols_lr2": (_check_no_params, lambda pool, query_x, *_: ols_lr2(pool)[-1](query_x)),
-    "dml": (lambda name, params: _check_dml_params(params), _dml_ite),
+    "cdnn_freezing": (est_mod.CdnnConfig, partial(_cdnn_ite, "freezing")),
+    "cdnn_explicit": (est_mod.CdnnConfig, partial(_cdnn_ite, "explicit_residual")),
+    "ols_lr1": (lambda: None, lambda pool, query_x, *_: ols_lr1(pool)[-1](query_x)),
+    "ols_lr2": (lambda: None, lambda pool, query_x, *_: ols_lr2(pool)[-1](query_x)),
+    "dml": (_check_dml_settings, _dml_ite),
 }
 ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 
@@ -349,25 +308,13 @@ class MetricsReport:
             rows = self.rows_for(name)
             good = [r for r in rows if r.ok]
             entry = {"n_ok": len(good), "n_failed": len(rows) - len(good)}
-            if good:
-                pehe = np.array([r.sqrt_pehe for r in good])
-                eps = np.array([r.eps_ate for r in good])
-                ddof = 1 if len(good) > 1 else 0
-                entry.update(
-                    mean_sqrt_pehe=float(pehe.mean()),
-                    sd_sqrt_pehe=float(pehe.std(ddof=ddof)),
-                    mean_eps_ate=float(eps.mean()),
-                    sd_eps_ate=float(eps.std(ddof=ddof)),
-                    mean_fit_seconds=float(np.mean([r.fit_seconds for r in good])),
-                )
-            else:
-                entry.update(
-                    mean_sqrt_pehe=None,
-                    sd_sqrt_pehe=None,
-                    mean_eps_ate=None,
-                    sd_eps_ate=None,
-                    mean_fit_seconds=None,
-                )
+            ddof = 1 if len(good) > 1 else 0
+            for metric in ("sqrt_pehe", "eps_ate"):
+                values = np.array([getattr(r, metric) for r in good])
+                entry[f"mean_{metric}"] = float(values.mean()) if good else None
+                entry[f"sd_{metric}"] = float(values.std(ddof=ddof)) if good else None
+            seconds = [r.fit_seconds for r in good]
+            entry["mean_fit_seconds"] = float(np.mean(seconds)) if good else None
             out[name] = entry
         return out
 

@@ -18,12 +18,13 @@ import math
 import os
 import re
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._workers import _map
-from .errors import ConfigError, SchemaError, SplitError
+from .errors import ConfigError, SchemaError, SplitError, _is_finite_number
 from .theory import NuisanceOracle
 
 COVARIATE_LAWS = ("standard_normal", "uniform")
@@ -334,14 +335,18 @@ def oracle_of(spec):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/validation/test fractions; must sum to 1."""
+    """Train/validation/test fractions: three finite numbers > 0 that sum to 1."""
 
     scheme: str
     fractions: tuple
 
     def __post_init__(self):
-        if len(self.fractions) != 3 or any(f <= 0 for f in self.fractions):
-            raise SplitError("need three positive fractions")
+        fractions = self.fractions
+        if not (isinstance(fractions, Sequence) and len(fractions) == 3
+                and all(_is_finite_number(f) and f > 0 for f in fractions)):
+            raise SplitError("bad config value: split fractions must be three finite numbers > 0, "
+                             f"got {fractions!r}")
+        object.__setattr__(self, "fractions", tuple(fractions))
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise SplitError("fractions must sum to 1")
 
@@ -355,7 +360,7 @@ class SplitSpec:
 
     @classmethod
     def custom(cls, fractions):
-        return cls("custom", tuple(float(f) for f in fractions))
+        return cls("custom", fractions)
 
     def sizes(self, n):
         """Part sizes under the floor-remainder rule.

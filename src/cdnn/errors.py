@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two number predicates
+that every check of a setting uses."""
+
+import math
+import numbers
 
 
 class CdnnError(Exception):
@@ -63,3 +67,17 @@ class InvalidPerturbationError(CdnnError, ValueError):
 class IdentityViolationError(CdnnError, RuntimeError):
     """An exact identity or contract failed: a broken oracle, or stage-1
     treatment edges that moved away from 0."""
+
+
+def _is_count(value, least=1):
+    """An integer >= least (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_finite_number(value):
+    """A real number with a finite float value (a bool is not one)."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer past the float range
+        return False

@@ -23,8 +23,8 @@ import copy
 import hashlib
 import json
 import math
-import numbers
 import zipfile
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -33,6 +33,7 @@ from . import nn
 from ._workers import _map
 from .data import Dataset, _seed_sequence
 from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationError, ShapeError
+from .errors import _is_count, _is_finite_number
 
 VARIANTS = ("explicit_residual", "freezing")
 # what each variant's stage 2 regresses
@@ -73,29 +74,19 @@ class CdnnConfig:
             raise ConfigError("validation fraction must lie in [0, 1)")
         if not isinstance(self.concat_inputs, bool):
             raise ConfigError(f"concat_inputs must be true or false, got {self.concat_inputs!r}")
-        if not all(_is_count(w) for w in self.hidden_widths):
+        if not isinstance(self.hidden_widths, Sequence):
+            raise ConfigError(
+                f"bad config value: hidden_widths must be a sequence, got {self.hidden_widths!r}"
+            )
+        if not all(map(_is_count, self.hidden_widths)):
             raise ConfigError(f"hidden widths must be integers >= 1, got {self.hidden_widths!r}")
+        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         if self.optimizer not in nn.OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in nn.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not _is_count(self.seed, least=0):
             raise ConfigError("seed must be a nonnegative integer")
-
-
-def _is_count(value, least=1):
-    """An integer >= least (a bool is not one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-
-
-def _is_finite_number(value):
-    """A real number with a finite float value (a bool is not one)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer past the float range
-        return False
 
 
 @dataclass
@@ -484,7 +475,7 @@ def _load_config(cfg):
             f"unknown keys {sorted(keys - names)}, missing keys {sorted(names - keys)}"
         )
     try:
-        return CdnnConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
+        return CdnnConfig(**cfg)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"malformed checkpoint config: {err}") from None
 

@@ -1,5 +1,6 @@
 """Linear baselines and the residual-on-residual average-effect estimator."""
 
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,24 @@ class TestDmlAte:
         ds = generate(named_dgp("confound-linear", seed=51), 200)
         with pytest.raises(ConfigError, match="lo < hi"):
             dml_ate(ds, clamp=clamp)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"folds": 1}, "dml folds must be >= 2"),
+            ({"folds": 2.5}, "folds must be an integer"),
+            ({"crossfit": "no"}, "crossfit must be true or false"),
+            ({"ridge_lambda": -1.0}, "dml ridge_lambda must be a finite number >= 0"),
+            ({"ridge_lambda": 10**400}, "dml ridge_lambda must be a finite number >= 0"),
+            ({"clamp": (0.0, 1.0)}, "dml clamp must be two numbers 0 < lo < hi < 1"),
+        ],
+        ids=["one-fold", "fractional-folds", "string-crossfit", "negative-ridge",
+             "huge-int-ridge", "closed-unit-clamp"],
+    )
+    def test_a_setting_outside_the_contract_raises_the_bench_message(self, setting, message):
+        ds = generate(named_dgp("confound-linear", seed=51), 200)
+        with pytest.raises(ConfigError, match=re.escape(f"bad config value: {message}, got ")):
+            dml_ate(ds, **setting)
 
     def test_no_crossfit_mode(self):
         ds = generate(named_dgp("confound-linear", seed=51), 4000)

@@ -153,14 +153,15 @@ class TestBench:
             ({"ridge_lambda": "1"}, "dml ridge_lambda must be a finite number >= 0"),
             ({"ridge_lambda": True}, "dml ridge_lambda must be a finite number >= 0"),
             ({"ridge_lambda": float("inf")}, "dml ridge_lambda must be a finite number >= 0"),
+            ({"ridge_lambda": 10**400}, "dml ridge_lambda must be a finite number >= 0"),
             ({"folds": 1}, "dml folds must be >= 2"),
             ({"folds": "x"}, "folds must be an integer"),
             ({"folds": 2.0}, "folds must be an integer"),
         ],
         ids=["reversed-clamp", "zero-clamp", "one-clamp", "short-clamp", "string-clamp",
              "scalar-clamp", "string-crossfit", "int-crossfit", "negative-ridge",
-             "string-ridge", "bool-ridge", "infinite-ridge", "one-fold", "string-folds",
-             "float-folds"],
+             "string-ridge", "bool-ridge", "infinite-ridge", "huge-int-ridge", "one-fold",
+             "string-folds", "float-folds"],
     )
     def test_bad_dml_setting_returns_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, setting, message
@@ -173,6 +174,26 @@ class TestBench:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad config value: {message}, got ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "fractions",
+        [[float("nan"), 0.5, 0.5], [0.5, float("inf"), 0.25], ["0.5", "0.25", "0.25"],
+         [True, 0.5, 0.5], [10**400, 0.5, 0.5]],
+        ids=["nan", "infinite", "strings", "bool", "huge-int"],
+    )
+    def test_bad_split_fractions_return_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, fractions
+    ):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"],
+               "split": {"fractions": fractions}, "output": str(tmp_path / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad config value: split fractions must be three finite numbers > 0, got "
+        )
         assert not (tmp_path / "out").exists()
 
     def test_good_dml_settings_run(self, tmp_path):

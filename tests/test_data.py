@@ -416,6 +416,19 @@ class TestSplit:
         with pytest.raises(SplitError):
             SplitSpec.custom((0.9, 0.1, -0.0))
 
+    @pytest.mark.parametrize(
+        "fractions",
+        [(math.nan, 0.5, 0.5), (0.5, math.inf, 0.25), ("0.5", "0.25", "0.25"),
+         (True, 0.5, 0.5), (10**400, 0.5, 0.5), 0.5, "0.5"],
+        ids=["nan", "infinite", "strings", "bool", "huge-int", "scalar", "string"],
+    )
+    def test_non_finite_or_non_numeric_fractions_rejected(self, fractions):
+        with pytest.raises(SplitError, match="must be three finite numbers > 0"):
+            SplitSpec.custom(fractions)
+
+    def test_fractions_are_stored_as_given_in_a_tuple(self):
+        assert SplitSpec.custom([0.5, 0.25, 0.25]).fractions == (0.5, 0.25, 0.25)
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(3, 100_000),

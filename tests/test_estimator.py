@@ -1360,6 +1360,7 @@ class TestCdnnConfig:
             ("hidden_widths", (8, -1)),
             ("hidden_widths", ("8",)),
             ("hidden_widths", (True,)),
+            ("hidden_widths", 5),
             ("epochs", 2.5),
             ("batch_size", 1.5),
             ("patience", "3"),
@@ -1396,6 +1397,7 @@ class TestCdnnConfig:
             "negative-width",
             "string-width",
             "bool-width",
+            "int-hidden-widths",
             "fractional-epochs",
             "fractional-batch-size",
             "string-patience",
@@ -1433,6 +1435,7 @@ class TestCdnnConfig:
     def test_integer_widths_accepted(self):
         assert est.CdnnConfig(hidden_widths=(np.int64(3), 1)).hidden_widths == (3, 1)
         assert est.CdnnConfig(hidden_widths=()).hidden_widths == ()
+        assert est.CdnnConfig(hidden_widths=[4]).hidden_widths == (4,)  # stored as a tuple
 
     def test_smallest_values_accepted(self):
         cfg = est.CdnnConfig(epochs=1, batch_size=1, patience=1, ensemble_size=1,
