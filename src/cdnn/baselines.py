@@ -90,11 +90,7 @@ def _ridge_fit(X, y, lam):
     penalty = lam * np.eye(A.shape[1])
     penalty[0, 0] = 0.0  # intercept unpenalized
     beta = np.linalg.solve(A.T @ A + penalty, A.T @ y)
-    return beta
-
-
-def _ridge_predict(beta, X):
-    return beta[0] + X @ beta[1:]
+    return LinearModel(beta[1:], float(beta[0]))
 
 
 def _check_dml_settings(folds=2, crossfit=True, ridge_lambda=1e-3, clamp=(0.01, 0.99)):
@@ -131,10 +127,11 @@ def dml_ate(
     """Average effect via residual-on-residual regression.
 
     Nuisances are ridge-regularized linear fits of y on x and t on x,
-    cross-fit over `folds` folds (set crossfit=False to fit on all rows, the
-    whole-data protocol). Exact nuisance callables can be injected through
-    oracle_g / oracle_e, bypassing fitting. Returns (ate, stderr); a setting
-    outside _check_dml_settings' contract raises ConfigError.
+    cross-fit over `folds` folds, one row each when folds exceed the rows
+    (set crossfit=False to fit on all rows, the whole-data protocol). Exact
+    nuisance callables can be injected through oracle_g / oracle_e,
+    bypassing fitting. Returns (ate, stderr); a setting outside
+    _check_dml_settings' contract raises ConfigError.
     """
     _check_dml_settings(folds, crossfit, ridge_lambda, clamp)
     treated, control = data.arm_counts()
@@ -150,20 +147,19 @@ def dml_ate(
         ghat = np.array([oracle_g(x) for x in X])
         ehat = np.array([oracle_e(x) for x in X])
     elif not crossfit:
-        bg = _ridge_fit(X, Y, ridge_lambda)
-        be = _ridge_fit(X, T, ridge_lambda)
-        ghat = _ridge_predict(bg, X)
-        ehat = _ridge_predict(be, X)
+        ghat = _ridge_fit(X, Y, ridge_lambda).predict(X)
+        ehat = _ridge_fit(X, T, ridge_lambda).predict(X)
     else:
         ghat = np.empty(n)
         ehat = np.empty(n)
-        assignment = np.random.default_rng(seed).permutation(n) % folds
-        for j in range(folds):
+        # folds past the row count hold no row: with folds >= n, % folds and
+        # % n assign the same one row per fold
+        used = min(folds, n)
+        assignment = np.random.default_rng(seed).permutation(n) % used
+        for j in range(used):
             hold = assignment == j
-            bg = _ridge_fit(X[~hold], Y[~hold], ridge_lambda)
-            be = _ridge_fit(X[~hold], T[~hold], ridge_lambda)
-            ghat[hold] = _ridge_predict(bg, X[hold])
-            ehat[hold] = _ridge_predict(be, X[hold])
+            ghat[hold] = _ridge_fit(X[~hold], Y[~hold], ridge_lambda).predict(X[hold])
+            ehat[hold] = _ridge_fit(X[~hold], T[~hold], ridge_lambda).predict(X[hold])
 
     n_clamped = int(np.sum((ehat < lo) | (ehat > hi)))
     if n_clamped:

@@ -35,6 +35,7 @@ from .data import (
     split,
 )
 from .errors import CdnnError, ConfigError, InvalidPerturbationError, MetricUnavailableError
+from .errors import _check_size
 from .metrics import ate_error_signed, eps_ate, sqrt_pehe
 from .nn import Network, gradient_check
 from .theory import (
@@ -80,6 +81,7 @@ class ExperimentConfig:
             raise ConfigError("configure exactly one of dgp or csv input")
         if self.dgp is not None and self.n < 3:
             raise ConfigError("need n >= 3 samples per replication")
+        _check_size("n", self.n)
         if self.metrics_on not in ("test", "all"):
             raise ConfigError("metrics_on must be 'test' or 'all'")
 

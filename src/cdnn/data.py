@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._workers import _map
-from .errors import ConfigError, SchemaError, SplitError, _is_finite_number
+from .errors import ConfigError, SchemaError, SplitError, _check_size, _is_finite_number
 from .theory import NuisanceOracle
 
 COVARIATE_LAWS = ("standard_normal", "uniform")
@@ -267,6 +267,7 @@ def generate(spec, n):
     """
     if n < 1:
         raise ConfigError("need n >= 1 samples")
+    _check_size("n", n)
     rng = np.random.default_rng(spec.seed)
     X = spec.draw_covariates(n, rng)
     e = spec.propensity.values(X)
@@ -700,6 +701,7 @@ def named_dgp(name, d=5, seed=0):
     """
     if d < 2:
         raise ConfigError("named families need d >= 2")
+    _check_size("d", d)
     if name not in DGP_FAMILIES:  # a tuple scan: an unhashable name is unknown, not a TypeError
         raise ConfigError(f"unknown DGP family {name!r}")
     propensity, baseline, effect, noise_sigma = _FAMILY_PARTS[name](d)

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the two number predicates
-that every check of a setting uses."""
+"""Exception types shared across the package, the two number predicates
+that every check of a setting uses, and the check of a size."""
 
 import math
 import numbers
+import sys
 
 
 class CdnnError(Exception):
@@ -81,3 +82,10 @@ def _is_finite_number(value):
                 and math.isfinite(value))
     except OverflowError:  # an integer past the float range
         return False
+
+
+def _check_size(name, value):
+    """ConfigError unless the size `value` fits the index range, so that an
+    array of it can be asked for at all."""
+    if value > sys.maxsize:
+        raise ConfigError(f"bad config value: {name} must be at most {sys.maxsize}, got {value}")

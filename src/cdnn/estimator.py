@@ -22,7 +22,6 @@ import contextlib
 import copy
 import hashlib
 import json
-import math
 import zipfile
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
@@ -416,13 +415,14 @@ def save_checkpoint(estimator, path):
     return path
 
 
-def _param_shapes(config, width):
-    """Shapes of [W0, b0, W1, b1, ...] of the config's network on `width` covariates."""
+def _network(config, width, theta=None):
+    """The config's network on `width` covariates with parameters `theta`, or
+    zeros; ConfigError when the width, the widths or theta give no network."""
+    wiring = width, config.hidden_widths, config.activation, config.concat_inputs
     try:
-        specs = nn._layer_specs(width, config.hidden_widths, config.activation, config.concat_inputs)
-    except ShapeError as err:  # a format-1 W0 without a covariate row
+        return nn.Network(*wiring, theta)
+    except (ValueError, MemoryError) as err:  # no covariate row, or too many parameters
         raise ConfigError(f"malformed checkpoint: {err}") from None
-    return [shape for s in specs for shape in ((s.input_width, s.output_width), (s.output_width,))]
 
 
 def _decode(variant, config, width, arrays, masks=None):
@@ -430,14 +430,11 @@ def _decode(variant, config, width, arrays, masks=None):
     arrays["stage2"][m]. ConfigError unless every member keeps the paper's
     contracts and, when `masks` are given, its derived stage-2 mask is masks[m].
     """
-    shapes = _param_shapes(config, width)
-    rows = (config.ensemble_size, sum(math.prod(s) for s in shapes))
+    rows = (config.ensemble_size, _network(config, width).theta.size)
     stage1, stage2 = (_required(arrays, k, "f", rows) for k in ("stage1", "stage2"))
-    wiring = width, config.hidden_widths, config.activation, config.concat_inputs
-    layout = nn.Network(*wiring, [np.zeros(s) for s in shapes])
     members = []
     for m in range(config.ensemble_size):
-        net1, net2 = (nn.Network(*wiring, layout.views(a[m])) for a in (stage1, stage2))
+        net1, net2 = (_network(config, width, a[m]) for a in (stage1, stage2))
         s1 = Stage1Model(net1, nn.TrainingLog())
         mask = _stage2_mask(net2, variant, config)
         for broken, why in (
@@ -526,7 +523,7 @@ def load_checkpoint(path):
             raise ConfigError("malformed checkpoint: member count differs from ensemble_size")
         p0 = _required(blob, "m0.s1.p0", "f")
         width = len(p0) - 1 if p0.ndim else 0  # W0 has a row per covariate and one for t
-        shapes = _param_shapes(config, width)
+        shapes = [p.shape for p in _network(config, width).params]
 
         def rows(name, kind):
             return np.array([

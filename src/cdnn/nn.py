@@ -161,36 +161,26 @@ class Network:
     list [W0, b0, W1, b1, ...] of views into it, with weight matrices shaped
     (input_width, output_width). Edit parameters in place (through either);
     rebinding `theta` or a `params` entry detaches it from the network. The
-    constructor copies the given arrays into a fresh `theta`.
+    constructor copies a given flat `theta` as float64 (ShapeError unless it
+    holds one value per parameter), or starts from zeros without one.
     """
 
-    def __init__(self, covariate_width, hidden_widths, activation, concat_inputs, params):
+    def __init__(self, covariate_width, hidden_widths, activation, concat_inputs, theta=None):
         self.hidden_widths = tuple(int(w) for w in hidden_widths)
         self.layers = _layer_specs(covariate_width, self.hidden_widths, activation, concat_inputs)
         self.covariate_width = int(covariate_width)
         self.activation = activation
         self.concat_inputs = bool(concat_inputs)
         self.version = 0
-        self._layout = self._validate(params)
-        self.theta = np.concatenate(params, axis=None, dtype=float)
+        self._layout, size = [], 0  # (start, stop, shape) of each parameter in theta
+        for spec in self.layers:
+            for shape in ((spec.input_width, spec.output_width), (spec.output_width,)):
+                self._layout.append((size, size + math.prod(shape), shape))
+                size += math.prod(shape)
+        if theta is not None and np.shape(theta) != (size,):
+            raise ShapeError(f"parameter vector shape {np.shape(theta)} != {(size,)}")
+        self.theta = np.zeros(size) if theta is None else np.array(theta, dtype=float)
         self.params = self.views(self.theta)
-
-    def _validate(self, params):
-        """Check the shapes of `params` against the layers.
-
-        Returns the layout: (start, stop, shape) of each parameter in theta.
-        """
-        if len(params) != 2 * len(self.layers):
-            raise ShapeError("parameter list does not match layer count")
-        layout, start = [], 0
-        for i, spec in enumerate(self.layers):
-            shapes = ((spec.input_width, spec.output_width), (spec.output_width,))
-            for kind, shape, p in zip(("weight", "bias"), shapes, params[2 * i : 2 * i + 2]):
-                if np.shape(p) != shape:
-                    raise ShapeError(f"layer {i} {kind} shape {np.shape(p)} != spec")
-                layout.append((start, start + math.prod(shape), shape))
-                start += math.prod(shape)
-        return layout
 
     def views(self, flat):
         """Views of a vector laid out like theta, shaped [W0, b0, W1, b1, ...].
@@ -226,13 +216,10 @@ class Network:
         exactly 0.0 (the stage-1 suppression initialization).
         """
         rng = np.random.default_rng(rng)
-        params = []
-        for spec in _layer_specs(covariate_width, hidden_widths, activation, concat_inputs):
+        net = cls(covariate_width, hidden_widths, activation, concat_inputs)
+        for spec, w in zip(net.layers, net.params[::2]):
             bound = np.sqrt(6.0 / (spec.input_width + spec.output_width))
-            W = rng.uniform(-bound, bound, size=(spec.input_width, spec.output_width))
-            b = np.zeros(spec.output_width)
-            params.extend([W, b])
-        net = cls(covariate_width, hidden_widths, activation, concat_inputs, params)
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
         for _, w in net.treatment_weights():
             draws = rng.uniform(-1.0, 1.0, size=w.size)
             # a 0.0 scale pins +0.0, not the -0.0 of 0.0 times a negative draw
@@ -284,7 +271,7 @@ class Network:
 
     def clone(self):
         wiring = self.covariate_width, self.hidden_widths, self.activation, self.concat_inputs
-        return Network(*wiring, self.params)
+        return Network(*wiring, self.theta)
 
     # -- forward -----------------------------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdnn import baselines
 from cdnn.baselines import dml_ate, ols_lr1, ols_lr2
 from cdnn.data import (
     AffineSurface,
@@ -251,6 +252,17 @@ class TestDmlAte:
         ds = generate(named_dgp("confound-linear", seed=51), 200)
         with pytest.raises(ConfigError, match=re.escape(f"bad config value: {message}, got ")):
             dml_ate(ds, **setting)
+
+    @pytest.mark.parametrize("folds", [20_000, 10**400], ids=["twenty-thousand", "huge-int"])
+    def test_folds_past_the_row_count_fit_one_row_each(self, monkeypatch, folds):
+        ds = generate(named_dgp("confound-linear", seed=51), 200)
+        expected = dml_ate(ds, folds=200, seed=3)
+        fits = []
+        original = baselines._ridge_fit
+        monkeypatch.setattr(baselines, "_ridge_fit", lambda *a: fits.append(1) or original(*a))
+        ate, stderr = dml_ate(ds, folds=folds, seed=3)
+        assert (ate.hex(), stderr.hex()) == (expected[0].hex(), expected[1].hex())
+        assert len(fits) == 400  # two nuisance fits for each of the 200 one-row folds
 
     def test_no_crossfit_mode(self):
         ds = generate(named_dgp("confound-linear", seed=51), 4000)

@@ -25,6 +25,15 @@ class TestGenerate:
         assert len(ds) == 120
         assert ds.has_ground_truth
 
+    @pytest.mark.parametrize(
+        "size", [["--n", str(10**95)], ["--n", "10", "--d", str(10**68)]], ids=["huge-n", "huge-d"]
+    )
+    def test_a_size_past_the_index_range_returns_2(self, tmp_path, capsys, size):
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--family", "confound-linear", *size, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config value: ")
+        assert not out.exists()
+
 
 class TestBench:
     def test_end_to_end(self, tmp_path, capsys):
@@ -64,18 +73,24 @@ class TestBench:
             {"output": 5},
             {"output": ["a"]},
             {"output": None},
+            {"dgp": {"family": "confound-linear", "d": 10**68}},
+            {"n": 10**95},
+            {"n": 10**95, "output": "out"},
         ],
         ids=["string-n", "int-hidden-widths", "string-split-fractions", "string-redraw-baseline",
              "fractional-n", "fractional-replications", "bool-seed", "fractional-dgp-d",
-             "string-dgp-seed", "int-output", "list-output", "null-output"],
+             "string-dgp-seed", "int-output", "list-output", "null-output", "huge-dgp-d",
+             "huge-n", "huge-n-with-output"],
     )
     def test_config_value_of_the_wrong_type_returns_2(self, tmp_path, capsys, monkeypatch, edit):
         monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        monkeypatch.chdir(tmp_path)  # a relative output would be made here
         cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"]}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**cfg, **edit}))
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad config value: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "entry, message",

@@ -1151,12 +1151,15 @@ class TestCheckpoint:
             lambda meta, arrays: meta.update(covariate_width=0),
             lambda meta, arrays: meta.update(covariate_width="2"),
             lambda meta, arrays: meta.update(covariate_width=2.5),
+            lambda meta, arrays: meta.update(covariate_width=10**30),
             lambda meta, arrays: meta["config"].update(hidden_widths=[2.5]),
             lambda meta, arrays: meta["config"].update(hidden_widths=["x"]),
             lambda meta, arrays: meta["config"].update(concat_inputs=True),
             lambda meta, arrays: meta["config"].update(hidden_widths=[5]),
             lambda meta, arrays: meta["config"].update(hidden_widths=[4, 4]),
             lambda meta, arrays: meta["config"].update(hidden_widths=4),
+            lambda meta, arrays: meta["config"].update(hidden_widths=[10**30]),
+            V1(lambda meta, arrays: meta["config"].update(hidden_widths=[10**30])),
             lambda meta, arrays: meta["config"].update(ensemble_size="1"),
             lambda meta, arrays: meta["config"].update(ensemble_size=2),
             V1(lambda meta, arrays: meta.update(members=2)),
@@ -1196,12 +1199,15 @@ class TestCheckpoint:
             "zero-covariate-width",
             "digit-string-covariate-width",
             "fractional-covariate-width",
+            "huge-covariate-width",
             "fractional-config-width",
             "non-numeric-width",
             "concat-wiring-without-its-layers",
             "config-widths-of-another-shape",
             "config-widths-of-another-depth",
             "int-config-widths",
+            "huge-config-width",
+            "format-1-huge-config-width",
             "string-ensemble-size",
             "ensemble-size-of-another-count",
             "format-1-member-count-of-another-size",

@@ -667,6 +667,31 @@ class TestFlatLayout:
         mask2.arrays[1][:] = ~mask2.arrays[1]
         assert mask2.frozen.tobytes() != mask.frozen.tobytes()
 
+    @pytest.mark.parametrize(
+        "wiring",
+        [(1, (), "identity", False), (3, (5, 4), "swish", False), (3, (5, 4), "swish", True)],
+        ids=["no-hidden", "two-hidden", "two-hidden-concat"],
+    )
+    def test_constructed_from_its_wiring_and_one_flat_theta(self, wiring):
+        zero = nn.Network(*wiring)
+        size = sum((s.input_width + 1) * s.output_width for s in zero.layers)
+        assert zero.theta.shape == (size,) and zero.theta.dtype == np.float64
+        assert not zero.theta.any() and zero.version == 0
+        assert size == nn.Network.build(wiring[0], wiring[1], concat_inputs=wiring[3]).theta.size
+
+        theta = np.random.default_rng(7).standard_normal(size)
+        for value in (theta, theta.astype(np.float32), theta.tolist()):
+            net = nn.Network(*wiring, value)
+            assert net.theta.tobytes() == np.asarray(value, dtype=float).tobytes()
+            assert net.theta.dtype == np.float64 and net.version == 0
+            assert not np.shares_memory(net.theta, value)
+            assert all(np.shares_memory(p, net.theta) for p in net.params)
+            assert [p.shape for p in net.params] == [p.shape for p in zero.params]
+
+        for wrong in (theta[:-1], np.append(theta, 0.0), theta[None, :], 0.5):
+            with pytest.raises(ShapeError, match=re.escape(f"!= ({size},)")):
+                nn.Network(*wiring, wrong)
+
     @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
     def test_step_leaves_the_gradient_unchanged(self, algorithm):
         net = nn.Network.build(3, (6, 5), rng=4, treatment_scale=0.1)
