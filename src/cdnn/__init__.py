@@ -37,7 +37,6 @@ from .baselines import LinearModel, dml_ate, ols_lr1, ols_lr2
 from .metrics import ate_error_signed, eps_ate, sqrt_pehe
 from .nn import (
     FreezeMask,
-    LayerSpec,
     Network,
     OptimizerState,
     backward,

@@ -31,8 +31,8 @@ import numpy as np
 from . import nn
 from ._workers import _map
 from .data import Dataset, _seed_sequence
-from .errors import ConfigError, DegenerateTreatmentError, IdentityViolationError, ShapeError
-from .errors import _is_count, _is_finite_number
+from .errors import CdnnError, ConfigError, DegenerateTreatmentError, IdentityViolationError
+from .errors import ShapeError, _check_size, _is_count, _is_finite_number
 
 VARIANTS = ("explicit_residual", "freezing")
 # what each variant's stage 2 regresses
@@ -79,6 +79,9 @@ class CdnnConfig:
             )
         if not all(map(_is_count, self.hidden_widths)):
             raise ConfigError(f"hidden widths must be integers >= 1, got {self.hidden_widths!r}")
+        for width in self.hidden_widths:
+            _check_size("hidden_widths", width)
+        _check_size("ensemble_size", self.ensemble_size)
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         if self.optimizer not in nn.OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
@@ -153,11 +156,26 @@ def _require_both_arms(data, context):
         )
 
 
+@contextlib.contextmanager
+def _allocatable(prefix):
+    """Turns numpy's ValueError or MemoryError for a network past the index
+    range or memory into ConfigError, its message prefixed `prefix`; the
+    package's own errors, such as a ShapeError, pass unchanged."""
+    try:
+        yield
+    except (ValueError, MemoryError) as err:
+        if isinstance(err, CdnnError):
+            raise
+        raise ConfigError(f"{prefix}{err}") from None
+
+
 def _fresh_network(config, d, treatment_scale, rng):
-    """A newly drawn network of the config's architecture on d covariates."""
-    return nn.Network.build(d, config.hidden_widths, activation=config.activation,
-                            concat_inputs=config.concat_inputs,
-                            treatment_scale=treatment_scale, rng=rng)
+    """A newly drawn network of the config's architecture on d covariates;
+    ConfigError when it has too many parameters to allocate."""
+    with _allocatable("bad config value: hidden_widths: "):
+        return nn.Network.build(d, config.hidden_widths, activation=config.activation,
+                                concat_inputs=config.concat_inputs,
+                                treatment_scale=treatment_scale, rng=rng)
 
 
 def _train(net, mask, data, validation, rng, config):
@@ -417,12 +435,10 @@ def save_checkpoint(estimator, path):
 
 def _network(config, width, theta=None):
     """The config's network on `width` covariates with parameters `theta`, or
-    zeros; ConfigError when the width, the widths or theta give no network."""
+    zeros; ConfigError when it has too many parameters to allocate."""
     wiring = width, config.hidden_widths, config.activation, config.concat_inputs
-    try:
+    with _allocatable("malformed checkpoint: "):
         return nn.Network(*wiring, theta)
-    except (ValueError, MemoryError) as err:  # no covariate row, or too many parameters
-        raise ConfigError(f"malformed checkpoint: {err}") from None
 
 
 def _decode(variant, config, width, arrays, masks=None):
@@ -457,9 +473,9 @@ def _required(mapping, key, kind=None, shape=None):
     if key not in mapping:
         raise ConfigError(f"malformed checkpoint: missing {key!r}")
     a = mapping[key]
-    if kind is not None and (a.dtype.kind != kind or shape not in (None, a.shape)):
-        expected = f"kind {kind!r} of shape {shape or 'any'}"
-        raise ConfigError(f"malformed checkpoint: {key!r} is {a.dtype} {a.shape}, not {expected}")
+    if kind is not None and (a.dtype.kind != kind or a.shape != shape):
+        raise ConfigError(f"malformed checkpoint: {key!r} is {a.dtype} {a.shape}, "
+                          f"not kind {kind!r} of shape {shape}")
     return a
 
 
@@ -496,8 +512,8 @@ def _open_archive(path):
 
 
 def load_checkpoint(path):
-    """Load a save_checkpoint file, of format 2 or the earlier format 1; a
-    malformed one, or one that breaks the paper's contracts, raises ConfigError."""
+    """Load a save_checkpoint file (format 2); any other format, and a
+    malformed file or one that breaks the paper's contracts, raises ConfigError."""
     with _open_archive(path) as blob:
         raw = bytes(_required(blob, "meta"))
         try:
@@ -505,32 +521,14 @@ def load_checkpoint(path):
         except ValueError as err:  # not UTF-8, or not JSON
             raise ConfigError(f"malformed checkpoint: unreadable meta: {err}") from None
         fmt = meta.get("format") if isinstance(meta, dict) else None
-        if fmt not in (1, CHECKPOINT_FORMAT):
+        if fmt != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {fmt!r}")
         config = _load_config(_required(meta, "config"))
         variant = _required(meta, "variant")
         if variant not in VARIANTS:
             raise ConfigError(f"malformed checkpoint: unknown variant {variant!r}")
-        if fmt == CHECKPOINT_FORMAT:
-            width = _required(meta, "covariate_width")
-            if not _is_count(width):
-                raise ConfigError(f"malformed checkpoint: covariate_width {width!r} is not "
-                                  "an integer >= 1")
-            return _decode(variant, config, width, blob)
-        # format 1 stored each parameter and mask of member m as its own array,
-        # m{m}.s1.p{k}, m{m}.s2.p{k} and m{m}.s2.mask{k}: in order, theta's bytes
-        if _required(meta, "members") != config.ensemble_size:
-            raise ConfigError("malformed checkpoint: member count differs from ensemble_size")
-        p0 = _required(blob, "m0.s1.p0", "f")
-        width = len(p0) - 1 if p0.ndim else 0  # W0 has a row per covariate and one for t
-        shapes = [p.shape for p in _network(config, width).params]
-
-        def rows(name, kind):
-            return np.array([
-                np.concatenate([_required(blob, f"m{m}.{name}{k}", kind, s)
-                                for k, s in enumerate(shapes)], axis=None)
-                for m in range(config.ensemble_size)
-            ])
-
-        arrays = {"stage1": rows("s1.p", "f"), "stage2": rows("s2.p", "f")}
-        return _decode(variant, config, width, arrays, rows("s2.mask", "b"))
+        width = _required(meta, "covariate_width")
+        if not _is_count(width):
+            raise ConfigError(f"malformed checkpoint: covariate_width {width!r} is not "
+                              "an integer >= 1")
+        return _decode(variant, config, width, blob)

@@ -258,10 +258,6 @@ class Network:
                 out.append((i, self.params[2 * i][row, :]))
         return out
 
-    def copy_params(self):
-        """A copy of theta."""
-        return self.theta.copy()
-
     def set_params(self, theta):
         """Copy a flat vector shaped like theta into theta."""
         if np.shape(theta) != self.theta.shape:

@@ -10,7 +10,6 @@ from cdnn import bench, cli
 from cdnn.cli import main
 from cdnn.data import Dataset, load_csv
 from cdnn.estimator import load_checkpoint
-from test_estimator import reference_save_checkpoint_v1
 
 
 class TestGenerate:
@@ -76,11 +75,13 @@ class TestBench:
             {"dgp": {"family": "confound-linear", "d": 10**68}},
             {"n": 10**95},
             {"n": 10**95, "output": "out"},
+            {"estimators": [{"name": "cdnn_freezing", "hidden_widths": [10**30]}],
+             "output": "out"},
         ],
         ids=["string-n", "int-hidden-widths", "string-split-fractions", "string-redraw-baseline",
              "fractional-n", "fractional-replications", "bool-seed", "fractional-dgp-d",
              "string-dgp-seed", "int-output", "list-output", "null-output", "huge-dgp-d",
-             "huge-n", "huge-n-with-output"],
+             "huge-n", "huge-n-with-output", "huge-hidden-width"],
     )
     def test_config_value_of_the_wrong_type_returns_2(self, tmp_path, capsys, monkeypatch, edit):
         monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
@@ -387,22 +388,26 @@ class TestFitAndScore:
         assert main(["score", "--model", printed, "--data", str(data_path),
                      "--out", str(tmp_path / "ite.csv")]) == 0
 
-    def test_score_bad_checkpoint_returns_2(self, tmp_path):
+    def test_score_bad_checkpoint_returns_2(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         main(["generate", "--family", "confound-linear", "--n", "50",
               "--out", str(data_path)])
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, meta=np.frombuffer(b'{"format": 99}', dtype=np.uint8))
-        assert main(["score", "--model", str(bad), "--data", str(data_path),
-                     "--out", str(tmp_path / "o.csv")]) == 2
+        for fmt in (99, 1):
+            bad = tmp_path / f"format-{fmt}.npz"
+            np.savez(bad, meta=np.frombuffer(json.dumps({"format": fmt}).encode(), dtype=np.uint8))
+            capsys.readouterr()
+            assert main(["score", "--model", str(bad), "--data", str(data_path),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+            assert capsys.readouterr().err == f"error: unsupported checkpoint format {fmt}\n"
+            assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
         "corruption",
         [
-            "unknown-config-key", "missing-array", "wrong-shape-mask", "wrong-dtype-array",
+            "unknown-config-key", "missing-array", "wrong-dtype-array",
             "non-numeric-width", "truncated-archive", "npy-file", "text-file",
-            "unknown-variant", "mismatched-target-kind", "stage-1-treatment-edge-of-one",
-            "stage-2-encoder-weight-moved-one-ulp", "format-1-stage-2-mask-all-false",
+            "unknown-variant", "stage-1-treatment-edge-of-one",
+            "stage-2-encoder-weight-moved-one-ulp",
             "digit-string-covariate-width", "fractional-config-width",
         ],
     )
@@ -413,9 +418,6 @@ class TestFitAndScore:
         model_path = tmp_path / "model.npz"
         assert main(["fit", "--data", str(data_path), "--out", str(model_path),
                      "--epochs", "2", "--ensemble-size", "1", "--hidden", "4"]) == 0
-        if corruption in ("wrong-shape-mask", "mismatched-target-kind",
-                          "format-1-stage-2-mask-all-false"):
-            reference_save_checkpoint_v1(load_checkpoint(model_path), model_path)
         with np.load(model_path) as blob:
             arrays = dict(blob)
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -429,8 +431,6 @@ class TestFitAndScore:
             bad.write_text("t,y,x0\n0,1,2\n")
         elif corruption == "missing-array":
             del arrays["stage2"]
-        elif corruption == "wrong-shape-mask":
-            arrays["m0.s2.mask0"] = np.zeros((2, 2), dtype=bool)
         elif corruption == "wrong-dtype-array":
             arrays["stage1"] = arrays["stage1"].astype(int)
         elif corruption == "unknown-config-key":
@@ -443,11 +443,6 @@ class TestFitAndScore:
             meta["config"]["hidden_widths"] = [4.5]
         elif corruption == "unknown-variant":
             meta["variant"] = "bogus"
-        elif corruption == "mismatched-target-kind":
-            # a freezing fit's stored stage 2 under the explicit-residual label
-            meta["variant"] = "explicit_residual"
-        elif corruption == "format-1-stage-2-mask-all-false":
-            arrays.update({k: np.zeros_like(a) for k, a in arrays.items() if ".mask" in k})
         else:
             stage = 1 if corruption == "stage-1-treatment-edge-of-one" else 2
             net = load_checkpoint(model_path).members[0][stage - 1].network
@@ -535,6 +530,20 @@ class TestFitAndScore:
         assert main(["fit", "--data", str(data_path), "--out", str(tmp_path / "m.npz"),
                      "--hidden", "8,0"]) == 2
         assert capsys.readouterr().err.startswith("error: hidden widths must be integers >= 1")
+
+    @pytest.mark.parametrize(
+        "size", [["--hidden", str(10**30)], ["--ensemble-size", str(10**30)]],
+        ids=["huge-hidden", "huge-ensemble-size"],
+    )
+    def test_fit_size_past_the_index_range_returns_2(self, tmp_path, capsys, monkeypatch, size):
+        monkeypatch.setattr(cli, "fit", lambda *a: pytest.fail("trained"))
+        data_path = tmp_path / "d.csv"
+        main(["generate", "--family", "confound-linear", "--n", "50", "--out", str(data_path)])
+        model_path = tmp_path / "m.npz"
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data_path), "--out", str(model_path), *size]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config value: ")
+        assert not model_path.exists()
 
     def test_fit_bad_hidden_returns_2(self, tmp_path):
         data_path = tmp_path / "d.csv"

@@ -46,47 +46,6 @@ class Rewrite:
         self.rewrite = rewrite
 
 
-class V1:
-    """A corruption of the format-1 file reference_save_checkpoint_v1 writes."""
-
-    def __init__(self, corrupt):
-        self.corrupt = corrupt
-
-
-def reference_save_checkpoint_v1(estimator, path):
-    """The format-1 save_checkpoint that format 2 replaced; its files must keep loading."""
-
-    def network_meta(net):
-        return {
-            "layers": [[s.input_width, s.output_width, s.activation] for s in net.layers],
-            "covariate_width": net.covariate_width,
-            "concat_inputs": net.concat_inputs,
-        }
-
-    meta = {
-        "format": 1,
-        "variant": estimator.variant,
-        "config": asdict(estimator.config),
-        "members": len(estimator.members),
-        "stage1": [],
-        "stage2": [],
-    }
-    arrays = {}
-    for m, (s1, s2) in enumerate(estimator.members):
-        meta["stage1"].append(network_meta(s1.network))
-        meta["stage2"].append({**network_meta(s2.network), "target_kind": s2.target_kind})
-        for k, p in enumerate(s1.network.params):
-            arrays[f"m{m}.s1.p{k}"] = p
-        for k, p in enumerate(s2.network.params):
-            arrays[f"m{m}.s2.p{k}"] = p
-        for k, mk in enumerate(s2.mask.arrays):
-            arrays[f"m{m}.s2.mask{k}"] = mk
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    return path
-
-
 def edit_member0(stage, edit):
     """A corruption that applies `edit` to member 0's network of `stage`
     (1 or 2) and stores the edited theta, as a hand edit of the file would."""
@@ -106,10 +65,6 @@ def set_treatment_edge(net):
 
 def move_encoder_weight(net):
     net.weight(0)[0, 0] = np.nextafter(net.weight(0)[0, 0], np.inf)
-
-
-def clear_v1_masks(meta, arrays):
-    arrays.update({k: np.zeros_like(a) for k, a in arrays.items() if ".mask" in k})
 
 
 def npz_bytes(**arrays):
@@ -512,6 +467,28 @@ class TestFit:
             est.fit(data, "freezing", FAST)
         assert info.value.code == 7
         assert str(info.value) == "ensemble member 0: code 7: no luck"
+
+    def test_a_network_memory_cannot_hold_is_a_config_error(self, monkeypatch, tmp_path):
+        # a stub stands in for the allocation, which would exhaust a real machine
+        data = generate(make_spec(1.0, seed=47), 100)
+        path = est.save_checkpoint(est.fit(data, "freezing", replace(FAST, epochs=1)),
+                                   tmp_path / "model.npz")
+
+        def no_memory(self, *args):
+            raise MemoryError("Unable to allocate 233. TiB")
+
+        monkeypatch.setattr(nn.Network, "__init__", no_memory)
+        with pytest.raises(ConfigError, match="^ensemble member 0: bad config value: "
+                                              "hidden_widths: Unable to allocate"):
+            est.fit(data, "freezing", replace(FAST, epochs=2))
+        with pytest.raises(ConfigError, match="^malformed checkpoint: Unable to allocate"):
+            est.load_checkpoint(path)
+
+    def test_no_covariates_stays_a_shape_error(self):
+        t = np.arange(20) % 2
+        data = Dataset(np.zeros((20, 0)), t, np.random.default_rng(0).standard_normal(20))
+        with pytest.raises(ShapeError, match="covariate width must be >= 1"):
+            est.fit(data, "freezing", replace(FAST, epochs=1))
 
     @pytest.mark.parametrize("variant", est.VARIANTS)
     @pytest.mark.parametrize("column, bad", [("y", np.nan), ("x", np.inf)])
@@ -1109,41 +1086,15 @@ class TestCheckpoint:
                 assert blob[f"stage{k + 1}"].tobytes() == thetas.tobytes()
         assert checkpoint_bytes(est.load_checkpoint(path)) == path.read_bytes()
 
-    @pytest.mark.parametrize("variant", est.VARIANTS)
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            est.CdnnConfig(ensemble_size=2, epochs=3, seed=4),
-            est.CdnnConfig(hidden_widths=(6, 5, 4), concat_inputs=True, freeze_depth=2,
-                           ensemble_size=2, epochs=3, seed=5),
-        ],
-        ids=["default-wiring", "concat-depth-2"],
-    )
-    def test_format1_file_loads_bitwise(self, tmp_path, variant, cfg):
-        data = generate(make_spec(1.0, sigma=0.4, d=3, seed=54), 200)
-        model = est.fit(data, variant, cfg)
-        loaded = est.load_checkpoint(reference_save_checkpoint_v1(model, tmp_path / "v1.npz"))
-        assert_same_model(model, loaded, data.x)
-        assert checkpoint_bytes(loaded) == checkpoint_bytes(model)
-
     @pytest.mark.parametrize(
         "corrupt",
         [
             lambda meta, arrays: meta["config"].update(bogus=1),
             lambda meta, arrays: meta["config"].pop("patience"),
             lambda meta, arrays: meta.pop("variant"),
-            V1(lambda meta, arrays: meta.pop("members")),
             lambda meta, arrays: meta.pop("covariate_width"),
-            V1(lambda meta, arrays: arrays.pop("m0.s1.p0")),
-            V1(lambda meta, arrays: arrays.pop("m0.s2.p3")),
             lambda meta, arrays: arrays.pop("stage2"),
-            V1(lambda meta, arrays: arrays.pop("m0.s2.mask3")),
             lambda meta, arrays: arrays.pop("meta"),
-            V1(lambda meta, arrays: arrays.update({"m0.s2.mask0": np.zeros((2, 2), dtype=bool)})),
-            V1(lambda meta, arrays: arrays.update({"m0.s2.mask1": arrays["m0.s2.mask1"] * 1.0})),
-            V1(lambda meta, arrays: arrays.update({"m0.s1.p0": arrays["m0.s1.p0"][:-1]})),
-            V1(lambda meta, arrays: arrays.update({"m0.s2.p2": arrays["m0.s2.p2"].T})),
-            V1(lambda meta, arrays: arrays.update({"m0.s2.p2": arrays["m0.s2.p2"] != 0.0})),
             lambda meta, arrays: arrays.update({"stage1": arrays["stage1"][:, :-1]}),
             lambda meta, arrays: arrays.update({"stage2": arrays["stage2"][0]}),
             lambda meta, arrays: arrays.update({"stage1": arrays["stage1"] != 0.0}),
@@ -1159,20 +1110,16 @@ class TestCheckpoint:
             lambda meta, arrays: meta["config"].update(hidden_widths=[4, 4]),
             lambda meta, arrays: meta["config"].update(hidden_widths=4),
             lambda meta, arrays: meta["config"].update(hidden_widths=[10**30]),
-            V1(lambda meta, arrays: meta["config"].update(hidden_widths=[10**30])),
             lambda meta, arrays: meta["config"].update(ensemble_size="1"),
             lambda meta, arrays: meta["config"].update(ensemble_size=2),
-            V1(lambda meta, arrays: meta.update(members=2)),
             lambda meta, arrays: meta["config"].update(epochs=0),
             lambda meta, arrays: meta.update(variant="bogus"),
             lambda meta, arrays: meta.update(variant=["freezing"]),
-            V1(lambda meta, arrays: meta.update(variant="explicit_residual")),
             Rewrite(lambda raw: raw[: len(raw) // 2]),
             Rewrite(lambda raw: npy_bytes()),
             Rewrite(lambda raw: b"ite\n0.5\n"),
             Rewrite(lambda raw: b""),
             Rewrite(flip_member_byte),
-            V1(Rewrite(lambda raw: flip_member_byte(raw, b"m0.s1.p0.npy"))),
             Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"\xff\xfe", dtype=np.uint8))),
             Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"{format", dtype=np.uint8))),
         ],
@@ -1180,18 +1127,9 @@ class TestCheckpoint:
             "unknown-config-key",
             "missing-config-key",
             "missing-variant",
-            "missing-members",
             "missing-covariate-width",
-            "missing-parameter-array",
-            "missing-stage-2-parameter-array",
             "missing-stage-matrix",
-            "missing-mask-array",
             "missing-meta",
-            "wrong-shape-mask",
-            "wrong-dtype-mask",
-            "wrong-shape-parameter",
-            "transposed-parameter",
-            "wrong-dtype-parameter",
             "stage-matrix-of-another-width",
             "one-dimensional-stage-matrix",
             "wrong-dtype-stage-matrix",
@@ -1207,20 +1145,16 @@ class TestCheckpoint:
             "config-widths-of-another-depth",
             "int-config-widths",
             "huge-config-width",
-            "format-1-huge-config-width",
             "string-ensemble-size",
             "ensemble-size-of-another-count",
-            "format-1-member-count-of-another-size",
             "zero-epochs",
             "unknown-variant",
             "list-variant",
-            "variant-of-the-other-target-kind",
             "truncated-archive",
             "npy-file",
             "text-file",
             "empty-file",
             "bad-member-crc",
-            "format-1-bad-member-crc",
             "non-utf8-meta",
             "non-json-meta",
         ],
@@ -1230,11 +1164,7 @@ class TestCheckpoint:
         cfg = est.CdnnConfig(hidden_widths=(4,), ensemble_size=1, epochs=2, seed=8)
         model = est.fit(data, "freezing", cfg)
         path = tmp_path / "model.npz"
-        if isinstance(corrupt, V1):
-            corrupt = corrupt.corrupt
-            reference_save_checkpoint_v1(model, path)
-        else:
-            est.save_checkpoint(model, path)
+        est.save_checkpoint(model, path)
         est.load_checkpoint(path)  # the file loads before it is corrupted
         bad = tmp_path / "bad.npz"
         if isinstance(corrupt, Rewrite):
@@ -1255,21 +1185,15 @@ class TestCheckpoint:
         [
             (edit_member0(1, set_treatment_edge), "stage-1 treatment edges are not exactly 0"),
             (edit_member0(2, move_encoder_weight), "frozen stage-2 encoder differs"),
-            (V1(clear_v1_masks), "stage-2 mask differs from the one its config gives"),
         ],
-        ids=["stage-1-treatment-edge-of-one", "stage-2-encoder-weight-moved-one-ulp",
-             "format-1-stage-2-mask-all-false"],
+        ids=["stage-1-treatment-edge-of-one", "stage-2-encoder-weight-moved-one-ulp"],
     )
     def test_broken_contract_names_member_and_contract(self, tmp_path, corrupt, reason):
         data = generate(make_spec(1.0, sigma=0.4, seed=55), 100)
         cfg = est.CdnnConfig(hidden_widths=(4,), ensemble_size=2, epochs=2, seed=8)
         model = est.fit(data, "freezing", cfg)
         path = tmp_path / "model.npz"
-        if isinstance(corrupt, V1):
-            corrupt = corrupt.corrupt
-            reference_save_checkpoint_v1(model, path)
-        else:
-            est.save_checkpoint(model, path)
+        est.save_checkpoint(model, path)
         with np.load(path) as blob:
             arrays = dict(blob)
         corrupt(None, arrays)
@@ -1299,10 +1223,12 @@ class TestCheckpoint:
         assert not path.exists()
 
     def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, meta=np.frombuffer(b'{"format": 99}', dtype=np.uint8))
-        with pytest.raises(ConfigError):
-            est.load_checkpoint(path)
+        # format 1, the per-parameter layout that preceded format 2, is not read
+        for fmt in (99, 1):
+            path = tmp_path / f"format-{fmt}.npz"
+            np.savez(path, meta=np.frombuffer(json.dumps({"format": fmt}).encode(), dtype=np.uint8))
+            with pytest.raises(ConfigError, match=f"^unsupported checkpoint format {fmt}$"):
+                est.load_checkpoint(path)
 
 
 class TestCheckpointProperties:
@@ -1387,6 +1313,8 @@ class TestCdnnConfig:
             ("validation_fraction", True),
             ("concat_inputs", "no"),
             ("concat_inputs", 1),
+            ("hidden_widths", (8, 10**30)),
+            ("ensemble_size", 10**30),
         ],
         ids=[
             "zero-epochs",
@@ -1424,6 +1352,8 @@ class TestCdnnConfig:
             "bool-validation-fraction",
             "string-concat-inputs",
             "int-concat-inputs",
+            "width-past-the-index-range",
+            "ensemble-size-past-the-index-range",
         ],
     )
     def test_out_of_range_value_rejected(self, field, value):

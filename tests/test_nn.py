@@ -269,7 +269,7 @@ class TestStep:
 
     def test_fully_frozen_mask_is_a_no_op(self):
         net = nn.Network.build(2, (4,), rng=9, treatment_scale=0.01)
-        before = net.copy_params()
+        before = net.theta.copy()
         opt = nn.OptimizerState.create(net)
         grads = np.full(net.theta.shape, 3.14)
         for _ in range(5):
@@ -736,7 +736,7 @@ class TestFitNetwork:
                 net, nn.FreezeMask.none(net), X, T, Y,
                 rng=np.random.default_rng(7), epochs=20,
             )
-            results.append(net.copy_params())
+            results.append(net.theta.copy())
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
@@ -825,7 +825,7 @@ def reference_fit_network(
             log.val_mse.append(vmse)
             if vmse < best:
                 best = vmse
-                best_theta = net.copy_params()
+                best_theta = net.theta.copy()
                 log.best_epoch = epoch
                 wait = patience
             else:
