@@ -77,11 +77,13 @@ class TestBench:
             {"n": 10**95, "output": "out"},
             {"estimators": [{"name": "cdnn_freezing", "hidden_widths": [10**30]}],
              "output": "out"},
+            {"estimators": [{"name": "cdnn_explicit", "ensemble_size": 10**30}],
+             "output": "out"},
         ],
         ids=["string-n", "int-hidden-widths", "string-split-fractions", "string-redraw-baseline",
              "fractional-n", "fractional-replications", "bool-seed", "fractional-dgp-d",
              "string-dgp-seed", "int-output", "list-output", "null-output", "huge-dgp-d",
-             "huge-n", "huge-n-with-output", "huge-hidden-width"],
+             "huge-n", "huge-n-with-output", "huge-hidden-width", "huge-ensemble-size"],
     )
     def test_config_value_of_the_wrong_type_returns_2(self, tmp_path, capsys, monkeypatch, edit):
         monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
@@ -406,9 +408,9 @@ class TestFitAndScore:
         [
             "unknown-config-key", "missing-array", "wrong-dtype-array",
             "non-numeric-width", "truncated-archive", "npy-file", "text-file",
-            "unknown-variant", "stage-1-treatment-edge-of-one",
+            "unknown-variant", "mismatched-target-kind", "stage-1-treatment-edge-of-one",
             "stage-2-encoder-weight-moved-one-ulp",
-            "digit-string-covariate-width", "fractional-config-width",
+            "digit-string-covariate-width", "fractional-config-width", "huge-config-width",
         ],
     )
     def test_score_malformed_checkpoint_returns_2(self, tmp_path, capsys, corruption):
@@ -416,8 +418,9 @@ class TestFitAndScore:
         main(["generate", "--family", "confound-linear", "--n", "60",
               "--out", str(data_path)])
         model_path = tmp_path / "model.npz"
-        assert main(["fit", "--data", str(data_path), "--out", str(model_path),
-                     "--epochs", "2", "--ensemble-size", "1", "--hidden", "4"]) == 0
+        variant = "explicit_residual" if corruption == "mismatched-target-kind" else "freezing"
+        assert main(["fit", "--data", str(data_path), "--out", str(model_path), "--variant",
+                     variant, "--epochs", "2", "--ensemble-size", "1", "--hidden", "4"]) == 0
         with np.load(model_path) as blob:
             arrays = dict(blob)
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -441,8 +444,13 @@ class TestFitAndScore:
             meta["covariate_width"] = str(meta["covariate_width"])
         elif corruption == "fractional-config-width":
             meta["config"]["hidden_widths"] = [4.5]
+        elif corruption == "huge-config-width":
+            meta["config"]["hidden_widths"] = [10**30]
         elif corruption == "unknown-variant":
             meta["variant"] = "bogus"
+        elif corruption == "mismatched-target-kind":
+            # an explicit-residual fit's fresh stage 2 under the freezing label
+            meta["variant"] = "freezing"
         else:
             stage = 1 if corruption == "stage-1-treatment-edge-of-one" else 2
             net = load_checkpoint(model_path).members[0][stage - 1].network
@@ -532,8 +540,9 @@ class TestFitAndScore:
         assert capsys.readouterr().err.startswith("error: hidden widths must be integers >= 1")
 
     @pytest.mark.parametrize(
-        "size", [["--hidden", str(10**30)], ["--ensemble-size", str(10**30)]],
-        ids=["huge-hidden", "huge-ensemble-size"],
+        "size", [["--hidden", str(10**30)], ["--hidden", f"8,{10**30}"],
+                 ["--ensemble-size", str(10**30)]],
+        ids=["huge-hidden", "huge-second-hidden", "huge-ensemble-size"],
     )
     def test_fit_size_past_the_index_range_returns_2(self, tmp_path, capsys, monkeypatch, size):
         monkeypatch.setattr(cli, "fit", lambda *a: pytest.fail("trained"))

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 import zipfile
 from dataclasses import asdict, replace
 
@@ -468,20 +469,27 @@ class TestFit:
         assert info.value.code == 7
         assert str(info.value) == "ensemble member 0: code 7: no luck"
 
-    def test_a_network_memory_cannot_hold_is_a_config_error(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("Unable to allocate 233. TiB"),
+         ValueError("Maximum allowed dimension exceeded")],
+        ids=["memory-error", "dimension-error"],
+    )
+    def test_a_network_numpy_cannot_allocate_is_a_config_error(self, monkeypatch, tmp_path,
+                                                               error):
         # a stub stands in for the allocation, which would exhaust a real machine
         data = generate(make_spec(1.0, seed=47), 100)
         path = est.save_checkpoint(est.fit(data, "freezing", replace(FAST, epochs=1)),
                                    tmp_path / "model.npz")
 
-        def no_memory(self, *args):
-            raise MemoryError("Unable to allocate 233. TiB")
+        def cannot_allocate(self, *args):
+            raise error
 
-        monkeypatch.setattr(nn.Network, "__init__", no_memory)
-        with pytest.raises(ConfigError, match="^ensemble member 0: bad config value: "
-                                              "hidden_widths: Unable to allocate"):
+        monkeypatch.setattr(nn.Network, "__init__", cannot_allocate)
+        with pytest.raises(ConfigError, match=f"^ensemble member 0: bad config value: "
+                                              f"hidden_widths: {error}$"):
             est.fit(data, "freezing", replace(FAST, epochs=2))
-        with pytest.raises(ConfigError, match="^malformed checkpoint: Unable to allocate"):
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint: {error}$"):
             est.load_checkpoint(path)
 
     def test_no_covariates_stays_a_shape_error(self):
@@ -1092,12 +1100,18 @@ class TestCheckpoint:
             lambda meta, arrays: meta["config"].update(bogus=1),
             lambda meta, arrays: meta["config"].pop("patience"),
             lambda meta, arrays: meta.pop("variant"),
+            lambda meta, arrays: meta["config"].pop("ensemble_size"),
             lambda meta, arrays: meta.pop("covariate_width"),
+            lambda meta, arrays: arrays.pop("stage1"),
+            lambda meta, arrays: arrays.update({"stage2": arrays["stage2"][:, :0]}),
             lambda meta, arrays: arrays.pop("stage2"),
             lambda meta, arrays: arrays.pop("meta"),
             lambda meta, arrays: arrays.update({"stage1": arrays["stage1"][:, :-1]}),
             lambda meta, arrays: arrays.update({"stage2": arrays["stage2"][0]}),
             lambda meta, arrays: arrays.update({"stage1": arrays["stage1"] != 0.0}),
+            lambda meta, arrays: arrays.update({"stage1": np.vstack([arrays["stage1"]] * 2)}),
+            lambda meta, arrays: arrays.update({"stage2": arrays["stage2"].T}),
+            lambda meta, arrays: arrays.update({"stage2": arrays["stage2"].astype(np.int64)}),
             lambda meta, arrays: meta.update(covariate_width="two"),
             lambda meta, arrays: meta.update(covariate_width=0),
             lambda meta, arrays: meta.update(covariate_width="2"),
@@ -1112,6 +1126,7 @@ class TestCheckpoint:
             lambda meta, arrays: meta["config"].update(hidden_widths=[10**30]),
             lambda meta, arrays: meta["config"].update(ensemble_size="1"),
             lambda meta, arrays: meta["config"].update(ensemble_size=2),
+            lambda meta, arrays: meta["config"].update(ensemble_size=10**30),
             lambda meta, arrays: meta["config"].update(epochs=0),
             lambda meta, arrays: meta.update(variant="bogus"),
             lambda meta, arrays: meta.update(variant=["freezing"]),
@@ -1120,6 +1135,7 @@ class TestCheckpoint:
             Rewrite(lambda raw: b"ite\n0.5\n"),
             Rewrite(lambda raw: b""),
             Rewrite(flip_member_byte),
+            Rewrite(lambda raw: flip_member_byte(raw, b"stage2.npy")),
             Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"\xff\xfe", dtype=np.uint8))),
             Rewrite(lambda raw: npz_bytes(meta=np.frombuffer(b"{format", dtype=np.uint8))),
         ],
@@ -1127,12 +1143,18 @@ class TestCheckpoint:
             "unknown-config-key",
             "missing-config-key",
             "missing-variant",
+            "missing-members",
             "missing-covariate-width",
+            "missing-parameter-array",
+            "missing-stage-2-parameter-array",
             "missing-stage-matrix",
             "missing-meta",
             "stage-matrix-of-another-width",
             "one-dimensional-stage-matrix",
             "wrong-dtype-stage-matrix",
+            "wrong-shape-parameter",
+            "transposed-parameter",
+            "wrong-dtype-parameter",
             "string-covariate-width",
             "zero-covariate-width",
             "digit-string-covariate-width",
@@ -1147,6 +1169,7 @@ class TestCheckpoint:
             "huge-config-width",
             "string-ensemble-size",
             "ensemble-size-of-another-count",
+            "huge-config-ensemble-size",
             "zero-epochs",
             "unknown-variant",
             "list-variant",
@@ -1155,6 +1178,7 @@ class TestCheckpoint:
             "text-file",
             "empty-file",
             "bad-member-crc",
+            "bad-stage-2-member-crc",
             "non-utf8-meta",
             "non-json-meta",
         ],
@@ -1229,6 +1253,17 @@ class TestCheckpoint:
             np.savez(path, meta=np.frombuffer(json.dumps({"format": fmt}).encode(), dtype=np.uint8))
             with pytest.raises(ConfigError, match=f"^unsupported checkpoint format {fmt}$"):
                 est.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "meta, shown",
+        [({"format": "2"}, "'2'"), ({"variant": "freezing"}, "None"), ("2", "None")],
+        ids=["string-format", "missing-format", "meta-not-an-object"],
+    )
+    def test_format_that_is_not_the_number_2_rejected(self, tmp_path, meta, shown):
+        path = tmp_path / "model.npz"
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        with pytest.raises(ConfigError, match=f"^unsupported checkpoint format {shown}$"):
+            est.load_checkpoint(path)
 
 
 class TestCheckpointProperties:
@@ -1315,6 +1350,8 @@ class TestCdnnConfig:
             ("concat_inputs", 1),
             ("hidden_widths", (8, 10**30)),
             ("ensemble_size", 10**30),
+            ("hidden_widths", (sys.maxsize + 1,)),
+            ("ensemble_size", sys.maxsize + 1),
         ],
         ids=[
             "zero-epochs",
@@ -1354,6 +1391,8 @@ class TestCdnnConfig:
             "int-concat-inputs",
             "width-past-the-index-range",
             "ensemble-size-past-the-index-range",
+            "width-one-past-the-index-range",
+            "ensemble-size-one-past-the-index-range",
         ],
     )
     def test_out_of_range_value_rejected(self, field, value):
@@ -1372,6 +1411,11 @@ class TestCdnnConfig:
         assert est.CdnnConfig(hidden_widths=(np.int64(3), 1)).hidden_widths == (3, 1)
         assert est.CdnnConfig(hidden_widths=()).hidden_widths == ()
         assert est.CdnnConfig(hidden_widths=[4]).hidden_widths == (4,)  # stored as a tuple
+
+    def test_largest_sizes_accepted(self):
+        # the check bounds the numbers only; nothing of this size is allocated
+        cfg = est.CdnnConfig(hidden_widths=(sys.maxsize,), ensemble_size=sys.maxsize)
+        assert (cfg.hidden_widths, cfg.ensemble_size) == ((sys.maxsize,), sys.maxsize)
 
     def test_smallest_values_accepted(self):
         cfg = est.CdnnConfig(epochs=1, batch_size=1, patience=1, ensemble_size=1,
