@@ -35,7 +35,7 @@ from .data import (
     split,
 )
 from .errors import CdnnError, ConfigError, InvalidPerturbationError, MetricUnavailableError
-from .errors import _check_size
+from .errors import _check_size, _is_count
 from .metrics import ate_error_signed, eps_ate, sqrt_pehe
 from .nn import Network, gradient_check
 from .theory import (
@@ -73,15 +73,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.estimators:
             raise ConfigError("need at least one estimator")
-        if self.replications < 1:
+        if not _is_count(self.replications):
             raise ConfigError("replications must be >= 1")
-        if self.seed < 0:
+        if not _is_count(self.seed, least=0):
             raise ConfigError("seed must be a nonnegative integer")
         if (self.dgp is None) == (not self.csv_files):
             raise ConfigError("configure exactly one of dgp or csv input")
-        if self.dgp is not None and self.n < 3:
-            raise ConfigError("need n >= 3 samples per replication")
-        _check_size("n", self.n)
+        if self.dgp is not None:
+            if not _is_count(self.n, least=3):
+                raise ConfigError("need n >= 3 samples per replication")
+            _check_size("n", self.n)
+            self.split.sizes(self.n)  # a split too thin for n fails here, before any work
         if self.metrics_on not in ("test", "all"):
             raise ConfigError("metrics_on must be 'test' or 'all'")
 
@@ -584,7 +586,7 @@ def verify(kind, seed=0):
     """Run one named verification suite of SUITES (or "all" of them)."""
     if kind != "all" and kind not in SUITES:
         raise ConfigError(f"unknown verify kind {kind!r}")
-    if seed < 0:
+    if not _is_count(seed, least=0):
         raise ConfigError("seed must be a nonnegative integer")
     # looked up when called, so a wrapped module attribute verify_* is the one run
     return [globals()[f"verify_{k}"](seed=seed) for k in (SUITES if kind == "all" else (kind,))]

@@ -59,7 +59,19 @@ def _build_parser():
     return parser
 
 
+def _check_out(path):
+    """ConfigError unless `path` can be written as a file: its directory
+    exists and it is not itself a directory. Creates nothing, so a bad
+    --out fails before any work."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: directory {out.parent} does not exist")
+
+
 def _cmd_generate(args):
+    _check_out(args.out)
     spec = named_dgp(args.family, d=args.d, seed=args.seed)
     data = generate(spec, args.n)
     write_csv(data, args.out)
@@ -106,6 +118,7 @@ def _cmd_verify(args):
 
 
 def _cmd_score(args):
+    _check_out(args.out)
     est = load_checkpoint(args.model)
     data = load_csv(args.data)
     ites = predict_ite(est, data.x)
@@ -118,6 +131,7 @@ def _cmd_score(args):
 
 
 def _cmd_fit(args):
+    _check_out(args.out)
     data = load_csv(args.data)
     try:
         hidden = tuple(int(w) for w in args.hidden.split(","))

@@ -24,13 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._workers import _map
-from .errors import ConfigError, SchemaError, SplitError, _check_size, _is_finite_number
+from .errors import ConfigError, SchemaError, SplitError, _check_size, _is_count, _is_finite_number
 from .theory import NuisanceOracle
 
 COVARIATE_LAWS = ("standard_normal", "uniform")
 SPLIT_SCHEMES = {"ihdp_63_27_10": (0.63, 0.27, 0.10), "twins_news_56_24_20": (0.56, 0.24, 0.20)}
 
-# logistic(3.8918) ~ 0.98: overlap bound for logistic propensities on the 3-sigma ball
+# logistic(3.8918) ~ 0.98: overlap bound for logistic propensities on the radius-3 ball
 _MAX_ABS_LOGIT = math.log(0.98 / 0.02)
 
 
@@ -77,7 +77,7 @@ class ConstantPropensity:
     def values(self, X):
         return np.full(np.asarray(X).shape[0], self.p)
 
-    def check_overlap(self, covariate_law):
+    def check_overlap(self):
         if not 0.0 < self.p < 1.0:
             raise ConfigError(f"constant propensity {self.p} outside (0, 1)")
 
@@ -90,8 +90,9 @@ class LogisticPropensity:
     def values(self, X):
         return _logistic(np.asarray(X, dtype=float) @ np.asarray(self.slopes, float) + self.offset)
 
-    def check_overlap(self, covariate_law):
-        # worst-case |logit| over the law's 3-sigma ball must keep e in (0.02, 0.98)
+    def check_overlap(self):
+        # |offset| + 3 * |slopes| bounds |logit| on the ball of radius 3 around
+        # the origin; it must keep e in (0.02, 0.98) there
         norm = float(np.linalg.norm(self.slopes))
         worst = abs(self.offset) + 3.0 * norm
         if worst > _MAX_ABS_LOGIT:
@@ -127,13 +128,13 @@ class DgpSpec:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
+        if not _is_count(self.d):
             raise ConfigError("covariate dimension must be >= 1")
         if self.covariate_law not in COVARIATE_LAWS:
             raise ConfigError(f"unknown covariate law {self.covariate_law!r}")
         if self.noise_sigma < 0:
             raise ConfigError("noise sigma must be nonnegative")
-        if self.seed < 0:
+        if not _is_count(self.seed, least=0):
             raise ConfigError("seed must be a nonnegative integer")
         if not _surface_dimension_ok(self.baseline, self.d):
             raise ConfigError("baseline surface dimension != d")
@@ -141,7 +142,7 @@ class DgpSpec:
             raise ConfigError("effect surface dimension != d")
         if not _surface_dimension_ok(self.propensity, self.d):
             raise ConfigError("propensity dimension != d")
-        self.propensity.check_overlap(self.covariate_law)
+        self.propensity.check_overlap()
 
     def draw_covariates(self, n, rng):
         if self.covariate_law == "standard_normal":
@@ -265,7 +266,7 @@ def generate(spec, n):
     noise difference, and y1 is built as y0 + theta so the triple stays
     consistent.
     """
-    if n < 1:
+    if not _is_count(n):
         raise ConfigError("need n >= 1 samples")
     _check_size("n", n)
     rng = np.random.default_rng(spec.seed)
@@ -642,7 +643,7 @@ class ReplicationSet:
     redraw_baseline: bool = False
 
     def __post_init__(self):
-        if self.count < 1:
+        if not _is_count(self.count):
             raise ConfigError("replication count must be >= 1")
 
     def __len__(self):
@@ -699,7 +700,7 @@ def named_dgp(name, d=5, seed=0):
     confound-hetero: heterogeneous effect 1 + 2*x0 with logistic confounding.
     null-effect: zero effect everywhere, informative confounding, sigma 0.5.
     """
-    if d < 2:
+    if not _is_count(d, least=2):
         raise ConfigError("named families need d >= 2")
     _check_size("d", d)
     if name not in DGP_FAMILIES:  # a tuple scan: an unhashable name is unknown, not a TypeError

@@ -35,8 +35,6 @@ from .errors import CdnnError, ConfigError, DegenerateTreatmentError, IdentityVi
 from .errors import ShapeError, _check_size, _is_count, _is_finite_number
 
 VARIANTS = ("explicit_residual", "freezing")
-# what each variant's stage 2 regresses
-_TARGET_KINDS = dict(zip(VARIANTS, ("residual", "outcome")))
 CHECKPOINT_FORMAT = 2
 
 
@@ -107,12 +105,10 @@ class Stage1Model:
 
 @dataclass
 class Stage2Model:
-    """Treatment-aware model; predicts residuals or outcomes per variant."""
+    """Treatment-aware model; predicts residuals (explicit_residual) or outcomes (freezing)."""
 
     variant: str
     network: nn.Network
-    mask: nn.FreezeMask
-    target_kind: str
     training_log: nn.TrainingLog
 
     def predict(self, X, t):
@@ -240,7 +236,7 @@ def fit_stage2_explicit(residuals, config, validation=None, seed_stream=0):
     net = _fresh_network(config, residuals.d, config.treatment_scale, rng)
     mask = _stage2_mask(net, "explicit_residual", config)
     log = _train(net, mask, residuals, validation, rng, config)
-    return Stage2Model("explicit_residual", net, mask, "residual", log)
+    return Stage2Model("explicit_residual", net, log)
 
 
 def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
@@ -275,7 +271,7 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     log = _train(net, mask, data, validation, rng, config)
     if _encoder_bytes(net) != _encoder_bytes(stage1.network):
         raise IdentityViolationError("frozen stage-2 encoder moved away from stage 1's")
-    return Stage2Model("freezing", net, mask, "outcome", log)
+    return Stage2Model("freezing", net, log)
 
 
 def _stage2_mask(net, variant, config):
@@ -423,7 +419,7 @@ def save_checkpoint(estimator, path):
     width = stage1[0].network.covariate_width
     arrays = {"stage1": np.stack([s.network.theta for s in stage1]),
               "stage2": np.stack([s.network.theta for s in stage2])}
-    _decode(estimator.variant, estimator.config, width, arrays, [s.mask.frozen for s in stage2])
+    _decode(estimator.variant, estimator.config, width, arrays)
     meta = {"format": CHECKPOINT_FORMAT, "variant": estimator.variant,
             "config": asdict(estimator.config), "covariate_width": width}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -441,29 +437,24 @@ def _network(config, width, theta=None):
         return nn.Network(*wiring, theta)
 
 
-def _decode(variant, config, width, arrays, masks=None):
+def _decode(variant, config, width, arrays):
     """The estimator whose member m has the thetas arrays["stage1"][m] and
     arrays["stage2"][m]. ConfigError unless every member keeps the paper's
-    contracts and, when `masks` are given, its derived stage-2 mask is masks[m].
-    """
+    contracts."""
     rows = (config.ensemble_size, _network(config, width).theta.size)
     stage1, stage2 = (_required(arrays, k, "f", rows) for k in ("stage1", "stage2"))
     members = []
     for m in range(config.ensemble_size):
         net1, net2 = (_network(config, width, a[m]) for a in (stage1, stage2))
         s1 = Stage1Model(net1, nn.TrainingLog())
-        mask = _stage2_mask(net2, variant, config)
         for broken, why in (
             (not s1.treatment_edges_zero(), "stage-1 treatment edges are not exactly 0"),
             (variant == "freezing" and _encoder_bytes(net2) != _encoder_bytes(net1),
              "frozen stage-2 encoder differs from stage 1's"),
-            (masks is not None and not np.array_equal(masks[m], mask.frozen),
-             "stage-2 mask differs from the one its config gives"),
         ):
             if broken:
                 raise ConfigError(f"malformed checkpoint: member {m}: {why}")
-        s2 = Stage2Model(variant, net2, mask, _TARGET_KINDS[variant], nn.TrainingLog())
-        members.append((s1, s2))
+        members.append((s1, Stage2Model(variant, net2, nn.TrainingLog())))
     return CdnnEstimator(members, variant, config)
 
 

@@ -148,12 +148,6 @@ def _layer_specs(covariate_width, hidden_widths, activation, concat_inputs):
     return layers
 
 
-def _views(flat, layout):
-    """Views of `flat` per (start, stop, shape) of `layout`, along its last axis."""
-    lead = flat.shape[:-1]
-    return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in layout]
-
-
 class Network:
     """Dense MLP over (covariates, treatment) with an identity output layer.
 
@@ -187,7 +181,8 @@ class Network:
 
         For an (S, P) stack of such vectors each view gains the leading S axis.
         """
-        return _views(flat, self._layout)
+        lead = flat.shape[:-1]
+        return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in self._layout]
 
     # pickle and copy.deepcopy would copy each view on its own, detaching
     # `params` from `theta`; they carry theta alone and rebuild the views
@@ -463,26 +458,13 @@ def _mse(predictions, targets):
 
 
 class FreezeMask:
-    """One flat bool vector over a network's theta, True = frozen (used in
-    forward, never updated).
-
-    `frozen` is the vector and `arrays[k]` its view shaped like
-    net.params[k]; the freeze_* methods and in-place edits of either change
-    both. Without `frozen` every parameter starts free.
+    """One flat bool vector `frozen` over a network's theta, True = frozen
+    (used in forward, never updated); net.views(mask.frozen) shapes it like
+    net.params. Without `frozen` every parameter starts free.
     """
 
     def __init__(self, net, frozen=None):
         self.frozen = np.zeros(net.theta.size, dtype=bool) if frozen is None else frozen
-        self._layout = net._layout
-        self.arrays = net.views(self.frozen)
-
-    # like Network's: `frozen` alone is carried, and `arrays` rebuilt as its views
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "arrays"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.arrays = _views(self.frozen, self._layout)
 
     @classmethod
     def none(cls, net):
@@ -493,10 +475,11 @@ class FreezeMask:
             raise ShapeError("mask shape does not match parameter vector")
 
     def freeze_treatment_edges(self, net):
+        views = net.views(self.frozen)
         for i in range(net.n_layers):
             row = net.treatment_input_row(i)
             if row is not None:
-                self.arrays[2 * i][row, :] = True
+                views[2 * i][row, :] = True
         return self
 
     def freeze_input_encoder(self, net):
@@ -505,17 +488,19 @@ class FreezeMask:
         This pins the linear covariate encoding computed by the first hidden
         layer; the treatment row of the same matrix stays trainable.
         """
-        self.arrays[0][: net.covariate_width, :] = True
-        self.arrays[1][:] = True
+        views = net.views(self.frozen)
+        views[0][: net.covariate_width, :] = True
+        views[1][:] = True
         return self
 
     def freeze_layer(self, net, layer_index):
         """Freeze a layer's weights and bias, all but its treatment row."""
-        self.arrays[2 * layer_index][:] = True
-        self.arrays[2 * layer_index + 1][:] = True
+        weight, bias = net.views(self.frozen)[2 * layer_index : 2 * layer_index + 2]
+        weight[:] = True
+        bias[:] = True
         row = net.treatment_input_row(layer_index)
         if row is not None:
-            self.arrays[2 * layer_index][row, :] = False
+            weight[row, :] = False
         return self
 
 
@@ -526,10 +511,11 @@ class OptimizerState:
     algorithm "sgd_momentum": velocity v <- momentum*v + g, p <- p - lr*v.
     algorithm "adaptive_moment": bias-corrected first/second moment rule with
     a first-step magnitude of ~lr regardless of the gradient scale.
-    Each slot is one flat buffer (`buffers`); `slots[s][k]` is the view of
-    buffer s shaped like parameter k. `scratch` holds as many flat work
-    vectors as there are slots, for the update. An update leaves the
-    accumulator entries of frozen parameters bitwise as they were.
+    `buffers` holds one flat accumulator per moment (one for momentum, two
+    for adaptive_moment); net.views(buffers[s]) shapes buffer s like
+    net.params. `scratch` holds as many flat work vectors, for the update.
+    An update leaves the accumulator entries of frozen parameters bitwise
+    as they were.
     """
 
     algorithm: str
@@ -539,7 +525,6 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    slots: list = field(default_factory=list)
     buffers: list = field(default_factory=list)
     scratch: list = field(default_factory=list)
 
@@ -550,10 +535,9 @@ class OptimizerState:
         if learning_rate <= 0:
             raise ShapeError("learning rate must be positive")
         state = cls(algorithm, float(learning_rate), **kwargs)
-        n_slots = 1 if algorithm == "sgd_momentum" else 2
-        state.buffers = [np.zeros(net.theta.size) for _ in range(n_slots)]
-        state.slots = [net.views(buf) for buf in state.buffers]
-        state.scratch = [np.empty(net.theta.size) for _ in range(n_slots)]
+        count = 1 if algorithm == "sgd_momentum" else 2
+        state.buffers = [np.zeros(net.theta.size) for _ in range(count)]
+        state.scratch = [np.empty(net.theta.size) for _ in range(count)]
         return state
 
 

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cdnn.baselines import ols_lr1
 from cdnn.data import (
     DGP_FAMILIES,
     SPLIT_SCHEMES,
+    ReplicationSet,
     SplitSpec,
     _derived_seed,
     concat_datasets,
@@ -59,6 +61,13 @@ def quick_config(**overrides):
     return bench.config_from_dict(raw)
 
 
+def experiment(**overrides):
+    """An ExperimentConfig built directly, past the JSON reader's type checks."""
+    settings = {"estimators": (bench.EstimatorSpec("ols_lr1"),), "split": SplitSpec.ihdp(),
+                "dgp": named_dgp("confound-linear"), "n": 100}
+    return bench.ExperimentConfig(**{**settings, **overrides})
+
+
 class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -92,6 +101,34 @@ class TestConfig:
         )
         assert cfg.replications == 3
         assert len(cfg.csv_files) == 3
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: named_dgp("confound-linear", d=2.5), "named families need d >= 2"),
+            (lambda: named_dgp("confound-linear", seed="1"), "seed must be a nonnegative integer"),
+            (lambda: named_dgp("confound-linear", seed=True), "seed must be a nonnegative integer"),
+            (lambda: replace(named_dgp("confound-linear", d=2), d=2.0),
+             "covariate dimension must be >= 1"),
+            (lambda: generate(named_dgp("confound-linear"), 10.5), "need n >= 1 samples"),
+            (lambda: generate(named_dgp("confound-linear"), True), "need n >= 1 samples"),
+            (lambda: ReplicationSet(named_dgp("confound-linear"), 2.5),
+             "replication count must be >= 1"),
+            (lambda: experiment(seed="1"), "seed must be a nonnegative integer"),
+            (lambda: experiment(seed=True), "seed must be a nonnegative integer"),
+            (lambda: experiment(n=100.5), "need n >= 3 samples per replication"),
+            (lambda: experiment(replications=1.5), "replications must be >= 1"),
+            (lambda: bench.verify("lemma", seed="1"), "seed must be a nonnegative integer"),
+            (lambda: bench.verify("lemma", seed=2.5), "seed must be a nonnegative integer"),
+        ],
+        ids=["float-d", "string-seed", "bool-seed", "float-spec-d", "float-n", "bool-n",
+             "float-replication-count",
+             "string-experiment-seed", "bool-experiment-seed", "float-experiment-n",
+             "float-replications", "string-verify-seed", "float-verify-seed"],
+    )
+    def test_a_seed_or_size_of_the_wrong_type_is_a_config_error(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_string_estimator_shorthand(self):
         cfg = quick_config(estimators=["dml"])

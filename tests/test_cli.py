@@ -214,6 +214,22 @@ class TestBench:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edit", [{"n": 3}, {"n": 50, "split": {"fractions": [0.98, 0.01, 0.01]}}],
+        ids=["n-3", "one-percent-parts"],
+    )
+    def test_a_split_too_thin_for_n_returns_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, edit
+    ):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        cfg = {"dgp": {"family": "confound-linear"}, "estimators": ["ols_lr1"],
+               "output": str(tmp_path / "out"), **edit}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: split of n={edit['n']} leaves an empty part\n"
+        assert not (tmp_path / "out").exists()
+
     def test_good_dml_settings_run(self, tmp_path):
         cfg = {"dgp": {"family": "confound-linear"}, "n": 200,
                "estimators": [{"name": "dml", "folds": 3, "crossfit": False,
@@ -553,6 +569,25 @@ class TestFitAndScore:
         assert main(["fit", "--data", str(data_path), "--out", str(model_path), *size]) == 2
         assert capsys.readouterr().err.startswith("error: bad config value: ")
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "score"])
+    @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+    def test_bad_out_returns_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                               command, target):
+        for name in ("generate", "load_csv", "fit", "load_checkpoint", "predict_ite"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"ran {name}"))
+        out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+        argv = {
+            "generate": ["generate", "--family", "confound-linear", "--n", "50"],
+            "fit": ["fit", "--data", str(tmp_path / "d.csv")],
+            "score": ["score", "--model", str(tmp_path / "m.npz"),
+                      "--data", str(tmp_path / "d.csv")],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        message = (f"--out {out} is a directory" if target == "a-directory"
+                   else f"--out {out}: directory {out.parent} does not exist")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_fit_bad_hidden_returns_2(self, tmp_path):
         data_path = tmp_path / "d.csv"

@@ -262,7 +262,7 @@ class TestFitStage2Explicit:
         cfg = est.CdnnConfig(ensemble_size=1, epochs=5, seed=8)
         s1 = est.fit_stage1(data, cfg)
         s2 = est.fit_stage2_explicit(est.compute_residuals(s1, data), cfg)
-        assert s2.target_kind == "residual"
+        assert s2.variant == "explicit_residual"
         assert not np.array_equal(
             s1.network.weight(0)[:2, :], s2.network.weight(0)[:2, :]
         )
@@ -363,7 +363,7 @@ class TestPredictIte:
         net = nn.Network.build(1, (), activation="identity", rng=0)
         net.weight(0)[:, 0] = [0.7, t_weight]
         net.bias(0)[:] = 0.25
-        return est.Stage2Model("freezing", net, nn.FreezeMask.none(net), "outcome", nn.TrainingLog())
+        return est.Stage2Model("freezing", net, nn.TrainingLog())
 
     def _estimator(self, t_weights):
         members = [(None, self._linear_stage2(w)) for w in t_weights]
@@ -408,7 +408,7 @@ class TestFit:
         cfg = est.CdnnConfig(ensemble_size=1, epochs=40, seed=6)
         model = est.fit(data, "explicit_residual", cfg)
         assert len(model.members) == 1
-        assert model.members[0][1].target_kind == "residual"
+        assert model.members[0][1].variant == "explicit_residual"
 
     def test_same_seed_same_ensemble(self):
         data = generate(make_spec(1.0, sigma=0.3, seed=42), 500)
@@ -696,9 +696,8 @@ class TestParallelMembers:
         serial = est.fit(data, variant, cfg)
         assert_bitwise_equal_fits(parallel, serial)
         for (_, a), (_, b) in zip(parallel.members, serial.members):
-            assert same_bits(a.mask.frozen, b.mask.frozen)
+            assert a.variant == b.variant == variant
             assert all(np.shares_memory(p, a.network.theta) for p in a.network.params)
-            assert all(np.shares_memory(m, a.mask.frozen) for m in a.mask.arrays)
         assert same_bits(est.predict_ite(parallel, data.x), est.predict_ite(serial, data.x))
         assert_no_children()
 
@@ -1043,14 +1042,13 @@ def checkpoint_bytes(model):
 
 
 def assert_same_model(a, b, X):
-    """Bitwise equal thetas, stage-2 masks and predictions."""
+    """Bitwise equal thetas and predictions, and equal stage-2 variants."""
     assert (a.variant, a.config) == (b.variant, b.config)
     assert len(a.members) == len(b.members)
     for (s1a, s2a), (s1b, s2b) in zip(a.members, b.members):
         assert s1a.network.theta.tobytes() == s1b.network.theta.tobytes()
         assert s2a.network.theta.tobytes() == s2b.network.theta.tobytes()
-        assert s2a.mask.frozen.tobytes() == s2b.mask.frozen.tobytes()
-        assert s2a.target_kind == s2b.target_kind
+        assert s2a.variant == s2b.variant
     assert est.predict_ite(a, X).tobytes() == est.predict_ite(b, X).tobytes()
 
 
@@ -1069,8 +1067,7 @@ class TestCheckpoint:
                 assert np.array_equal(pa, pb)
             for pa, pb in zip(s2a.network.params, s2b.network.params):
                 assert np.array_equal(pa, pb)
-            for ma, mb in zip(s2a.mask.arrays, s2b.mask.arrays):
-                assert np.array_equal(ma, mb)
+            assert s2a.variant == s2b.variant
         X = data.x[:20]
         assert np.array_equal(est.predict_ite(model, X), est.predict_ite(loaded, X))
 
@@ -1231,10 +1228,8 @@ class TestCheckpoint:
         [
             (lambda s1, s2: set_treatment_edge(s1.network), "stage-1 treatment edges"),
             (lambda s1, s2: move_encoder_weight(s2.network), "frozen stage-2 encoder"),
-            (lambda s1, s2: s2.mask.frozen.fill(False), "stage-2 mask differs"),
-            (lambda s1, s2: s2.mask.arrays[2].fill(True), "stage-2 mask differs"),
         ],
-        ids=["treatment-edge", "encoder", "mask-all-false", "mask-of-a-deeper-layer"],
+        ids=["treatment-edge", "encoder"],
     )
     def test_save_refuses_a_broken_contract(self, tmp_path, edit, reason):
         data = generate(make_spec(1.0, sigma=0.4, seed=56), 100)

@@ -296,8 +296,8 @@ class TestStep:
         for _ in range(3):
             nn.step(net, grads, mask, opt)
         row = net.treatment_input_row(0)
-        for slot in opt.slots:
-            assert np.all(slot[0][row, :] == 0.0)
+        for buf in opt.buffers:
+            assert np.all(net.views(buf)[0][row, :] == 0.0)
 
     @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
     def test_frozen_negative_zeros_keep_their_bytes(self, algorithm):
@@ -611,7 +611,7 @@ class TestFlatLayout:
         net = nn.Network.build(d, hidden, concat_inputs=concat, rng=rng, treatment_scale=0.1)
         mask = nn.FreezeMask(net, rng.random(net.theta.size) < 0.5)
         assert net.theta.dtype == np.float64 and net.theta.flags.c_contiguous
-        for flat, views in ((net.theta, net.params), (mask.frozen, mask.arrays)):
+        for flat, views in ((net.theta, net.params), (mask.frozen, net.views(mask.frozen))):
             assert len(views) == 2 * net.n_layers
             assert all(np.shares_memory(v, flat) for v in views)
             assert np.concatenate([v.reshape(-1) for v in views]).tobytes() == flat.tobytes()
@@ -632,8 +632,7 @@ class TestFlatLayout:
             w[:] = 0.0
         encoder = nn.FreezeMask.none(net).freeze_input_encoder(net).frozen
         twin.theta[:] = np.where(encoder, net.theta, rng.standard_normal(net.theta.size))
-        mask = est._stage2_mask(twin, "freezing", cfg)
-        stage2 = est.Stage2Model("freezing", twin, mask, "outcome", nn.TrainingLog())
+        stage2 = est.Stage2Model("freezing", twin, nn.TrainingLog())
         stage1 = est.Stage1Model(net, nn.TrainingLog())
         model = est.CdnnEstimator([(stage1, stage2)], "freezing", cfg)
         buf = io.BytesIO()
@@ -642,8 +641,7 @@ class TestFlatLayout:
         (s1, s2), = est.load_checkpoint(buf).members
         assert s1.network.theta.tobytes() == net.theta.tobytes()
         assert s2.network.theta.tobytes() == twin.theta.tobytes()
-        assert s2.mask.frozen.tobytes() == mask.frozen.tobytes()
-        assert all(np.shares_memory(m, s2.mask.frozen) for m in s2.mask.arrays)
+        assert s2.variant == "freezing"
 
     @pytest.mark.parametrize(
         "copy_of", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
@@ -658,13 +656,14 @@ class TestFlatLayout:
         assert net2.theta.tobytes() == net.theta.tobytes()
         assert mask2.frozen.tobytes() == mask.frozen.tobytes()
         for flat, views, original in ((net2.theta, net2.params, net.theta),
-                                      (mask2.frozen, mask2.arrays, mask.frozen)):
+                                      (mask2.frozen, net2.views(mask2.frozen), mask.frozen)):
             assert not np.shares_memory(flat, original)
             assert all(np.shares_memory(v, flat) for v in views)
             assert [v.shape for v in views] == [p.shape for p in net.params]
         net2.params[2][0, 0] += 1.0  # an edit through a view reaches theta
         assert net2.theta[net2.params[0].size + net2.params[1].size] == net2.params[2][0, 0]
-        mask2.arrays[1][:] = ~mask2.arrays[1]
+        bias = net2.views(mask2.frozen)[1]
+        bias[:] = ~bias
         assert mask2.frozen.tobytes() != mask.frozen.tobytes()
 
     @pytest.mark.parametrize(
@@ -1060,17 +1059,17 @@ def reference_step(net, grads, mask, opt):
     opt.step_count += 1
     t = opt.step_count
     lr = opt.learning_rate
-    for k, (p, g, m) in enumerate(zip(net.params, grads, mask.arrays)):
+    for k, (p, g, m) in enumerate(zip(net.params, grads, net.views(mask.frozen))):
         free = ~m
         if not free.any():
             continue
         gk = g[free]
         if opt.algorithm == "sgd_momentum":
-            v = opt.slots[0][k]
+            v = opt.buffers[0][k]
             v[free] = opt.momentum * v[free] + gk
             p[free] -= lr * v[free]
         else:
-            m1, m2 = opt.slots[0][k], opt.slots[1][k]
+            m1, m2 = opt.buffers[0][k], opt.buffers[1][k]
             m1[free] = opt.beta1 * m1[free] + (1.0 - opt.beta1) * gk
             m2[free] = opt.beta2 * m2[free] + (1.0 - opt.beta2) * gk * gk
             mhat = m1[free] / (1.0 - opt.beta1**t)
@@ -1081,10 +1080,11 @@ def reference_step(net, grads, mask, opt):
 
 
 def _reference_state(net, algorithm, learning_rate, momentum):
-    """Optimizer state with separate per-parameter slot arrays."""
+    """Optimizer state whose buffers are lists of separate per-parameter
+    arrays, for reference_step."""
     n_slots = 1 if algorithm == "sgd_momentum" else 2
-    slots = [[np.zeros(p.shape) for p in net.params] for _ in range(n_slots)]
-    return nn.OptimizerState(algorithm, learning_rate, momentum=momentum, slots=slots)
+    buffers = [[np.zeros(p.shape) for p in net.params] for _ in range(n_slots)]
+    return nn.OptimizerState(algorithm, learning_rate, momentum=momentum, buffers=buffers)
 
 
 def _random_mask(net, mode, rng):
@@ -1100,8 +1100,8 @@ def _assert_bitwise(net, ref_net, opt, ref_opt):
     assert net.version == ref_net.version
     for p, q in zip(net.params, ref_net.params):
         assert p.tobytes() == q.tobytes()
-    for slot, ref_slot in zip(opt.slots, ref_opt.slots):
-        for a, b in zip(slot, ref_slot):
+    for flat, ref_slot in zip(opt.buffers, ref_opt.buffers):
+        for a, b in zip(net.views(flat), ref_slot):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
@@ -1171,14 +1171,14 @@ class TestStepMatchesReference:
         # freeze the trained encoder, release the treatment row
         mask.freeze_input_encoder(net)
         row = net.treatment_input_row(0)
-        mask.arrays[0][row, :] = False
+        net.views(mask.frozen)[0][row, :] = False
         encoder = net.weight(0)[:row].copy()
-        encoder_moments = [slot[0][:row].copy() for slot in opt.slots]
+        encoder_moments = [net.views(buf)[0][:row].copy() for buf in opt.buffers]
         treatment_row = net.weight(0)[row].copy()
         both_step()
         assert np.array_equal(net.weight(0)[:row], encoder)
-        for slot, before in zip(opt.slots, encoder_moments):
-            assert np.array_equal(slot[0][:row], before)
+        for buf, before in zip(opt.buffers, encoder_moments):
+            assert np.array_equal(net.views(buf)[0][:row], before)
             assert np.any(before != 0.0)  # trained moments, left exactly as they were
         assert np.all(net.weight(0)[row] != treatment_row)
         for _ in range(2):
