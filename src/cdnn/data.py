@@ -92,10 +92,15 @@ class LogisticPropensity:
 
     def check_overlap(self):
         # |offset| + 3 * |slopes| bounds |logit| on the ball of radius 3 around
-        # the origin; it must keep e in (0.02, 0.98) there
+        # the origin; it must keep e in (0.02, 0.98) there. A NaN or infinite
+        # setting fails too, and only then is each setting checked by name.
         norm = float(np.linalg.norm(self.slopes))
         worst = abs(self.offset) + 3.0 * norm
-        if worst > _MAX_ABS_LOGIT:
+        if not worst <= _MAX_ABS_LOGIT:
+            for name, values in (("offset", (self.offset,)), ("slopes", self.slopes)):
+                if not all(map(_is_finite_number, values)):
+                    raise ConfigError(f"logistic propensity {name} must be finite, got "
+                                      f"{getattr(self, name)!r}")
             raise ConfigError(
                 f"logistic propensity can leave (0.02, 0.98): worst |logit| {worst:.3f}"
             )
@@ -132,8 +137,10 @@ class DgpSpec:
             raise ConfigError("covariate dimension must be >= 1")
         if self.covariate_law not in COVARIATE_LAWS:
             raise ConfigError(f"unknown covariate law {self.covariate_law!r}")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be nonnegative")
+        if not (_is_finite_number(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(
+                f"noise sigma must be finite and nonnegative, got {self.noise_sigma!r}"
+            )
         if not _is_count(self.seed, least=0):
             raise ConfigError("seed must be a nonnegative integer")
         if not _surface_dimension_ok(self.baseline, self.d):

@@ -100,7 +100,7 @@ class Stage1Model:
         return nn._predict(self.network, nn._inputs(nn._covariates(self.network, X), 0.0))
 
     def treatment_edges_zero(self):
-        return all(np.all(w == 0.0) for _, w in self.network.treatment_weights())
+        return bool(np.all(self.network.theta[self.network.treatment_edges()] == 0.0))
 
 
 @dataclass
@@ -174,14 +174,15 @@ def _fresh_network(config, d, treatment_scale, rng):
                                 treatment_scale=treatment_scale, rng=rng)
 
 
-def _train(net, mask, data, validation, rng, config):
-    """Minibatch-train `net` in place on (x, t) -> y; every stage fit goes here.
+def _train(net, stage, data, validation, rng, config):
+    """Minibatch-train `net` in place on (x, t) -> y, holding fixed what
+    _stage_mask says `stage` holds; every stage fit goes here.
 
     Training early-stops on `validation` when one is given.
     """
     return nn.fit_network(
         net,
-        mask,
+        _stage_mask(net, stage, config),
         *_as_arrays(data),
         rng=rng,
         optimizer=config.optimizer,
@@ -207,8 +208,7 @@ def fit_stage1(data, config, validation=None, seed_stream=0):
     if validation is None:
         data, validation = _carve_validation(data, config, rng)
     net = _fresh_network(config, data.d, 0.0, rng)
-    mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
-    model = Stage1Model(net, _train(net, mask, data, validation, rng, config))
+    model = Stage1Model(net, _train(net, "stage1", data, validation, rng, config))
     if not model.treatment_edges_zero():
         raise IdentityViolationError("stage-1 treatment edges moved away from exactly 0")
     return model
@@ -234,8 +234,7 @@ def fit_stage2_explicit(residuals, config, validation=None, seed_stream=0):
     if validation is None:
         residuals, validation = _carve_validation(residuals, config, rng)
     net = _fresh_network(config, residuals.d, config.treatment_scale, rng)
-    mask = _stage2_mask(net, "explicit_residual", config)
-    log = _train(net, mask, residuals, validation, rng, config)
+    log = _train(net, "explicit_residual", residuals, validation, rng, config)
     return Stage2Model("explicit_residual", net, log)
 
 
@@ -243,10 +242,11 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     """Reuse the stage-1 network with the covariate encoding frozen.
 
     The first-layer covariate weight block and bias are copied bitwise and
-    frozen, deeper weights warm-start from stage 1 and stay trainable up to
-    config.freeze_depth, and treatment edges are re-drawn small-random and
-    trainable. The regression target is the observed outcome. An encoder
-    that is not bitwise stage 1's after training raises IdentityViolationError.
+    frozen, deeper weights warm-start from stage 1 (those below layer
+    config.freeze_depth stay frozen too), and treatment edges are re-drawn
+    small-random and trainable (see _stage_mask). The regression target is
+    the observed outcome. A frozen entry that is not bitwise stage 1's after
+    training raises IdentityViolationError.
 
     With concat_inputs enabled (off by default) the raw covariates reach
     deeper layers alongside the frozen encoding; those re-injection weights
@@ -262,32 +262,35 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     rng = _member_rng(config, seed_stream, 2)
     if validation is None:
         data, validation = _carve_validation(data, config, rng)
-
     net = stage1.network.clone()
-    for _, w in net.treatment_weights():
-        w[:] = config.treatment_scale * rng.uniform(-1.0, 1.0, size=w.size)
-
-    mask = _stage2_mask(net, "freezing", config)
-    log = _train(net, mask, data, validation, rng, config)
-    if _encoder_bytes(net) != _encoder_bytes(stage1.network):
+    edges = net.treatment_edges()
+    net.theta[edges] = config.treatment_scale * rng.uniform(-1.0, 1.0, size=edges.size)
+    log = _train(net, "freezing", data, validation, rng, config)
+    if not _keeps_stage1(net, stage1.network, "freezing", config):
         raise IdentityViolationError("frozen stage-2 encoder moved away from stage 1's")
     return Stage2Model("freezing", net, log)
 
 
-def _stage2_mask(net, variant, config):
-    """The stage-2 freeze mask of `variant`: nothing frozen for the explicit
-    fit; the encoder and the layers below config.freeze_depth for freezing."""
+def _stage_mask(net, stage, config):
+    """What `stage` ("stage1" or a variant) holds fixed in `net`: stage 1 the
+    treatment edges; explicit_residual nothing; freezing every entry of the
+    layers below max(1, min(config.freeze_depth, n_layers - 1)), a prefix of
+    theta, except the treatment edges."""
     mask = nn.FreezeMask.none(net)
-    if variant == "freezing":
-        mask.freeze_input_encoder(net)
-        for layer in range(1, min(config.freeze_depth, net.n_layers - 1)):
-            mask.freeze_layer(net, layer)
+    if stage == "stage1":
+        mask.frozen[net.treatment_edges()] = True
+    elif stage == "freezing":
+        depth = max(1, min(config.freeze_depth, net.n_layers - 1))
+        mask.frozen[: sum(p.size for p in net.params[: 2 * depth])] = True
+        mask.frozen[net.treatment_edges()] = False
     return mask
 
 
-def _encoder_bytes(net):
-    """The first-layer covariate block and bias, which freezing keeps bitwise."""
-    return net.weight(0)[: net.covariate_width].tobytes() + net.bias(0).tobytes()
+def _keeps_stage1(net, stage1_net, variant, config):
+    """Whether stage-2 `net` has bitwise stage 1's value in every entry the
+    stage mask of `variant` holds fixed."""
+    frozen = _stage_mask(net, variant, config).frozen
+    return net.theta[frozen].tobytes() == stage1_net.theta[frozen].tobytes()
 
 
 # Stage 1 never reads these fields, so fits that differ only in them share
@@ -448,8 +451,10 @@ def _decode(variant, config, width, arrays):
         net1, net2 = (_network(config, width, a[m]) for a in (stage1, stage2))
         s1 = Stage1Model(net1, nn.TrainingLog())
         for broken, why in (
+            (not (np.isfinite(net1.theta).all() and np.isfinite(net2.theta).all()),
+             "a parameter is not finite (NaN or inf)"),
             (not s1.treatment_edges_zero(), "stage-1 treatment edges are not exactly 0"),
-            (variant == "freezing" and _encoder_bytes(net2) != _encoder_bytes(net1),
+            (not _keeps_stage1(net2, net1, variant, config),
              "frozen stage-2 encoder differs from stage 1's"),
         ):
             if broken:

@@ -15,7 +15,7 @@ stack and all its -h probes in another, chunked to a fixed byte budget, and
 matches probing one parameter at a time bit for bit. A freeze
 mask is a flat bool vector, True = frozen: frozen parameters still take part
 in the forward pass but are never updated, and their optimizer accumulators
-stay at zero. All randomness comes from explicitly passed generators, so
+stay as they were. All randomness comes from explicitly passed generators, so
 identical seed + config + data gives bitwise identical parameters on one
 platform.
 
@@ -215,10 +215,10 @@ class Network:
         for spec, w in zip(net.layers, net.params[::2]):
             bound = np.sqrt(6.0 / (spec.input_width + spec.output_width))
             w[...] = rng.uniform(-bound, bound, size=w.shape)
-        for _, w in net.treatment_weights():
-            draws = rng.uniform(-1.0, 1.0, size=w.size)
-            # a 0.0 scale pins +0.0, not the -0.0 of 0.0 times a negative draw
-            w[:] = 0.0 if treatment_scale == 0.0 else treatment_scale * draws
+        edges = net.treatment_edges()
+        draws = rng.uniform(-1.0, 1.0, size=edges.size)
+        # a 0.0 scale pins +0.0, not the -0.0 of 0.0 times a negative draw
+        net.theta[edges] = 0.0 if treatment_scale == 0.0 else treatment_scale * draws
         return net
 
     # -- structure helpers -------------------------------------------------
@@ -244,14 +244,11 @@ class Network:
             return self.layers[layer_index].input_width - 1
         return None
 
-    def treatment_weights(self):
-        """List of (layer_index, 1-d view) of all treatment-edge weights."""
-        out = []
-        for i in range(self.n_layers):
-            row = self.treatment_input_row(i)
-            if row is not None:
-                out.append((i, self.params[2 * i][row, :]))
-        return out
+    def treatment_edges(self):
+        """Flat theta indices of every treatment-edge weight, in theta order."""
+        index = self.views(np.arange(self.theta.size))
+        rows = ((i, self.treatment_input_row(i)) for i in range(self.n_layers))
+        return np.concatenate([index[2 * i][row] for i, row in rows if row is not None])
 
     def set_params(self, theta):
         """Copy a flat vector shaped like theta into theta."""
@@ -460,7 +457,8 @@ def _mse(predictions, targets):
 class FreezeMask:
     """One flat bool vector `frozen` over a network's theta, True = frozen
     (used in forward, never updated); net.views(mask.frozen) shapes it like
-    net.params. Without `frozen` every parameter starts free.
+    net.params. Without `frozen` every parameter starts free; the stage fits
+    take theirs from estimator._stage_mask.
     """
 
     def __init__(self, net, frozen=None):
@@ -473,35 +471,6 @@ class FreezeMask:
     def check_shapes(self, net):
         if self.frozen.shape != net.theta.shape:
             raise ShapeError("mask shape does not match parameter vector")
-
-    def freeze_treatment_edges(self, net):
-        views = net.views(self.frozen)
-        for i in range(net.n_layers):
-            row = net.treatment_input_row(i)
-            if row is not None:
-                views[2 * i][row, :] = True
-        return self
-
-    def freeze_input_encoder(self, net):
-        """Freeze the first-layer covariate weight block and its bias.
-
-        This pins the linear covariate encoding computed by the first hidden
-        layer; the treatment row of the same matrix stays trainable.
-        """
-        views = net.views(self.frozen)
-        views[0][: net.covariate_width, :] = True
-        views[1][:] = True
-        return self
-
-    def freeze_layer(self, net, layer_index):
-        """Freeze a layer's weights and bias, all but its treatment row."""
-        weight, bias = net.views(self.frozen)[2 * layer_index : 2 * layer_index + 2]
-        weight[:] = True
-        bias[:] = True
-        row = net.treatment_input_row(layer_index)
-        if row is not None:
-            weight[row, :] = False
-        return self
 
 
 @dataclass

@@ -9,7 +9,7 @@ import pytest
 from cdnn import bench, cli
 from cdnn.cli import main
 from cdnn.data import Dataset, load_csv
-from cdnn.estimator import load_checkpoint
+from cdnn.estimator import CdnnConfig, fit, load_checkpoint, save_checkpoint
 
 
 class TestGenerate:
@@ -471,7 +471,7 @@ class TestFitAndScore:
             stage = 1 if corruption == "stage-1-treatment-edge-of-one" else 2
             net = load_checkpoint(model_path).members[0][stage - 1].network
             if stage == 1:
-                net.treatment_weights()[0][1][0] = 1.0
+                net.theta[net.treatment_edges()[0]] = 1.0
             else:
                 net.weight(0)[0, 0] = np.nextafter(net.weight(0)[0, 0], np.inf)
             arrays[f"stage{stage}"][0] = net.theta
@@ -482,6 +482,31 @@ class TestFitAndScore:
         assert main(["score", "--model", str(bad), "--data", str(data_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert "error: malformed checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["nan-stage-2-output-bias", "layer-1-weight-moved-at-depth-2"])
+    def test_score_refuses_a_broken_checkpoint_before_writing(self, tmp_path, capsys, edit):
+        data_path = tmp_path / "d.csv"
+        main(["generate", "--family", "confound-linear", "--n", "60", "--out", str(data_path)])
+        model_path = tmp_path / "model.npz"
+        cfg = CdnnConfig(hidden_widths=(4, 3), freeze_depth=2, ensemble_size=1, epochs=2)
+        save_checkpoint(fit(load_csv(data_path), "freezing", cfg), model_path)
+        with np.load(model_path) as blob:
+            arrays = dict(blob)
+        if edit.startswith("nan"):
+            arrays["stage2"][0, -1] = np.nan
+            reason = "a parameter is not finite (NaN or inf)"
+        else:  # the first entry of layer 1, which freeze_depth=2 holds
+            net = load_checkpoint(model_path).members[0][1].network
+            j = net.params[0].size + net.params[1].size
+            arrays["stage2"][0, j] = np.nextafter(arrays["stage2"][0, j], np.inf)
+            reason = "frozen stage-2 encoder differs from stage 1's"
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        capsys.readouterr()
+        assert main(["score", "--model", str(bad), "--data", str(data_path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: malformed checkpoint: member 0: {reason}\n"
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("command", ["score", "fit"])
     def test_non_utf8_csv_returns_2(self, tmp_path, capsys, command):

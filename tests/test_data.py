@@ -183,6 +183,29 @@ class TestGenerate:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, "0.5"], ids=["nan", "inf", "string"])
+    def test_a_noise_sigma_that_is_not_a_finite_number_is_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="^noise sigma must be finite and nonnegative, got"):
+            constant_effect_spec(sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "slopes, offset, name",
+        [((math.nan, 0.0), 0.0, "slopes"), ((0.1, math.inf), 0.0, "slopes"),
+         ((0.1, 0.0), math.nan, "offset"), ((0.1, 0.0), -math.inf, "offset")],
+        ids=["nan-slope", "inf-slope", "nan-offset", "inf-offset"],
+    )
+    def test_a_non_finite_logistic_propensity_is_rejected(self, slopes, offset, name):
+        with pytest.raises(ConfigError, match=f"^logistic propensity {name} must be finite"):
+            DgpSpec(
+                d=2,
+                covariate_law="standard_normal",
+                propensity=LogisticPropensity(slopes, offset),
+                baseline=AffineSurface(0.0, (0.0, 0.0)),
+                effect=AffineSurface(0.0, (0.0, 0.0)),
+                noise_sigma=0.0,
+                seed=0,
+            )
+
 
 def _generated_digest(spec, n):
     """SHA-256 of generate(spec, n) and of its true propensities: a treatment

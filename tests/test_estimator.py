@@ -61,7 +61,7 @@ def edit_member0(stage, edit):
 
 
 def set_treatment_edge(net):
-    net.treatment_weights()[0][1][0] = 1.0
+    net.theta[net.treatment_edges()[0]] = 1.0
 
 
 def move_encoder_weight(net):
@@ -113,6 +113,42 @@ def linear_identity_config(**overrides):
     )
     defaults.update(overrides)
     return est.CdnnConfig(**defaults)
+
+
+class TestStageMask:
+    """_stage_mask against the sets each stage holds, written out through
+    net.views: stage 1 the treatment rows, the explicit stage 2 nothing,
+    freezing the first `held` layers but their treatment rows."""
+
+    @pytest.mark.parametrize(
+        "hidden, concat, depth, held",
+        [
+            ((5, 4, 3), False, 1, 1), ((5, 4, 3), False, 2, 2), ((5, 4, 3), False, 3, 3),
+            ((5, 4, 3), True, 1, 1), ((5, 4, 3), True, 2, 2), ((5, 4, 3), True, 3, 3),
+            ((5,), False, 2, 1), ((5, 4), True, 3, 2),
+            ((), False, 1, 1), ((), True, 3, 1),
+        ],
+        ids=["depth-1", "depth-2", "depth-3", "concat-depth-1", "concat-depth-2",
+             "concat-depth-3", "one-hidden-depth-2", "concat-two-hidden-depth-3",
+             "no-hidden-depth-1", "concat-no-hidden-depth-3"],
+    )
+    def test_each_stage_holds_what_it_should(self, hidden, concat, depth, held):
+        d = 3
+        net = nn.Network.build(d, hidden, concat_inputs=concat, rng=0)
+        cfg = est.CdnnConfig(hidden_widths=hidden, concat_inputs=concat, freeze_depth=depth)
+        edges, frozen = (np.zeros(net.theta.size, dtype=bool) for _ in range(2))
+        edge_views, frozen_views = net.views(edges), net.views(frozen)
+        edge_views[0][d] = True  # t is the last of layer 0's d + 1 inputs
+        for i in range(1, net.n_layers):
+            edge_views[2 * i][-1] = concat  # and of every later layer's, with concat
+        for i in range(held):
+            frozen_views[2 * i][:] = frozen_views[2 * i + 1][:] = True
+        frozen &= ~edges
+        for stage, expected in (("stage1", edges), ("explicit_residual", np.zeros_like(edges)),
+                                ("freezing", frozen)):
+            mask = est._stage_mask(net, stage, cfg)
+            assert mask.frozen.tobytes() == expected.tobytes(), stage
+        assert np.array_equal(net.treatment_edges(), np.flatnonzero(edges))
 
 
 class TestFitStage1:
@@ -322,11 +358,39 @@ class TestFitStage2Freezing:
 
     def test_moved_encoder_raises(self, monkeypatch):
         # with the encoder left trainable, training moves it off stage 1's bits
-        monkeypatch.setattr(nn.FreezeMask, "freeze_input_encoder", lambda self, net: self)
+        fit_network = nn.fit_network
+
+        def encoder_left_trainable(net, mask, *args, **kwargs):
+            encoder, bias = net.views(mask.frozen)[:2]
+            encoder[: net.covariate_width] = bias[:] = False
+            return fit_network(net, mask, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "fit_network", encoder_left_trainable)
         data = generate(make_spec(1.0, sigma=0.3, seed=44), 300)
         cfg = est.CdnnConfig(hidden_widths=(8,), ensemble_size=2, epochs=3, seed=2)
         with pytest.raises(IdentityViolationError, match="ensemble member 0: frozen stage-2"):
             est.fit(data, "freezing", cfg)
+
+    def test_training_that_frees_a_frozen_deeper_layer_raises(self, monkeypatch):
+        # training gets a mask that frees layer 1; the check after the fit
+        # asks _stage_mask afresh, so it sees layer 1 held and moved
+        data = generate(make_spec(1.0, sigma=0.4, seed=33), 300)
+        cfg = est.CdnnConfig(hidden_widths=(8, 6), ensemble_size=1, epochs=3, seed=13,
+                             freeze_depth=2)
+        s1 = est.fit_stage1(data, cfg)
+        stage_mask, made = est._stage_mask, []
+
+        def frees_layer1_for_training(net, stage, config):
+            mask = stage_mask(net, stage, config)
+            if not made:  # the first mask is the one training holds
+                weight, bias = net.views(mask.frozen)[2:4]
+                weight[:] = bias[:] = False
+            made.append(mask)
+            return mask
+
+        monkeypatch.setattr(est, "_stage_mask", frees_layer1_for_training)
+        with pytest.raises(IdentityViolationError, match="^frozen stage-2 encoder moved"):
+            est.fit_stage2_freezing(s1, data, cfg)
 
     def test_architecture_mismatch_rejected(self):
         data = generate(make_spec(1.0, seed=34), 300)
@@ -1241,6 +1305,54 @@ class TestCheckpoint:
             est.save_checkpoint(model, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("concat", [False, True], ids=["default-wiring", "concat-inputs"])
+    @pytest.mark.parametrize("param", [2, 3], ids=["layer-1-weight", "layer-1-bias"])
+    def test_every_frozen_layer_is_checked(self, tmp_path, concat, param):
+        # entry j, the first of layer 1's weight or bias, is held at freeze_depth=2
+        data = generate(make_spec(1.0, sigma=0.4, seed=58), 100)
+        cfg = est.CdnnConfig(hidden_widths=(4, 3, 2), concat_inputs=concat, freeze_depth=2,
+                             ensemble_size=2, epochs=2, seed=8)
+        model = est.fit(data, "freezing", cfg)
+        j = sum(p.size for p in model.members[0][1].network.params[:param])
+        path = tmp_path / "model.npz"
+        est.save_checkpoint(model, path)
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        arrays["stage2"][0, j] = np.nextafter(arrays["stage2"][0, j], np.inf)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        reason = "frozen stage-2 encoder differs from stage 1's"
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint: member 0: {reason}"):
+            est.load_checkpoint(bad)
+        theta = model.members[1][1].network.theta
+        theta[j] = np.nextafter(theta[j], -np.inf)
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint: member 1: {reason}"):
+            est.save_checkpoint(model, tmp_path / "edited.npz")
+        assert not (tmp_path / "edited.npz").exists()
+
+    @pytest.mark.parametrize("variant", est.VARIANTS)
+    @pytest.mark.parametrize("stage, value", [(1, np.inf), (2, np.nan)],
+                             ids=["stage-1-inf", "stage-2-nan"])
+    def test_a_non_finite_parameter_is_refused(self, tmp_path, variant, stage, value):
+        # the last entry of theta, the output bias, is held by no stage
+        data = generate(make_spec(1.0, sigma=0.4, seed=57), 100)
+        cfg = est.CdnnConfig(hidden_widths=(4, 3), ensemble_size=2, epochs=2, seed=8)
+        model = est.fit(data, variant, cfg)
+        path = tmp_path / "model.npz"
+        est.save_checkpoint(model, path)
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        arrays[f"stage{stage}"][1, -1] = value
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        reason = "a parameter is not finite"
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint: member 1: {reason}"):
+            est.load_checkpoint(bad)
+        model.members[1][stage - 1].network.theta[-1] = value
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint: member 1: {reason}"):
+            est.save_checkpoint(model, tmp_path / "edited.npz")
+        assert not (tmp_path / "edited.npz").exists()
+
     def test_bad_format_rejected(self, tmp_path):
         # format 1, the per-parameter layout that preceded format 2, is not read
         for fmt in (99, 1):
@@ -1286,8 +1398,8 @@ class TestCheckpointProperties:
             model = est.fit(data, variant, cfg)
             for s1, s2 in model.members:
                 assert s1.treatment_edges_zero()
-                if variant == "freezing":
-                    assert est._encoder_bytes(s2.network) == est._encoder_bytes(s1.network)
+                frozen = est._stage_mask(s2.network, variant, cfg).frozen
+                assert s2.network.theta[frozen].tobytes() == s1.network.theta[frozen].tobytes()
             raw = checkpoint_bytes(model)
             loaded = est.load_checkpoint(io.BytesIO(raw))
             assert_same_model(model, loaded, data.x)

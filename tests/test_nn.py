@@ -34,6 +34,13 @@ def all_frozen(net):
     return nn.FreezeMask(net, np.ones(net.theta.size, dtype=bool))
 
 
+def edges_mask(net):
+    """Stage 1's mask: every treatment edge frozen."""
+    mask = nn.FreezeMask(net)
+    mask.frozen[net.treatment_edges()] = True
+    return mask
+
+
 # frozen from a 40-digit mpmath evaluation of z / (1 + exp(-z))
 SWISH_ORACLE = {
     0.0: 0.0,
@@ -240,7 +247,7 @@ class TestBackward:
 
     def test_frozen_zero_treatment_edges_stay_zero_through_updates(self):
         net = nn.Network.build(3, (5,), rng=11, treatment_scale=0.0)
-        mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
+        mask = edges_mask(net)
         opt = nn.OptimizerState.create(net)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -290,7 +297,7 @@ class TestStep:
 
     def test_frozen_accumulators_stay_zero(self):
         net = nn.Network.build(2, (4,), rng=2, treatment_scale=0.0)
-        mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
+        mask = edges_mask(net)
         opt = nn.OptimizerState.create(net)
         grads = np.ones_like(net.theta)
         for _ in range(3):
@@ -628,9 +635,8 @@ class TestFlatLayout:
         # a member that keeps the contracts a checkpoint checks: stage 1 with
         # zero treatment edges, stage 2 its copy with only the encoder kept
         cfg = est.CdnnConfig(hidden_widths=hidden, concat_inputs=concat, ensemble_size=1)
-        for _, w in net.treatment_weights():
-            w[:] = 0.0
-        encoder = nn.FreezeMask.none(net).freeze_input_encoder(net).frozen
+        net.theta[net.treatment_edges()] = 0.0
+        encoder = est._stage_mask(net, "freezing", cfg).frozen
         twin.theta[:] = np.where(encoder, net.theta, rng.standard_normal(net.theta.size))
         stage2 = est.Stage2Model("freezing", twin, nn.TrainingLog())
         stage1 = est.Stage1Model(net, nn.TrainingLog())
@@ -694,7 +700,7 @@ class TestFlatLayout:
     @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
     def test_step_leaves_the_gradient_unchanged(self, algorithm):
         net = nn.Network.build(3, (6, 5), rng=4, treatment_scale=0.1)
-        mask = nn.FreezeMask.none(net).freeze_input_encoder(net)
+        mask = est._stage_mask(net, "freezing", est.CdnnConfig())  # the encoder
         opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.05)
         rng = np.random.default_rng(2)
         for _ in range(3):
@@ -839,14 +845,12 @@ def reference_fit_network(
 
 def _fit_mask(net, kind):
     """The masks the stage fits train under."""
-    mask = nn.FreezeMask.none(net)
-    if kind == "edges":  # stage 1
-        mask.freeze_treatment_edges(net)
-    elif kind in ("encoder", "depth2"):  # freezing stage 2, freeze_depth 1 and 2
-        mask.freeze_input_encoder(net)
-        if kind == "depth2":
-            mask.freeze_layer(net, 1)
-    return mask
+    if kind == "none":
+        return nn.FreezeMask.none(net)
+    # stage 1, and freezing stage 2 at freeze_depth 1 and 2
+    stage, depth = {"edges": ("stage1", 1), "encoder": ("freezing", 1),
+                    "depth2": ("freezing", 2)}[kind]
+    return est._stage_mask(net, stage, est.CdnnConfig(freeze_depth=depth))
 
 
 def _fit_problem(rng, n, d):
@@ -1157,7 +1161,7 @@ class TestStepMatchesReference:
         ref_net = net.clone()
         opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.05)
         ref_opt = _reference_state(ref_net, algorithm, 0.05, 0.9)
-        mask = nn.FreezeMask.none(net).freeze_treatment_edges(net)
+        mask = edges_mask(net)
         rng = np.random.default_rng(0)
 
         def both_step():
@@ -1169,9 +1173,10 @@ class TestStepMatchesReference:
         for _ in range(3):
             both_step()
         # freeze the trained encoder, release the treatment row
-        mask.freeze_input_encoder(net)
         row = net.treatment_input_row(0)
-        net.views(mask.frozen)[0][row, :] = False
+        weight, bias = net.views(mask.frozen)[:2]
+        weight[:] = bias[:] = True
+        weight[row, :] = False
         encoder = net.weight(0)[:row].copy()
         encoder_moments = [net.views(buf)[0][:row].copy() for buf in opt.buffers]
         treatment_row = net.weight(0)[row].copy()
