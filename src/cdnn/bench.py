@@ -26,6 +26,7 @@ from .data import (
     ReplicationSet,
     SplitSpec,
     _derived_seed,
+    _replaced_whole,
     concat_datasets,
     generate,
     load_csv,
@@ -158,15 +159,18 @@ _JSON_KINDS = {
 }
 
 
-def _json_value(entry, key, kind, default):
-    """entry[key], or `default` when absent, of the JSON type that `kind`
-    names in _JSON_KINDS."""
-    if key not in entry:
-        return default
-    value = entry[key]
-    if type(value) is not kind:  # bool is a subclass of int, not an int here
-        raise ConfigError(f"bad config value: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
+def _given(entry, **kinds):
+    """The keys of `kinds` that `entry` holds, each of the JSON type that its
+    kind names in _JSON_KINDS (None: any, left to the code it feeds). An
+    absent key is not passed, so the code it feeds applies its own default."""
+    given = {key: entry[key] for key in kinds if key in entry}
+    for key, value in given.items():
+        # bool is a subclass of int, not an int here
+        if kinds[key] is not None and type(value) is not kinds[key]:
+            raise ConfigError(
+                f"bad config value: {key} must be {_JSON_KINDS[kinds[key]]}, got {value!r}"
+            )
+    return given
 
 
 def config_from_dict(raw):
@@ -187,33 +191,25 @@ def _config_from_dict(raw):
     _reject_unknown(raw, allowed, "config")
     if "estimators" not in raw or "dgp" not in raw:
         raise ConfigError("config needs 'dgp' and 'estimators'")
-    dgp_entry = _json_value(raw, "dgp", dict, None)
+    dgp_entry = _given(raw, dgp=dict)["dgp"]
     dgp = None
     csv_files = ()
-    replications = _json_value(raw, "replications", int, 0)
+    replications = _given(raw, replications=int)
     if "csv" in dgp_entry:
         _reject_unknown(dgp_entry, ("csv",), "dgp")
-        csv_files = tuple(sorted(globmod.glob(_json_value(dgp_entry, "csv", str, None))))
+        csv_files = tuple(sorted(globmod.glob(_given(dgp_entry, csv=str)["csv"])))
         if not csv_files:
             raise ConfigError(f"csv glob {dgp_entry['csv']!r} matched no files")
-        if replications == 0:
-            replications = len(csv_files)
-        if replications != len(csv_files):
-            raise ConfigError(
-                f"replications={replications} but csv glob matched {len(csv_files)} files"
-            )
+        # one replication per file unless the config says otherwise
+        count = replications.setdefault("replications", len(csv_files))
+        if count != len(csv_files):
+            raise ConfigError(f"replications={count} but csv glob matched {len(csv_files)} files")
     else:
         _reject_unknown(dgp_entry, ("family", "d", "seed"), "dgp")
         if "family" not in dgp_entry:
             raise ConfigError(f"dgp needs a 'family' (one of {DGP_FAMILIES}) or 'csv'")
-        dgp = named_dgp(
-            dgp_entry["family"],
-            d=_json_value(dgp_entry, "d", int, 5),
-            seed=_json_value(dgp_entry, "seed", int, 0),
-        )
-        if replications == 0:
-            replications = 1
-    estimators = tuple(_estimator_spec_from(e) for e in _json_value(raw, "estimators", list, None))
+        dgp = named_dgp(dgp_entry["family"], **_given(dgp_entry, d=int, seed=int))
+    estimators = tuple(_estimator_spec_from(e) for e in _given(raw, estimators=list)["estimators"])
     names = [spec.name for spec in estimators]
     for name in names:
         if names.count(name) > 1:  # the report keys its aggregates by name
@@ -221,14 +217,10 @@ def _config_from_dict(raw):
     return ExperimentConfig(
         estimators=estimators,
         split=_split_spec_from(raw.get("split")),
-        seed=_json_value(raw, "seed", int, 0),
         dgp=dgp,
         csv_files=csv_files,
-        n=_json_value(raw, "n", int, 0),
-        replications=replications,
-        output=_json_value(raw, "output", str, None),
-        redraw_baseline=_json_value(raw, "redraw_baseline", bool, False),
-        metrics_on=raw.get("metrics_on", "test"),
+        **replications,
+        **_given(raw, seed=int, n=int, output=str, redraw_baseline=bool, metrics_on=None),
     )
 
 
@@ -323,44 +315,41 @@ class MetricsReport:
         return out
 
     def to_csv(self, path, include_runtime=False):
-        """One row per (estimator, replication) plus mean/sd aggregate rows."""
-        header = ["estimator", "replication", "sqrt_pehe", "eps_ate", "ate_error_signed", "status"]
-        if include_runtime:
-            header.append("fit_seconds")
+        """One row per (estimator, replication) plus mean/sd aggregate rows;
+        the last column, fit_seconds, only when `include_runtime`."""
 
         def fmt(v):
             return "" if v is None else format(v, ".17g")
 
         agg = self.aggregates()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for r in self.rows:
-                row = [
-                    r.estimator,
-                    str(r.replication),
-                    fmt(r.sqrt_pehe),
-                    fmt(r.eps_ate),
-                    fmt(r.ate_error_signed),
-                    "ok" if r.ok else f"error: {r.error}",
-                ]
-                if include_runtime:
-                    row.append(fmt(r.fit_seconds))
-                writer.writerow(row)
-            for name in self.estimator_order:
-                a = agg[name]
-                for stat in ("mean", "sd"):
-                    row = [
-                        name,
-                        stat,
-                        fmt(a[f"{stat}_sqrt_pehe"]),
-                        fmt(a[f"{stat}_eps_ate"]),
-                        "",
-                        f"n={a['n_ok']}",
-                    ]
-                    if include_runtime:
-                        row.append(fmt(a["mean_fit_seconds"]) if stat == "mean" else "")
-                    writer.writerow(row)
+        rows = [["estimator", "replication", "sqrt_pehe", "eps_ate", "ate_error_signed", "status",
+                 "fit_seconds"]]
+        for r in self.rows:
+            rows.append([
+                r.estimator,
+                str(r.replication),
+                fmt(r.sqrt_pehe),
+                fmt(r.eps_ate),
+                fmt(r.ate_error_signed),
+                "ok" if r.ok else f"error: {r.error}",
+                fmt(r.fit_seconds),
+            ])
+        for name in self.estimator_order:
+            a = agg[name]
+            for stat in ("mean", "sd"):
+                rows.append([
+                    name,
+                    stat,
+                    fmt(a[f"{stat}_sqrt_pehe"]),
+                    fmt(a[f"{stat}_eps_ate"]),
+                    "",
+                    f"n={a['n_ok']}",
+                    fmt(a["mean_fit_seconds"]) if stat == "mean" else "",
+                ])
+        with _replaced_whole(path, newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                rows if include_runtime else (row[:-1] for row in rows)
+            )
         return path
 
     def to_markdown(self):
@@ -436,7 +425,6 @@ def verify_gradients(seed=0, networks=20, tolerance=1e-4):
     """Backprop vs central finite differences over random architectures."""
     rng = np.random.default_rng(seed)
     errors = []
-    t0 = time.perf_counter()
     for k in range(networks):
         d = int(rng.integers(2, 6))
         depth = int(rng.integers(1, 4))
@@ -454,12 +442,10 @@ def verify_gradients(seed=0, networks=20, tolerance=1e-4):
         errors.append(gradient_check(net, (X, T, Y)))
     # np.max, not max: a NaN error must reach the verdict and fail it
     worst = float(np.max(errors, initial=0.0))
-    elapsed = time.perf_counter() - t0
     passed = worst <= tolerance
     lines = [
         f"networks checked: {networks} (architectures, activations, concat wiring varied)",
         f"max relative gradient error: {worst:.3e} (tolerance {tolerance:.0e})",
-        f"elapsed: {elapsed:.2f}s",
     ]
     return VerifyResult("gradients", passed, lines)
 
@@ -469,7 +455,6 @@ def verify_lemma(seed=0, oracles=1000, tolerance=1e-12):
     rng = np.random.default_rng(seed)
     worst_h = 0.0
     worst_mix = 0.0
-    t0 = time.perf_counter()
     for _ in range(oracles):
         spec = random_dgp(rng)
         oracle = oracle_of(spec)
@@ -478,13 +463,11 @@ def verify_lemma(seed=0, oracles=1000, tolerance=1e-12):
         direct, factored = residualized_h(oracle, t, x, tol=tolerance)
         worst_h = max(worst_h, abs(direct - factored))
         worst_mix = max(worst_mix, abs(marginal_outcome(oracle, x) - oracle.g0(x)))
-    elapsed = time.perf_counter() - t0
     passed = worst_h <= tolerance and worst_mix <= tolerance
     lines = [
         f"oracles checked: {oracles}",
         f"max |h_direct - theta*(t-e)|: {worst_h:.3e} (tolerance {tolerance:.0e})",
         f"max |mixture - g0|: {worst_mix:.3e} (tolerance {tolerance:.0e})",
-        f"elapsed: {elapsed:.2f}s",
     ]
     return VerifyResult("lemma", passed, lines)
 
@@ -526,7 +509,6 @@ def verify_orthogonality(seed=0, n_x=20, n_samples=100_000, min_pass_fraction=0.
     directions = standard_perturbations(spec.d)
     xs = _probe_points(oracle, directions, np.random.default_rng(seed), n_x, spec.d)
 
-    t0 = time.perf_counter()
     within = 0
     total = 0
     analytic_all_zero = True
@@ -558,7 +540,6 @@ def verify_orthogonality(seed=0, n_x=20, n_samples=100_000, min_pass_fraction=0.
             controls_checked += 1
             if abs(estimate) > 3.0 * stderr:
                 controls_rejected += 1
-    elapsed = time.perf_counter() - t0
 
     frac = within / total
     passed = (
@@ -574,7 +555,6 @@ def verify_orthogonality(seed=0, n_x=20, n_samples=100_000, min_pass_fraction=0.
         f"{100 * min_pass_fraction:.0f}%)",
         f"analytic closed form exactly 0 on all probes: {analytic_all_zero}",
         f"negative control rejected 0 at 3 sigma: {controls_rejected}/{controls_checked}",
-        f"elapsed: {elapsed:.2f}s",
     ]
     return VerifyResult("orthogonality", passed, lines)
 
@@ -583,10 +563,17 @@ SUITES = ("gradients", "lemma", "orthogonality")
 
 
 def verify(kind, seed=0):
-    """Run one named verification suite of SUITES (or "all" of them)."""
+    """Run one named verification suite of SUITES (or "all" of them); each
+    result ends with the suite's wall time."""
     if kind != "all" and kind not in SUITES:
         raise ConfigError(f"unknown verify kind {kind!r}")
     if not _is_count(seed, least=0):
         raise ConfigError("seed must be a nonnegative integer")
-    # looked up when called, so a wrapped module attribute verify_* is the one run
-    return [globals()[f"verify_{k}"](seed=seed) for k in (SUITES if kind == "all" else (kind,))]
+    results = []
+    for k in SUITES if kind == "all" else (kind,):
+        t0 = time.perf_counter()
+        # looked up when called, so a wrapped module attribute verify_* is the one run
+        result = globals()[f"verify_{k}"](seed=seed)
+        result.lines.append(f"elapsed: {time.perf_counter() - t0:.2f}s")
+        results.append(result)
+    return results

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .data import DGP_FAMILIES, generate, load_csv, named_dgp, write_csv
+from .data import DGP_FAMILIES, _replaced_whole, generate, load_csv, named_dgp, write_csv
 from .errors import CdnnError, ConfigError
 from .estimator import VARIANTS, CdnnConfig, fit, load_checkpoint, predict_ite, save_checkpoint
 
@@ -26,8 +26,8 @@ def _build_parser():
     p_gen = sub.add_parser("generate", help="draw a synthetic dataset and write it as CSV")
     p_gen.add_argument("--family", required=True, choices=DGP_FAMILIES)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--d", type=int, default=5)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--d", type=int)
     p_gen.add_argument("--out", required=True)
 
     p_bench = sub.add_parser("bench", help="run an experiment config and emit reports")
@@ -40,7 +40,7 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run a numerical verification suite")
     p_verify.add_argument("kind", choices=(*bench.SUITES, "all"))
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int)
 
     p_score = sub.add_parser("score", help="per-row effect predictions from a checkpoint")
     p_score.add_argument("--model", required=True)
@@ -51,12 +51,18 @@ def _build_parser():
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--variant", choices=VARIANTS, default="freezing")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--epochs", type=int, default=300)
-    p_fit.add_argument("--hidden", default="64,64,64", help="comma-separated hidden widths")
-    p_fit.add_argument("--ensemble-size", type=int, default=3)
-    p_fit.add_argument("--validation-fraction", type=float, default=0.3)
+    p_fit.add_argument("--seed", type=int)
+    p_fit.add_argument("--epochs", type=int)
+    p_fit.add_argument("--hidden", help="comma-separated hidden widths")
+    p_fit.add_argument("--ensemble-size", type=int)
+    p_fit.add_argument("--validation-fraction", type=float)
     return parser
+
+
+def _given(args, *names):
+    """The flags among `names` that were given, by name. An absent flag is
+    not passed, so the code it feeds applies its own default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _check_out(path):
@@ -72,7 +78,7 @@ def _check_out(path):
 
 def _cmd_generate(args):
     _check_out(args.out)
-    spec = named_dgp(args.family, d=args.d, seed=args.seed)
+    spec = named_dgp(args.family, **_given(args, "d", "seed"))
     data = generate(spec, args.n)
     write_csv(data, args.out)
     print(f"wrote {len(data)} rows (d={data.d}, ground truth included) to {args.out}")
@@ -92,7 +98,8 @@ def _cmd_bench(args):
     csv_path = out_dir / "report.csv"
     md_path = out_dir / "report.md"
     report.to_csv(csv_path, include_runtime=args.include_runtime)
-    md_path.write_text(report.to_markdown(), encoding="utf-8")
+    with _replaced_whole(md_path, encoding="utf-8") as fh:
+        fh.write(report.to_markdown())
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     print(f"wrote {csv_path} and {md_path}")
@@ -106,7 +113,7 @@ def _cmd_bench(args):
 
 
 def _cmd_verify(args):
-    results = bench.verify(args.kind, seed=args.seed)
+    results = bench.verify(args.kind, **_given(args, "seed"))
     ok = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -124,7 +131,7 @@ def _cmd_score(args):
     ites = predict_ite(est, data.x)
     # one %-format over the whole column and one write: the bytes of a
     # per-value f"{v:.17g}" join, in about two thirds of its time
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _replaced_whole(args.out, newline="", encoding="utf-8") as fh:
         fh.write("ite\n" + ("%.17g\n" * len(ites)) % tuple(ites.tolist()))
     print(f"wrote {len(data)} effect predictions to {args.out}")
     return 0
@@ -133,17 +140,13 @@ def _cmd_score(args):
 def _cmd_fit(args):
     _check_out(args.out)
     data = load_csv(args.data)
-    try:
-        hidden = tuple(int(w) for w in args.hidden.split(","))
-    except ValueError:
-        raise ConfigError(f"bad --hidden value {args.hidden!r}") from None
-    config = CdnnConfig(
-        hidden_widths=hidden,
-        epochs=args.epochs,
-        ensemble_size=args.ensemble_size,
-        validation_fraction=args.validation_fraction,
-        seed=args.seed,
-    )
+    settings = _given(args, "seed", "epochs", "ensemble_size", "validation_fraction")
+    if args.hidden is not None:
+        try:
+            settings["hidden_widths"] = tuple(int(w) for w in args.hidden.split(","))
+        except ValueError:
+            raise ConfigError(f"bad --hidden value {args.hidden!r}") from None
+    config = CdnnConfig(**settings)
     est = fit(data, args.variant, config)
     save_checkpoint(est, args.out)
     print(f"trained {args.variant} ensemble ({config.ensemble_size} members) -> {args.out}")
@@ -153,15 +156,8 @@ def _cmd_fit(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "bench": _cmd_bench,
-        "verify": _cmd_verify,
-        "score": _cmd_score,
-        "fit": _cmd_fit,
-    }
     try:
-        return handlers[args.command](args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (CdnnError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

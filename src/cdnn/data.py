@@ -12,6 +12,7 @@ a write/load round trip is value-exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -78,7 +79,12 @@ class ConstantPropensity:
         return np.full(np.asarray(X).shape[0], self.p)
 
     def check_overlap(self):
-        if not 0.0 < self.p < 1.0:
+        try:
+            inside = 0.0 < self.p < 1.0
+        except TypeError:  # not a number
+            inside = False
+        if not inside:
+            _check_finite("constant propensity", self)
             raise ConfigError(f"constant propensity {self.p} outside (0, 1)")
 
 
@@ -92,18 +98,33 @@ class LogisticPropensity:
 
     def check_overlap(self):
         # |offset| + 3 * |slopes| bounds |logit| on the ball of radius 3 around
-        # the origin; it must keep e in (0.02, 0.98) there. A NaN or infinite
-        # setting fails too, and only then is each setting checked by name.
-        norm = float(np.linalg.norm(self.slopes))
-        worst = abs(self.offset) + 3.0 * norm
+        # the origin; it must keep e in (0.02, 0.98) there. A setting that is
+        # no finite number fails too, and only then is each checked by name.
+        try:
+            worst = abs(self.offset) + 3.0 * float(np.linalg.norm(self.slopes))
+        except (TypeError, ValueError, OverflowError):  # not numbers
+            worst = math.nan
         if not worst <= _MAX_ABS_LOGIT:
-            for name, values in (("offset", (self.offset,)), ("slopes", self.slopes)):
-                if not all(map(_is_finite_number, values)):
-                    raise ConfigError(f"logistic propensity {name} must be finite, got "
-                                      f"{getattr(self, name)!r}")
+            _check_finite("logistic propensity", self)
             raise ConfigError(
                 f"logistic propensity can leave (0.02, 0.98): worst |logit| {worst:.3f}"
             )
+
+
+def _check_finite(what, part):
+    """ConfigError naming the first setting of the DGP part `part` that is not
+    a finite number by _is_finite_number's rule; its `slopes` is a sequence
+    of them. One fsum over all its numbers passes the common case, so only a
+    part that fails it is checked setting by setting."""
+    numbers = dict(vars(part))
+    try:
+        if math.isfinite(math.fsum(numbers.pop("slopes", ())) + math.fsum(numbers.values())):
+            return
+    except (TypeError, ValueError, OverflowError):  # a non-number, inf - inf, or too large
+        pass
+    for name, value in vars(part).items():
+        if not all(map(_is_finite_number, value if name == "slopes" else (value,))):
+            raise ConfigError(f"{what} {name} must be finite, got {value!r}")
 
 
 def _surface_dimension_ok(surface, d):
@@ -149,6 +170,8 @@ class DgpSpec:
             raise ConfigError("effect surface dimension != d")
         if not _surface_dimension_ok(self.propensity, self.d):
             raise ConfigError("propensity dimension != d")
+        _check_finite("baseline", self.baseline)
+        _check_finite("effect", self.effect)
         self.propensity.check_overlap()
 
     def draw_covariates(self, n, rng):
@@ -410,6 +433,33 @@ _SCAN_BYTES = 4096  # read per step while looking for a line end
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
+@contextlib.contextmanager
+def _replaced_whole(path, mode="w", **kwargs):
+    """open(path, mode, **kwargs) for writing, except that the file appears
+    whole or not at all. The block writes a temporary file beside `path`,
+    which os.replace puts onto `path` only once the block succeeds; on an
+    error it is removed, and `path` keeps its earlier content or stays
+    absent. The file gets the permissions open(path, "w") gives under the
+    umask. A path that exists and is no regular file (/dev/null, a pipe) is
+    written in place: there is no file to replace."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fh = open(temporary, mode.replace("w", "x"), **kwargs)  # "x": a new file, never another's
+    try:
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def write_csv(data, path):
     """Write a dataset under the canonical schema; value-exact round trip.
 
@@ -425,7 +475,7 @@ def write_csv(data, path):
     header += [f"x{j}" for j in range(data.d)]
     columns += list(data.x.T)
     row = "{:d}" + ",{:.17g}" * (len(columns) - 1) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replaced_whole(path, newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(data), _WRITE_BLOCK_ROWS):
             block = [c[start : start + _WRITE_BLOCK_ROWS].tolist() for c in columns]

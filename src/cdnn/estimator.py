@@ -30,7 +30,7 @@ import numpy as np
 
 from . import nn
 from ._workers import _map
-from .data import Dataset, _seed_sequence
+from .data import Dataset, _replaced_whole, _seed_sequence
 from .errors import CdnnError, ConfigError, DegenerateTreatmentError, IdentityViolationError
 from .errors import ShapeError, _check_size, _is_count, _is_finite_number
 
@@ -414,9 +414,9 @@ def save_checkpoint(estimator, path):
 
     Format 2: a meta JSON (format, variant, config, covariate width) and one
     (members, P) theta matrix per stage; the rest follows from the config.
-    `path` is a file name, written exactly as given, or an open binary file.
-    A model that load_checkpoint would reject raises ConfigError, and nothing
-    is written.
+    `path` is a file name, written exactly as given and whole or not at all,
+    or an open binary file. A model that load_checkpoint would reject raises
+    ConfigError, and nothing is written.
     """
     stage1, stage2 = zip(*estimator.members)
     width = stage1[0].network.covariate_width
@@ -427,7 +427,8 @@ def save_checkpoint(estimator, path):
             "config": asdict(estimator.config), "covariate_width": width}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     # np.savez given a file name appends ".npz"; given an open file it writes there
-    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
+    writes = contextlib.nullcontext(path) if hasattr(path, "write") else _replaced_whole(path, "wb")
+    with writes as fh:
         np.savez(fh, **arrays)
     return path
 

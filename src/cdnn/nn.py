@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -484,15 +485,16 @@ class OptimizerState:
     for adaptive_moment); net.views(buffers[s]) shapes buffer s like
     net.params. `scratch` holds as many flat work vectors, for the update.
     An update leaves the accumulator entries of frozen parameters bitwise
-    as they were.
+    as they were. The moment decays and epsilon are constants, not settings.
     """
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
 
     algorithm: str
     learning_rate: float
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     buffers: list = field(default_factory=list)
     scratch: list = field(default_factory=list)

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,39 @@ class TestConfig:
     def test_a_seed_or_size_of_the_wrong_type_is_a_config_error(self, call, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_absent_keys_are_not_passed(self, monkeypatch):
+        # named_dgp and ExperimentConfig apply their own defaults
+        cases = [
+            ({}, {}, {}),
+            ({"dgp": {"family": "confound-linear", "d": 3, "seed": 2}, "seed": 4, "n": 50,
+              "replications": 3, "output": "o", "redraw_baseline": True, "metrics_on": "all"},
+             {"d": 3, "seed": 2},
+             {"seed": 4, "n": 50, "replications": 3, "output": "o", "redraw_baseline": True,
+              "metrics_on": "all"}),
+            ({"dgp": {"family": "confound-linear", "seed": 0}, "seed": 0},
+             {"seed": 0}, {"seed": 0}),
+        ]
+        dgp_calls, config_calls = [], []
+        real_named_dgp = bench.named_dgp
+
+        def named_dgp_spy(family, **kwargs):
+            dgp_calls.append(kwargs)
+            return real_named_dgp(family, **kwargs)
+
+        class ExperimentConfigSpy(bench.ExperimentConfig):
+            def __init__(self, estimators, split, dgp, csv_files, **kwargs):
+                config_calls.append(kwargs)
+                super().__init__(estimators, split, dgp=dgp, csv_files=csv_files,
+                                 **{"n": 10, **kwargs})
+
+        monkeypatch.setattr(bench, "named_dgp", named_dgp_spy)
+        monkeypatch.setattr(bench, "ExperimentConfig", ExperimentConfigSpy)
+        for given, _, _ in cases:
+            bench.config_from_dict({"dgp": {"family": "confound-linear"},
+                                    "estimators": ["ols_lr1"], **given})
+        assert dgp_calls == [dgp for _, dgp, _ in cases]
+        assert config_calls == [config for _, _, config in cases]
 
     def test_string_estimator_shorthand(self):
         cfg = quick_config(estimators=["dml"])
@@ -380,6 +414,27 @@ class TestVerify:
             (kind, True) for kind in bench.SUITES
         ]
         assert [r.kind for r in bench.verify("lemma", seed=7)] == ["lemma"]
+
+    def test_verify_times_each_suite_it_runs(self, monkeypatch):
+        def suite(kind, pause):
+            def run(seed):
+                time.sleep(pause)
+                return bench.VerifyResult(kind, True, [f"{kind} at seed {seed}"])
+            return run
+
+        for kind in bench.SUITES:
+            monkeypatch.setattr(bench, f"verify_{kind}", suite(kind, 0.05 * (kind == "lemma")))
+        results = bench.verify("all", seed=3)
+        assert [r.lines[0] for r in results] == [f"{kind} at seed 3" for kind in bench.SUITES]
+        assert all(len(r.lines) == 2 and re.fullmatch(r"elapsed: \d+\.\d\ds", r.lines[1])
+                   for r in results)
+        assert float(results[1].lines[1][len("elapsed: "):-1]) >= 0.05
+        assert bench.verify("lemma")[0].lines[-1].startswith("elapsed: ")
+
+    def test_a_suite_called_directly_is_not_timed(self):
+        results = [bench.verify_gradients(networks=2), bench.verify_lemma(oracles=20),
+                   bench.verify_orthogonality(n_x=2, n_samples=10_000)]
+        assert [line for r in results for line in r.lines if line.startswith("elapsed")] == []
 
     def test_all_returns_three_results(self):
         # smaller orthogonality settings keep this test quick

@@ -1,12 +1,17 @@
 """End-to-end command line checks and exit codes."""
 
 import csv
+import errno
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
 from cdnn import bench, cli
+from cdnn import data as dmod
 from cdnn.cli import main
 from cdnn.data import Dataset, load_csv
 from cdnn.estimator import CdnnConfig, fit, load_checkpoint, save_checkpoint
@@ -620,3 +625,190 @@ class TestFitAndScore:
               "--out", str(data_path)])
         assert main(["fit", "--data", str(data_path), "--out", str(tmp_path / "m.npz"),
                      "--hidden", "sixty-four"]) == 2
+
+
+class _Spied(Exception):
+    pass
+
+
+class TestDefaults:
+    """An absent flag is not passed: the code it feeds applies its own default."""
+
+    def passed(self, monkeypatch, owner, name, argv, cases):
+        """For each (flags, passed) of `cases`, the keyword arguments that
+        `main(argv + flags)` gives owner.name."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            raise _Spied
+
+        monkeypatch.setattr(owner, name, spy)
+        for flags, _ in cases:
+            with pytest.raises(_Spied):
+                main(argv + flags)
+        return calls
+
+    def test_generate_passes_only_given_flags_to_named_dgp(self, tmp_path, monkeypatch):
+        cases = [([], {}), (["--d", "3", "--seed", "4"], {"d": 3, "seed": 4}),
+                 (["--seed", "0"], {"seed": 0})]
+        argv = ["generate", "--family", "null-effect", "--n", "9", "--out", str(tmp_path / "o")]
+        calls = self.passed(monkeypatch, cli, "named_dgp", argv, cases)
+        assert calls == [passed for _, passed in cases]
+
+    def test_verify_passes_only_given_flags_to_bench_verify(self, monkeypatch):
+        cases = [([], {}), (["--seed", "5"], {"seed": 5})]
+        calls = self.passed(monkeypatch, bench, "verify", ["verify", "lemma"], cases)
+        assert calls == [passed for _, passed in cases]
+
+    def test_fit_passes_only_given_flags_to_cdnn_config(self, tmp_path, monkeypatch):
+        cases = [
+            ([], {}),
+            (["--seed", "1", "--epochs", "7", "--hidden", "5,4", "--ensemble-size", "2",
+              "--validation-fraction", "0.25"],
+             {"seed": 1, "epochs": 7, "hidden_widths": (5, 4), "ensemble_size": 2,
+              "validation_fraction": 0.25}),
+            (["--epochs", "2"], {"epochs": 2}),
+        ]
+        monkeypatch.setattr(cli, "load_csv", lambda path: None)
+        argv = ["fit", "--data", "d.csv", "--out", str(tmp_path / "m.npz")]
+        calls = self.passed(monkeypatch, cli, "CdnnConfig", argv, cases)
+        assert calls == [passed for _, passed in cases]
+
+
+class _FullDisk:
+    """A file whose every write puts down half its data, then fails as a full
+    disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestWholeOutputs:
+    """Each output file appears whole or not at all: a write that fails
+    midway leaves no target and no temporary file, and an earlier target's
+    bytes as they were."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("inputs")
+        assert main(["generate", "--family", "confound-linear", "--n", "80",
+                     "--out", str(base / "d.csv")]) == 0
+        assert main(["fit", "--data", str(base / "d.csv"), "--out", str(base / "m.npz"),
+                     "--epochs", "1", "--ensemble-size", "1", "--hidden", "4"]) == 0
+        (base / "bench.json").write_text(json.dumps(
+            {"dgp": {"family": "confound-linear"}, "n": 60, "estimators": ["ols_lr1"],
+             "output": "out"}
+        ))
+        return base
+
+    # command -> (argv given the inputs and output directory, the target's name)
+    COMMANDS = {
+        "csv": (lambda i, o: ["generate", "--family", "confound-linear", "--n", "50",
+                              "--out", str(o / "d.csv")], "d.csv"),
+        "checkpoint": (lambda i, o: ["fit", "--data", str(i / "d.csv"), "--out", str(o / "m.npz"),
+                                     "--epochs", "1", "--ensemble-size", "1", "--hidden", "4"],
+                       "m.npz"),
+        "score": (lambda i, o: ["score", "--model", str(i / "m.npz"), "--data", str(i / "d.csv"),
+                                "--out", str(o / "ite.csv")], "ite.csv"),
+        "report-csv": (lambda i, o: ["bench", "--config", str(i / "bench.json")], "report.csv"),
+        "report-md": (lambda i, o: ["bench", "--config", str(i / "bench.json")], "report.md"),
+    }
+
+    def run_with_full_disk(self, monkeypatch, tmp_path, inputs, command):
+        argv, target = self.COMMANDS[command]
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        real_open = open
+
+        def open_target_only(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            writes = "w" in mode or "x" in mode
+            return _FullDisk(fh) if writes and target in os.path.basename(str(file)) else fh
+
+        monkeypatch.setattr(dmod, "open", open_target_only, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv(inputs, out)) == 2
+        return out, target
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys, inputs,
+                                           command):
+        out, target = self.run_with_full_disk(monkeypatch, tmp_path, inputs, command)
+        assert "No space left on device" in capsys.readouterr().err
+        assert not (out / target).exists()
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["report.csv"] if command == "report-md" else []
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, inputs,
+                                                   command):
+        _, target = self.COMMANDS[command]
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / target).write_bytes(b"earlier\n")
+        out, _ = self.run_with_full_disk(monkeypatch, tmp_path, inputs, command)
+        assert (out / target).read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            {target} | ({"report.csv"} if command == "report-md" else set())
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_reader_of_the_earlier_file_keeps_reading_it(self, tmp_path, monkeypatch, inputs,
+                                                           command):
+        # the new file replaces the earlier one rather than overwriting it,
+        # and takes the permissions of the umask as a new file from open does
+        argv, target = self.COMMANDS[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(tmp_path)
+        old_umask = os.umask(0o027)
+        try:
+            (out / target).write_bytes(b"earlier\n")
+            with open(out / target, "rb") as earlier:
+                assert main(argv(inputs, out)) == 0
+                assert earlier.read() == b"earlier\n"
+        finally:
+            os.umask(old_umask)
+        assert (out / target).read_bytes() != b"earlier\n"
+        assert stat.S_IMODE((out / target).stat().st_mode) == 0o640
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["report.csv", "report.md"] if command.startswith("report") else [target]
+        )
+
+    def test_a_path_that_is_no_regular_file_is_written_in_place(self, tmp_path, inputs):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        argv, _ = self.COMMANDS["score"]
+        assert main(argv(inputs, tmp_path)[:-1] + [str(pipe)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received[0].startswith(b"ite\n") and received[0].count(b"\n") == 81
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+    def test_a_symlinked_target_is_written_through_the_link(self, tmp_path, inputs):
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "ite.csv").write_bytes(b"earlier\n")
+        (tmp_path / "ite.csv").symlink_to(tmp_path / "elsewhere" / "ite.csv")
+        argv, _ = self.COMMANDS["score"]
+        assert main(argv(inputs, tmp_path)) == 0
+        assert (tmp_path / "ite.csv").is_symlink()
+        assert (tmp_path / "elsewhere" / "ite.csv").read_bytes().startswith(b"ite\n")
+        assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == ["ite.csv"]

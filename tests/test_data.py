@@ -206,6 +206,50 @@ class TestGenerate:
                 seed=0,
             )
 
+    # (part, setting) -> the DgpSpec settings that put `value` there, and the
+    # name the error gives it
+    SURFACE_SETTINGS = {
+        "affine-intercept": (lambda v: {"baseline": AffineSurface(v, (0.5, 0.5))},
+                             "baseline intercept"),
+        "affine-slope": (lambda v: {"effect": AffineSurface(1.0, (0.0, v))}, "effect slopes"),
+        "sigmoid-scale": (lambda v: {"effect": SigmoidSurface(v, (0.1, 0.0), 0.0)},
+                          "effect scale"),
+        "sigmoid-slope": (lambda v: {"baseline": SigmoidSurface(1.0, (v, 0.0), 0.0)},
+                          "baseline slopes"),
+        "sigmoid-offset": (lambda v: {"effect": SigmoidSurface(1.0, (0.1, 0.0), v)},
+                           "effect offset"),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1.0"], ids=["nan", "inf", "string"])
+    @pytest.mark.parametrize("setting", sorted(SURFACE_SETTINGS))
+    def test_a_surface_setting_that_is_not_a_finite_number_is_named(self, setting, value):
+        parts, name = self.SURFACE_SETTINGS[setting]
+        flat = AffineSurface(0.0, (0.0, 0.0))
+        spec = {"d": 2, "covariate_law": "standard_normal", "propensity": ConstantPropensity(0.5),
+                "baseline": flat, "effect": flat, "noise_sigma": 0.0, "seed": 0}
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
+            DgpSpec(**{**spec, **parts(value)})
+
+    @pytest.mark.parametrize(
+        "propensity, message",
+        [(ConstantPropensity("0.5"), "constant propensity p must be finite, got '0.5'"),
+         (ConstantPropensity(math.nan), "constant propensity p must be finite, got nan"),
+         (LogisticPropensity(("a", 0.0)),
+          "logistic propensity slopes must be finite, got ('a', 0.0)"),
+         (LogisticPropensity((0.1, 0.0), "0"),
+          "logistic propensity offset must be finite, got '0'")],
+        ids=["constant-string", "constant-nan", "logistic-string-slope", "logistic-string-offset"],
+    )
+    def test_a_propensity_setting_that_is_not_a_number_is_named(self, propensity, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            DgpSpec(2, "standard_normal", propensity, AffineSurface(0.0, (0.0, 0.0)),
+                    AffineSurface(0.0, (0.0, 0.0)), 0.0, 0)
+
+    def test_finite_settings_beyond_the_sum_of_the_float_range_pass(self):
+        # the one fsum overflows, and the settings checked by name are finite
+        huge = AffineSurface(1e308, (1e308, 1e308))
+        DgpSpec(2, "standard_normal", ConstantPropensity(0.5), huge, huge, 0.0, 0)
+
 
 def _generated_digest(spec, n):
     """SHA-256 of generate(spec, n) and of its true propensities: a treatment
