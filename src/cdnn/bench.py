@@ -85,6 +85,9 @@ class ExperimentConfig:
                 raise ConfigError("need n >= 3 samples per replication")
             _check_size("n", self.n)
             self.split.sizes(self.n)  # a split too thin for n fails here, before any work
+        elif self.n or self.redraw_baseline:
+            raise ConfigError("csv input takes no n or redraw_baseline: "
+                              "each file fixes its rows and baseline")
         if self.metrics_on not in ("test", "all"):
             raise ConfigError("metrics_on must be 'test' or 'all'")
 
@@ -147,6 +150,9 @@ def _split_spec_from(entry):
         return SplitSpec.custom(entry["fractions"])
     if not isinstance(scheme, str) or scheme not in SPLIT_SCHEMES:
         raise ConfigError(f"unknown split scheme {scheme!r}")
+    if "fractions" in entry:
+        raise ConfigError(f"split scheme {scheme!r} fixes its fractions; "
+                          "give fractions with the custom scheme")
     return SplitSpec(scheme, SPLIT_SCHEMES[scheme])
 
 

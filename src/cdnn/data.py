@@ -127,9 +127,18 @@ def _check_finite(what, part):
             raise ConfigError(f"{what} {name} must be finite, got {value!r}")
 
 
-def _surface_dimension_ok(surface, d):
-    slopes = getattr(surface, "slopes", None)
-    return slopes is None or len(slopes) == d
+def _surface_dimension_ok(what, part, d):
+    """Whether the DGP part `part` fits d covariates: it has no `slopes`
+    field, or d slopes. ConfigError naming `what` when its slopes are no
+    sequence (caught, not tested for, as lemma checks build many specs)."""
+    if not hasattr(part, "slopes"):
+        return True
+    try:
+        return len(part.slopes) == d
+    except TypeError:  # a number, None
+        raise ConfigError(
+            f"{what} slopes must be a sequence of d numbers, got {part.slopes!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +173,11 @@ class DgpSpec:
             )
         if not _is_count(self.seed, least=0):
             raise ConfigError("seed must be a nonnegative integer")
-        if not _surface_dimension_ok(self.baseline, self.d):
+        if not _surface_dimension_ok("baseline", self.baseline, self.d):
             raise ConfigError("baseline surface dimension != d")
-        if not _surface_dimension_ok(self.effect, self.d):
+        if not _surface_dimension_ok("effect", self.effect, self.d):
             raise ConfigError("effect surface dimension != d")
-        if not _surface_dimension_ok(self.propensity, self.d):
+        if not _surface_dimension_ok("propensity", self.propensity, self.d):
             raise ConfigError("propensity dimension != d")
         _check_finite("baseline", self.baseline)
         _check_finite("effect", self.effect)

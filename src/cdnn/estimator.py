@@ -7,9 +7,11 @@ treatment in one of two ways:
 
 * explicit_residual: a freshly initialized network regresses the stage-1
   residual y - g(x) on (x, t);
-* freezing: the stage-1 network is reused with its first-layer covariate
-  encoding frozen (weights and bias), deeper weights warm-started, and small
-  random trainable treatment edges; it regresses the observed outcome y.
+* freezing: the stage-1 network is reused with the weights and biases of
+  every layer below freeze_depth frozen (by default the first layer, the
+  covariate encoding; never the output layer), deeper layers warm-started,
+  and every treatment edge re-drawn small-random and trainable; it regresses
+  the observed outcome y.
 
 Either way the per-unit effect is the stage-2 prediction difference between
 t=1 and t=0, averaged over an ensemble of members trained on separate
@@ -45,9 +47,7 @@ class CdnnConfig:
     hidden_widths: tuple = (64, 64, 64)
     activation: str = "swish"
     concat_inputs: bool = False
-    optimizer: str = "adaptive_moment"
     learning_rate: float = 1e-3
-    momentum: float = 0.9
     epochs: int = 300
     batch_size: int = 64
     patience: int = 25
@@ -62,7 +62,7 @@ class CdnnConfig:
         for name in ("epochs", "batch_size", "patience", "ensemble_size", "freeze_depth"):
             if not _is_count(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        for name in ("learning_rate", "momentum", "treatment_scale", "validation_fraction"):
+        for name in ("learning_rate", "treatment_scale", "validation_fraction"):
             if not _is_finite_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.learning_rate > 0.0:
@@ -81,8 +81,6 @@ class CdnnConfig:
             _check_size("hidden_widths", width)
         _check_size("ensemble_size", self.ensemble_size)
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
-        if self.optimizer not in nn.OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.activation not in nn.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not _is_count(self.seed, least=0):
@@ -185,9 +183,7 @@ def _train(net, stage, data, validation, rng, config):
         _stage_mask(net, stage, config),
         *_as_arrays(data),
         rng=rng,
-        optimizer=config.optimizer,
         learning_rate=config.learning_rate,
-        momentum=config.momentum,
         epochs=config.epochs,
         batch_size=config.batch_size,
         patience=config.patience,
@@ -478,14 +474,16 @@ def _required(mapping, key, kind=None, shape=None):
 
 def _load_config(cfg):
     names = {f.name for f in fields(CdnnConfig)}
-    keys = set(cfg) if isinstance(cfg, dict) else set()
+    # format-2 files written while a second update rule existed also carry its
+    # two settings; no loaded model reads them, so they are dropped
+    keys = set(cfg) - {"optimizer", "momentum"} if isinstance(cfg, dict) else set()
     if keys != names:
         raise ConfigError(
             "malformed checkpoint config: "
             f"unknown keys {sorted(keys - names)}, missing keys {sorted(names - keys)}"
         )
     try:
-        return CdnnConfig(**cfg)
+        return CdnnConfig(**{k: cfg[k] for k in names})
     except (TypeError, ValueError) as err:
         raise ConfigError(f"malformed checkpoint config: {err}") from None
 

@@ -57,10 +57,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ShapeError, StaleCacheError, TrainingDivergenceError
+from .errors import ShapeError, StaleCacheError, TrainingDivergenceError, _is_count
+from .errors import _is_finite_number
 
 ACTIVATIONS = ("swish", "identity")
-OPTIMIZERS = ("sgd_momentum", "adaptive_moment")
 # byte budget of one chunk: the stacked probe parameters and activations of a
 # gradient_check forward, or one activation matrix of a prediction block;
 # probing ran as fast with 8 MiB chunks but raised peak memory more
@@ -476,40 +476,31 @@ class FreezeMask:
 
 @dataclass
 class OptimizerState:
-    """Update rule plus flat accumulators laid out like the network's theta.
-
-    algorithm "sgd_momentum": velocity v <- momentum*v + g, p <- p - lr*v.
-    algorithm "adaptive_moment": bias-corrected first/second moment rule with
-    a first-step magnitude of ~lr regardless of the gradient scale.
-    `buffers` holds one flat accumulator per moment (one for momentum, two
-    for adaptive_moment); net.views(buffers[s]) shapes buffer s like
-    net.params. `scratch` holds as many flat work vectors, for the update.
-    An update leaves the accumulator entries of frozen parameters bitwise
-    as they were. The moment decays and epsilon are constants, not settings.
+    """State of the one update rule, the bias-corrected first/second moment
+    rule (Kingma and Ba, "Adam", ICLR 2015), whose first step has a magnitude
+    of ~lr regardless of the gradient scale. `buffers` holds the two flat
+    moment accumulators, laid out like the network's theta; net.views(
+    buffers[s]) shapes buffer s like net.params. `scratch` holds two flat
+    work vectors, for the update. An update leaves the accumulator entries
+    of frozen parameters bitwise as they were. The moment decays and epsilon
+    are constants, not settings; `create` checks the learning rate.
     """
 
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     epsilon: ClassVar[float] = 1e-8
 
-    algorithm: str
     learning_rate: float
-    momentum: float = 0.9
     step_count: int = 0
     buffers: list = field(default_factory=list)
     scratch: list = field(default_factory=list)
 
     @classmethod
-    def create(cls, net, algorithm="adaptive_moment", learning_rate=1e-3, **kwargs):
-        if algorithm not in OPTIMIZERS:
-            raise ShapeError(f"unknown optimizer {algorithm!r}")
-        if learning_rate <= 0:
-            raise ShapeError("learning rate must be positive")
-        state = cls(algorithm, float(learning_rate), **kwargs)
-        count = 1 if algorithm == "sgd_momentum" else 2
-        state.buffers = [np.zeros(net.theta.size) for _ in range(count)]
-        state.scratch = [np.empty(net.theta.size) for _ in range(count)]
-        return state
+    def create(cls, net, learning_rate=1e-3):
+        if not (_is_finite_number(learning_rate) and learning_rate > 0):
+            raise ShapeError(f"learning rate must be a finite number > 0, got {learning_rate!r}")
+        zeros = [np.zeros(net.theta.size) for _ in range(2)]
+        return cls(float(learning_rate), buffers=zeros, scratch=[np.empty_like(z) for z in zeros])
 
 
 def step(net, grad, mask, opt):
@@ -551,30 +542,23 @@ def _update(net, grad, opt, held):
         )
     opt.step_count += 1
     t = opt.step_count
-    lr = opt.learning_rate
-    if opt.algorithm == "sgd_momentum":
-        (v,) = opt.buffers
-        v *= opt.momentum
-        v += grad
-        update = np.multiply(v, lr, out=opt.scratch[0])
-    else:
-        m1, m2 = opt.buffers
-        tmp, denom = opt.scratch
-        b1, b2 = opt.beta1, opt.beta2
-        np.multiply(grad, 1.0 - b1, out=tmp)
-        m1 *= b1
-        m1 += tmp
-        np.multiply(grad, 1.0 - b2, out=tmp)
-        tmp *= grad
-        m2 *= b2
-        m2 += tmp
-        # (lr * mhat) / (sqrt(vhat) + eps), with mhat in tmp and vhat in denom
-        update = np.divide(m1, 1.0 - b1**t, out=tmp)
-        np.divide(m2, 1.0 - b2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += opt.epsilon
-        update *= lr
-        update /= denom
+    m1, m2 = opt.buffers
+    tmp, denom = opt.scratch
+    b1, b2 = opt.beta1, opt.beta2
+    np.multiply(grad, 1.0 - b1, out=tmp)
+    m1 *= b1
+    m1 += tmp
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    m2 *= b2
+    m2 += tmp
+    # (lr * mhat) / (sqrt(vhat) + eps), with mhat in tmp and vhat in denom
+    update = np.divide(m1, 1.0 - b1**t, out=tmp)
+    np.divide(m2, 1.0 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += opt.epsilon
+    update *= opt.learning_rate
+    update /= denom
     net.theta -= update
     frozen, values = held
     for flat, kept in zip((net.theta, *opt.buffers), values):
@@ -641,12 +625,10 @@ def fit_network(
     Y,
     *,
     rng,
-    optimizer="adaptive_moment",
     learning_rate=1e-3,
     epochs=300,
     batch_size=64,
     patience=25,
-    momentum=0.9,
     validation=None,
 ):
     """Mini-batch training loop with optional early stopping.
@@ -657,26 +639,28 @@ def fit_network(
 
     Every input is checked once, before epoch 0: X is (n, covariate_width)
     with n >= 1, T and Y hold n values, the validation triple likewise, all
-    finite; mask fits net and batch_size >= 1. A failed check raises
-    ShapeError naming the array, with net untouched. The loop then builds
-    the input [X | T] once and permutes it once per epoch, and each
-    minibatch runs the kernels behind the public per-minibatch functions
-    directly: `_forward` (Network.forward_batch), `_mse` (mse_loss),
+    finite; mask fits net; the learning rate is a finite number > 0, epochs
+    and patience are integers >= 0 and batch_size one >= 1. A failed check
+    raises ShapeError naming the array or setting, with net untouched. The
+    loop then builds the input [X | T] once and permutes it once per epoch,
+    and each minibatch runs the kernels behind the public per-minibatch
+    functions directly: `_forward` (Network.forward_batch), `_mse` (mse_loss),
     `_backward` (backward) into one gradient vector, and `_update` (step),
-    with the frozen entries read once per fit. The validation pass after
-    each epoch runs `_predict`, the blocked predictor, into activation
-    buffers allocated once per fit. Overflow warnings are silenced for the
-    whole loop; a non-finite loss or gradient still raises
-    TrainingDivergenceError.
+    with the frozen entries read once per fit. The validation pass after each
+    epoch runs `_predict`, the blocked predictor, into activation buffers
+    allocated once per fit. Overflow warnings are silenced for the whole loop;
+    a non-finite loss or gradient still raises TrainingDivergenceError.
     """
     U, Y = _fit_arrays(net, (X, T, Y), ("X", "T", "Y"))
     if validation is not None:
         Uv, Yv = _fit_arrays(net, validation, ("validation X", "validation T", "validation Y"))
         work, best_theta = _workspace(net, len(Yv)), np.empty_like(net.theta)
     mask.check_shapes(net)
-    if batch_size < 1:
-        raise ShapeError(f"batch_size must be >= 1, got {batch_size}")
-    opt = OptimizerState.create(net, optimizer, learning_rate, momentum=momentum)
+    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
+                               ("patience", patience, 0)):
+        if not _is_count(value, least):
+            raise ShapeError(f"{name} must be an integer >= {least}, got {value!r}")
+    opt = OptimizerState.create(net, learning_rate)
     held = _hold(net, mask, opt)
     grad = np.empty_like(net.theta)
     blocks = net.views(grad)

@@ -59,6 +59,8 @@ def quick_config(**overrides):
         "seed": 9,
     }
     raw.update(overrides)
+    if "csv" in raw["dgp"]:  # each file fixes its rows
+        del raw["n"]
     return bench.config_from_dict(raw)
 
 

@@ -105,7 +105,8 @@ class TestBench:
         [
             ({"name": "cdnn_freezing", "epochs": 0}, "epochs"),
             ({"name": "cdnn_explicit", "hidden_widths": [2.5]}, "hidden widths"),
-            ({"name": "cdnn_freezing", "optimizer": "bogus"}, "unknown optimizer"),
+            ({"name": "cdnn_freezing", "optimizer": "bogus"},
+             "unknown cdnn_freezing parameter keys: optimizer"),
             ({"name": "cdnn_freezing", "epochs": 2.5}, "epochs must be an integer >= 1"),
             ({"name": "cdnn_freezing", "batch_size": 1.5}, "batch_size must be an integer >= 1"),
             ({"name": "cdnn_explicit", "ensemble_size": 2.0},
@@ -116,7 +117,8 @@ class TestBench:
              "treatment_scale must be a finite number"),
             ({"name": "cdnn_freezing", "learning_rate": True},
              "learning_rate must be a finite number"),
-            ({"name": "cdnn_explicit", "momentum": None}, "momentum must be a finite number"),
+            ({"name": "cdnn_explicit", "momentum": None},
+             "unknown cdnn_explicit parameter keys: momentum"),
             ({"name": "cdnn_explicit", "validation_fraction": True},
              "validation_fraction must be a finite number"),
             ({"name": "cdnn_freezing", "concat_inputs": "no"},
@@ -217,6 +219,31 @@ class TestBench:
         assert capsys.readouterr().err.startswith(
             "error: bad config value: split fractions must be three finite numbers > 0, got "
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"n": 5}, "csv input takes no n or redraw_baseline"),
+            ({"redraw_baseline": True}, "csv input takes no n or redraw_baseline"),
+            ({"split": {"scheme": "ihdp_63_27_10", "fractions": [0.2, 0.2, 0.6]}},
+             "split scheme 'ihdp_63_27_10' fixes its fractions"),
+        ],
+        ids=["csv-with-n", "csv-with-redraw-baseline", "named-scheme-with-fractions"],
+    )
+    def test_a_setting_that_cannot_apply_returns_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, edit, message
+    ):
+        monkeypatch.setattr(bench, "_run_replication", lambda *a: pytest.fail("ran"))
+        rows = str(tmp_path / "a.csv")
+        assert main(["generate", "--family", "confound-linear", "--n", "50", "--out", rows]) == 0
+        cfg = {"dgp": {"csv": rows}, "estimators": ["ols_lr1"], "output": str(tmp_path / "out"),
+               **edit}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

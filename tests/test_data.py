@@ -245,6 +245,25 @@ class TestGenerate:
             DgpSpec(2, "standard_normal", propensity, AffineSurface(0.0, (0.0, 0.0)),
                     AffineSurface(0.0, (0.0, 0.0)), 0.0, 0)
 
+    @pytest.mark.parametrize(
+        "part, message",
+        [({"baseline": AffineSurface(1.0, 0.5)}, "baseline slopes must be a sequence of d "
+          "numbers, got 0.5"),
+         ({"effect": AffineSurface(1.0, None)}, "effect slopes must be a sequence of d "
+          "numbers, got None"),
+         ({"baseline": SigmoidSurface(1.0, 2, 0.0)}, "baseline slopes must be a sequence of d "
+          "numbers, got 2"),
+         ({"propensity": LogisticPropensity(0.5)}, "propensity slopes must be a sequence of d "
+          "numbers, got 0.5")],
+        ids=["affine-number", "affine-none", "sigmoid-number", "logistic-number"],
+    )
+    def test_slopes_that_are_no_sequence_are_named(self, part, message):
+        flat = AffineSurface(0.0, (0.0, 0.0))
+        spec = {"d": 2, "covariate_law": "standard_normal", "propensity": ConstantPropensity(0.5),
+                "baseline": flat, "effect": flat, "noise_sigma": 0.0, "seed": 0}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            DgpSpec(**{**spec, **part})
+
     def test_finite_settings_beyond_the_sum_of_the_float_range_pass(self):
         # the one fsum overflows, and the settings checked by name are finite
         huge = AffineSurface(1e308, (1e308, 1e308))

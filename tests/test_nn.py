@@ -1,7 +1,9 @@
-"""Network engine tests: activations, forward/backward, masks, optimizers."""
+"""Network engine tests: activations, forward/backward, masks, the optimizer."""
 
 import copy
+import dataclasses
 import io
+import math
 import pickle
 import re
 import warnings
@@ -265,14 +267,12 @@ class TestBackward:
 
 
 class TestStep:
-    def test_plain_sgd_arithmetic(self):
-        net = nn.Network.build(1, (), activation="identity", rng=0)
-        net.weight(0)[0, 0] = 0.5
-        grads = np.zeros_like(net.theta)
-        net.views(grads)[0][0, 0] = 1.0
-        opt = nn.OptimizerState.create(net, "sgd_momentum", learning_rate=0.1, momentum=0.0)
-        nn.step(net, grads, nn.FreezeMask.none(net), opt)
-        assert net.weight(0)[0, 0] == pytest.approx(0.4, abs=1e-15)
+    def test_state_holds_one_rule(self):
+        names = [f.name for f in dataclasses.fields(nn.OptimizerState)]
+        assert names == ["learning_rate", "step_count", "buffers", "scratch"]
+        assert not hasattr(nn, "OPTIMIZERS")
+        opt = nn.OptimizerState.create(nn.Network.build(2, (4,), rng=0))
+        assert opt.learning_rate == 1e-3 and len(opt.buffers) == len(opt.scratch) == 2
 
     def test_fully_frozen_mask_is_a_no_op(self):
         net = nn.Network.build(2, (4,), rng=9, treatment_scale=0.01)
@@ -291,7 +291,7 @@ class TestStep:
         grads = np.zeros_like(net.theta)
         net.views(grads)[0][0, 0] = g
         lr = 1e-3
-        opt = nn.OptimizerState.create(net, "adaptive_moment", learning_rate=lr)
+        opt = nn.OptimizerState.create(net, learning_rate=lr)
         nn.step(net, grads, nn.FreezeMask.none(net), opt)
         assert abs(1.0 - net.weight(0)[0, 0]) == pytest.approx(lr, rel=1e-4)
 
@@ -306,11 +306,10 @@ class TestStep:
         for buf in opt.buffers:
             assert np.all(net.views(buf)[0][row, :] == 0.0)
 
-    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
-    def test_frozen_negative_zeros_keep_their_bytes(self, algorithm):
+    def test_frozen_negative_zeros_keep_their_bytes(self):
         net = nn.Network.build(2, (4,), rng=5, treatment_scale=0.1)
         mask = nn.FreezeMask.none(net)
-        opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.1)
+        opt = nn.OptimizerState.create(net, learning_rate=0.1)
         rng = np.random.default_rng(1)
         nn.step(net, rng.standard_normal(net.theta.size), mask, opt)
         j = 3  # a free entry with trained moments
@@ -697,11 +696,10 @@ class TestFlatLayout:
             with pytest.raises(ShapeError, match=re.escape(f"!= ({size},)")):
                 nn.Network(*wiring, wrong)
 
-    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
-    def test_step_leaves_the_gradient_unchanged(self, algorithm):
+    def test_step_leaves_the_gradient_unchanged(self):
         net = nn.Network.build(3, (6, 5), rng=4, treatment_scale=0.1)
         mask = est._stage_mask(net, "freezing", est.CdnnConfig())  # the encoder
-        opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.05)
+        opt = nn.OptimizerState.create(net, learning_rate=0.05)
         rng = np.random.default_rng(2)
         for _ in range(3):
             preds, cache = net.forward_batch(rng.standard_normal((16, 3)), np.arange(16) % 2)
@@ -759,14 +757,14 @@ class TestFitNetwork:
         restored_mse, _ = nn.mse_loss(preds, Yv)
         assert restored_mse == pytest.approx(min(log.val_mse), rel=1e-12)
 
-    def test_divergent_learning_rate_raises_with_epoch(self):
+    def test_divergence_raises_with_epoch(self):
         X, T, Y = self._toy_problem()
         net = nn.Network.build(2, (8,), rng=3, treatment_scale=0.01)
         with pytest.raises(TrainingDivergenceError) as info:
+            # finite inputs whose forward overflows: the loss is inf
             nn.fit_network(
-                net, nn.FreezeMask.none(net), X, T, Y * 1e150,
-                rng=np.random.default_rng(7),
-                optimizer="sgd_momentum", learning_rate=1e6, epochs=50,
+                net, nn.FreezeMask.none(net), X * 1e200, T, Y,
+                rng=np.random.default_rng(7), epochs=50,
             )
         assert info.value.epoch is not None
 
@@ -779,12 +777,10 @@ def reference_fit_network(
     Y,
     *,
     rng,
-    optimizer="adaptive_moment",
     learning_rate=1e-3,
     epochs=300,
     batch_size=64,
     patience=25,
-    momentum=0.9,
     validation=None,
 ):
     """The training loop that nn.fit_network replaced, kept as its oracle: it
@@ -796,7 +792,7 @@ def reference_fit_network(
     n = X.shape[0]
     if n == 0:
         raise ShapeError("empty training set")
-    opt = nn.OptimizerState.create(net, optimizer, learning_rate, momentum=momentum)
+    opt = nn.OptimizerState.create(net, learning_rate)
     log = nn.TrainingLog()
 
     best = np.inf
@@ -897,12 +893,9 @@ class TestFitMatchesReference:
     per-minibatch functions did."""
 
     @pytest.mark.parametrize("mask_kind", ["none", "edges", "encoder", "depth2"])
-    @pytest.mark.parametrize("optimizer", nn.OPTIMIZERS)
-    def test_masks_and_optimizers(self, optimizer, mask_kind):
-        lr = 1e-2 if optimizer == "adaptive_moment" else 1e-3
+    def test_masks(self, mask_kind):
         log = _assert_fits_match(
-            3, (8, 8, 8), 203, 64, mask_kind, 11,
-            optimizer=optimizer, learning_rate=lr, epochs=12, batch_size=32,
+            3, (8, 8, 8), 203, 64, mask_kind, 11, learning_rate=1e-2, epochs=12, batch_size=32,
         )
         assert len(log.train_mse) == 12
 
@@ -923,11 +916,8 @@ class TestFitMatchesReference:
         # block_rows is 2048 for width 64: two full blocks and a shorter one
         _assert_fits_match(2, (64,), 100, 2 * 2048 + 77, "none", 6, epochs=3)
 
-    @pytest.mark.parametrize("optimizer", nn.OPTIMIZERS)
-    def test_without_validation(self, optimizer):
-        log = _assert_fits_match(
-            2, (7,), 90, 0, "edges", 8, optimizer=optimizer, epochs=6, batch_size=20
-        )
+    def test_without_validation(self):
+        log = _assert_fits_match(2, (7,), 90, 0, "edges", 8, epochs=6, batch_size=20)
         assert log.val_mse == [] and log.best_epoch == -1
 
     def test_early_stop(self):
@@ -945,14 +935,15 @@ class TestFitMatchesReference:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((256, 2))
         T = rng.integers(0, 2, 256).astype(float)
-        Y = (1.5 * X[:, 0] - 0.5 * X[:, 1] + T) * 1e150
+        Y = 1.5 * X[:, 0] - 0.5 * X[:, 1] + T
         errors = []
         for fit in (nn.fit_network, reference_fit_network):
             net = nn.Network.build(2, (8,), rng=3, treatment_scale=0.01)
             with pytest.raises(TrainingDivergenceError) as info:
+                # finite inputs whose forward overflows: the loss is inf
                 fit(
-                    net, nn.FreezeMask.none(net), X, T, Y, rng=np.random.default_rng(7),
-                    optimizer="sgd_momentum", learning_rate=1e6, epochs=50,
+                    net, nn.FreezeMask.none(net), X * 1e200, T, Y, rng=np.random.default_rng(7),
+                    epochs=50,
                 )
             errors.append((type(info.value), str(info.value), info.value.epoch, info.value.step))
         assert errors[0] == errors[1]
@@ -964,7 +955,6 @@ class TestFitMatchesReference:
         hidden=st.lists(st.integers(1, 6), max_size=3).map(tuple),
         activation=st.sampled_from(nn.ACTIVATIONS),
         concat=st.booleans(),
-        optimizer=st.sampled_from(nn.OPTIMIZERS),
         mask_kind=st.sampled_from(["none", "edges", "encoder", "depth2"]),
         n=st.integers(1, 40),
         n_val=st.integers(0, 30),
@@ -973,14 +963,13 @@ class TestFitMatchesReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_bitwise_equal(
-        self, d, hidden, activation, concat, optimizer, mask_kind, n, n_val, batch_size,
-        patience, seed,
+        self, d, hidden, activation, concat, mask_kind, n, n_val, batch_size, patience, seed,
     ):
         if mask_kind == "depth2" and len(hidden) < 2:
             mask_kind = "encoder"
         _assert_fits_match(
             d, hidden, n, n_val, mask_kind, seed, activation=activation, concat=concat,
-            optimizer=optimizer, learning_rate=0.05, epochs=6, batch_size=batch_size,
+            learning_rate=0.05, epochs=6, batch_size=batch_size,
             patience=patience,
         )
 
@@ -994,7 +983,7 @@ class TestFitRejectsBadInput:
         with pytest.raises(ShapeError) as info:
             nn.fit_network(
                 net, nn.FreezeMask.none(net), X, T, Y, rng=np.random.default_rng(0),
-                epochs=3, **kwargs,
+                **{"epochs": 3, **kwargs},
             )
         assert net.theta.tobytes() == before.tobytes()
         return str(info.value)
@@ -1044,7 +1033,34 @@ class TestFitRejectsBadInput:
     @pytest.mark.parametrize("batch_size", [0, -4])
     def test_batch_size_below_one(self, batch_size):
         message = self._fit(*self._data(), batch_size=batch_size)
-        assert message == f"batch_size must be >= 1, got {batch_size}"
+        assert message == f"batch_size must be an integer >= 1, got {batch_size}"
+
+    @pytest.mark.parametrize(
+        "setting, value, least",
+        [("batch_size", 2.5, 1), ("batch_size", True, 1), ("epochs", 2.5, 0),
+         ("epochs", -1, 0), ("epochs", "3", 0), ("patience", None, 0), ("patience", 1.5, 0)],
+    )
+    def test_count_that_is_no_integer_in_range(self, setting, value, least):
+        message = self._fit(*self._data(), validation=self._data(10), **{setting: value})
+        assert message == f"{setting} must be an integer >= {least}, got {value!r}"
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -1e-3, True, "0.1", None])
+    def test_learning_rate_that_is_no_finite_number_above_zero(self, lr):
+        message = self._fit(*self._data(), learning_rate=lr)
+        assert message == f"learning rate must be a finite number > 0, got {lr!r}"
+        with pytest.raises(ShapeError, match="^learning rate must be a finite number > 0"):
+            nn.OptimizerState.create(nn.Network.build(2, (4,), rng=1), lr)
+
+    def test_counts_of_numpy_types_and_zero_epochs_or_patience_pass(self):
+        X, T, Y = self._data()
+        net = nn.Network.build(2, (4,), rng=1, treatment_scale=0.1)
+        for epochs, patience in ((np.int64(2), np.uint8(0)), (0, 5)):
+            log = nn.fit_network(
+                net, nn.FreezeMask.none(net), X, T, Y, rng=np.random.default_rng(0),
+                epochs=epochs, batch_size=np.int32(16), patience=patience,
+                learning_rate=np.float32(0.01), validation=self._data(10),
+            )
+            assert (len(log.train_mse) > 0) == (epochs > 0)
 
 
 def reference_step(net, grads, mask, opt):
@@ -1068,27 +1084,21 @@ def reference_step(net, grads, mask, opt):
         if not free.any():
             continue
         gk = g[free]
-        if opt.algorithm == "sgd_momentum":
-            v = opt.buffers[0][k]
-            v[free] = opt.momentum * v[free] + gk
-            p[free] -= lr * v[free]
-        else:
-            m1, m2 = opt.buffers[0][k], opt.buffers[1][k]
-            m1[free] = opt.beta1 * m1[free] + (1.0 - opt.beta1) * gk
-            m2[free] = opt.beta2 * m2[free] + (1.0 - opt.beta2) * gk * gk
-            mhat = m1[free] / (1.0 - opt.beta1**t)
-            vhat = m2[free] / (1.0 - opt.beta2**t)
-            p[free] -= lr * mhat / (np.sqrt(vhat) + opt.epsilon)
+        m1, m2 = opt.buffers[0][k], opt.buffers[1][k]
+        m1[free] = opt.beta1 * m1[free] + (1.0 - opt.beta1) * gk
+        m2[free] = opt.beta2 * m2[free] + (1.0 - opt.beta2) * gk * gk
+        mhat = m1[free] / (1.0 - opt.beta1**t)
+        vhat = m2[free] / (1.0 - opt.beta2**t)
+        p[free] -= lr * mhat / (np.sqrt(vhat) + opt.epsilon)
     net.version += 1
     return net
 
 
-def _reference_state(net, algorithm, learning_rate, momentum):
+def _reference_state(net, learning_rate):
     """Optimizer state whose buffers are lists of separate per-parameter
     arrays, for reference_step."""
-    n_slots = 1 if algorithm == "sgd_momentum" else 2
-    buffers = [[np.zeros(p.shape) for p in net.params] for _ in range(n_slots)]
-    return nn.OptimizerState(algorithm, learning_rate, momentum=momentum, buffers=buffers)
+    buffers = [[np.zeros(p.shape) for p in net.params] for _ in range(2)]
+    return nn.OptimizerState(learning_rate, buffers=buffers)
 
 
 def _random_mask(net, mode, rng):
@@ -1114,14 +1124,14 @@ class TestStepMatchesReference:
     """nn.step updates every parameter and accumulator bit for bit as the
     per-array fancy-indexing reference does."""
 
-    def _run(self, d, hidden, concat, algorithm, lr, steps, masks, seed, edits=()):
+    def _run(self, d, hidden, concat, lr, steps, masks, seed, edits=()):
         rng = np.random.default_rng(seed)
         net = nn.Network.build(
             d, hidden, concat_inputs=concat, rng=rng, treatment_scale=0.1
         )
         ref_net = net.clone()
-        opt = nn.OptimizerState.create(net, algorithm, learning_rate=lr, momentum=0.9)
-        ref_opt = _reference_state(ref_net, algorithm, lr, 0.9)
+        opt = nn.OptimizerState.create(net, learning_rate=lr)
+        ref_opt = _reference_state(ref_net, lr)
         mask = _random_mask(net, masks, rng)
         for k in range(steps):
             if k in edits:
@@ -1137,7 +1147,6 @@ class TestStepMatchesReference:
         d=st.integers(1, 4),
         hidden=st.lists(st.integers(1, 6), max_size=3).map(tuple),
         concat=st.booleans(),
-        algorithm=st.sampled_from(nn.OPTIMIZERS),
         lr=st.sampled_from([1e-3, 3e-2, 0.5]),
         steps=st.integers(5, 9),
         masks=st.sampled_from(["free", "frozen", "mixed"]),
@@ -1145,22 +1154,20 @@ class TestStepMatchesReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_bitwise_equal(
-        self, d, hidden, concat, algorithm, lr, steps, masks, edit, seed
+        self, d, hidden, concat, lr, steps, masks, edit, seed
     ):
         edits = () if edit is None else (edit,)
-        self._run(d, hidden, concat, algorithm, lr, steps, masks, seed, edits)
+        self._run(d, hidden, concat, lr, steps, masks, seed, edits)
 
     @pytest.mark.parametrize("masks", ["free", "mixed"])
-    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
-    def test_default_widths(self, algorithm, masks):
-        self._run(5, (64, 64, 64), False, algorithm, 1e-3, 6, masks, 3)
+    def test_default_widths(self, masks):
+        self._run(5, (64, 64, 64), False, 1e-3, 6, masks, 3)
 
-    @pytest.mark.parametrize("algorithm", nn.OPTIMIZERS)
-    def test_mask_edited_between_steps_is_honoured(self, algorithm):
+    def test_mask_edited_between_steps_is_honoured(self):
         net = nn.Network.build(3, (6, 5), rng=4, treatment_scale=0.1)
         ref_net = net.clone()
-        opt = nn.OptimizerState.create(net, algorithm, learning_rate=0.05)
-        ref_opt = _reference_state(ref_net, algorithm, 0.05, 0.9)
+        opt = nn.OptimizerState.create(net, learning_rate=0.05)
+        ref_opt = _reference_state(ref_net, 0.05)
         mask = edges_mask(net)
         rng = np.random.default_rng(0)
 
