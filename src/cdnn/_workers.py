@@ -20,9 +20,14 @@ def _processes(tasks):
     """How many processes `tasks` independent tasks (replications, members,
     row blocks, byte ranges) run in: at most one per task, and only as many
     as the CPUs this process may run on hold whole BLAS pools (see
-    _blas_threads). One where the fork start method is unavailable, in a
-    multiprocessing child, and in a caller while it runs its own share
-    beside workers: only the outermost of nested calls forks."""
+    _blas_threads). With one-thread pools and fewer than two tasks per CPU,
+    one per task: on 2 CPUs, shares of two tasks and one would leave a CPU
+    idle while the caller runs its second, where 3 processes time-shared by
+    the kernel keep both busy to the end; one-thread pools do not spin
+    against each other, so the extra process costs only its fork. One where
+    the fork start method is unavailable, in a multiprocessing child, and in
+    a caller while it runs its own share beside workers: only the outermost
+    of nested calls forks."""
     if _beside_workers or multiprocessing.parent_process():
         return 1
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -31,7 +36,10 @@ def _processes(tasks):
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         cpus = os.cpu_count() or 1
-    return max(1, min(tasks, cpus // _blas_threads(cpus)))
+    threads = _blas_threads(cpus)
+    if threads == 1 and tasks < 2 * cpus:
+        return max(1, tasks)
+    return max(1, min(tasks, cpus // threads))
 
 
 def _blas_threads(cpus):

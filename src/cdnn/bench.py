@@ -406,10 +406,10 @@ class MetricsReport:
 def run(config):
     """Execute the experiment; deterministic for a fixed config and seed.
 
-    Each replication is one of _map's tasks, so they run in up to one
-    process per CPU; rows are reassembled in replication order, so the
-    process count never changes a bit. The lowest-numbered replication that
-    raises (a malformed CSV) raises its exception.
+    Each replication is one of _map's tasks, so they run in the processes
+    _workers._processes gives; rows are reassembled in replication order,
+    so the process count never changes a bit. The lowest-numbered
+    replication that raises (a malformed CSV) raises its exception.
     """
     chunks = _map(lambda i: _run_replication(config, i), config.replications)
     rows = [row for chunk in chunks for row in chunk]

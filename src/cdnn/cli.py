@@ -9,7 +9,9 @@ status: 0 success, 1 check or benchmark failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -76,6 +78,22 @@ def _check_out(path):
         raise ConfigError(f"--out {path}: directory {out.parent} does not exist")
 
 
+def _check_out_dir(path):
+    """The OSError that making `path` with mkdir(parents=True) would raise,
+    raised without creating anything, so a bad bench output fails before
+    any work: `path`, or a directory on it, is not a directory, or the
+    nearest existing directory on it is not writable."""
+    out = Path(path)
+    for ancestor in (out, *out.parents):
+        if ancestor.is_dir():
+            if not os.access(ancestor, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(ancestor))
+            return
+        if os.path.lexists(ancestor):
+            code = errno.EEXIST if ancestor == out else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(ancestor))
+
+
 def _cmd_generate(args):
     _check_out(args.out)
     spec = named_dgp(args.family, **_given(args, "d", "seed"))
@@ -93,8 +111,9 @@ def _cmd_bench(args):
         raise ConfigError(f"config {args.config} is not UTF-8 text") from None
     config = bench.config_from_dict(raw)
     out_dir = Path(config.output or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
+    _check_out_dir(out_dir)
     report = bench.run(config)
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the run: an error leaves no output
     csv_path = out_dir / "report.csv"
     md_path = out_dir / "report.md"
     report.to_csv(csv_path, include_runtime=args.include_runtime)

@@ -583,8 +583,8 @@ def _columns_at_once(path):
 
     The body is cut into ranges of about _READ_CHUNK_CHARS bytes, each
     ending at a line end, and each range is one of _map's tasks, so they are
-    parsed in up to one process per CPU, each holding one range's bytes at a
-    time. A line is parsed alone, so the arrays are bitwise the same for any
+    parsed in the processes _workers._processes gives, each holding one
+    range's bytes at a time. A line is parsed alone, so the arrays are bitwise the same for any
     process count.
 
     None means the file is not plain: a bad header, non-UTF-8 bytes, a
@@ -668,8 +668,8 @@ def load_csv(path):
     exactly: y1/y0 are the (possibly noisy) potential outcomes, one of which
     is the factual outcome, not noiseless surface values.
 
-    The body is parsed by np.loadtxt in byte ranges, in up to one process
-    per CPU (see _columns_at_once). Anything unusual (a blank
+    The body is parsed by np.loadtxt in byte ranges, in parallel processes
+    (see _columns_at_once). Anything unusual (a blank
     line, which is an error; a quoted field; a spelling such as ``2_5`` that
     Python's float() accepts and numpy's parser does not; a value the schema
     forbids) goes through a row-by-row reader instead, which gives the same

@@ -324,9 +324,11 @@ def fit(data, variant, config):
     fitting both variants of one dataset trains stage 1 once; the results
     are bitwise those of a fresh fit. Every member's training part must hold
     both treatment arms, which is checked before any member trains. Members
-    are _map's tasks, so they train in up to one process per CPU with
-    bitwise the same results as in one, and the lowest-numbered failing
-    member raises its own exception, prefixed "ensemble member m: ".
+    are _map's tasks, so they train in the processes _workers._processes
+    gives (with one BLAS thread, one per member below two members per CPU:
+    the default 3 train in 3 processes on 2 CPUs) with bitwise the same
+    results as in one, and the lowest-numbered failing member raises its
+    own exception, prefixed "ensemble member m: ".
     """
     global _stage1_memo
     if variant not in VARIANTS:
@@ -379,8 +381,9 @@ def predict_ite(estimator, x):
     Accepts one covariate vector (returns a float) or a matrix (returns an
     array), checked before any worker starts. Each forward block
     (nn.Network.block_rows) of the matrix is one of _map's tasks, so several
-    blocks are scored in up to one process per CPU; a block holds the rows
-    it holds in one process, so every bit is the same. A task shares the
+    blocks are scored in the processes _workers._processes gives (with one
+    BLAS thread, one per block below two blocks per CPU); a block holds the
+    rows it holds in one process, so every bit is the same. A task shares the
     block's [x | 1] and [x | 0] across members and sums their
     Stage2Model.ite.
     """

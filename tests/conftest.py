@@ -17,7 +17,8 @@ def empty_stage1_memo(monkeypatch):
 def processes(monkeypatch):
     """Forces P for every _map through the real rule, whatever the machine:
     this process may run on `count` CPUs with one BLAS thread, so
-    _processes, nesting rule included, gives min(tasks, count). Returns a
+    _processes, nesting rule included, gives one process per task below
+    2 * count tasks and `count` from there on. Returns a
     setter of `count` (2 at first), which also empties the stage-1 memo so
     the next fit is cold, and its record `setter.counts`: the P of each
     outermost _map the calling process made since the last set."""

@@ -326,6 +326,39 @@ class TestBench:
         assert main(["bench", "--config", str(cfg_path)]) == 2
         assert "File exists" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["under-a-file", "in-an-unwritable-directory"])
+    def test_output_that_cannot_be_made_returns_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        monkeypatch.setattr(bench, "run", lambda config: pytest.fail("ran"))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        if case == "under-a-file":
+            output, message = afile / "out" / "deeper", f"[Errno 20] Not a directory: '{afile}'"
+        else:  # a root user passes any permission bits, so access() says no
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+            output = tmp_path / "new" / "out"
+            message = f"[Errno 13] Permission denied: '{tmp_path}'"
+        cfg = {"dgp": {"family": "confound-linear"}, "n": 100, "estimators": ["ols_lr1"],
+               "output": str(output)}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+    def test_an_error_found_in_a_replication_leaves_no_output(self, tmp_path, capsys):
+        # a CSV's split is checked per replication, after the run has begun
+        rows = tmp_path / "tiny.csv"
+        rows.write_text("t,y,x0\n0,1,0.1\n1,2,0.2\n0,1,0.3\n")
+        cfg = {"dgp": {"csv": str(rows)}, "estimators": ["ols_lr1"],
+               "output": str(tmp_path / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: split of n=3 leaves an empty part\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_returns_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "nope.json")]) == 2
 

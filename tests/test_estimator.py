@@ -916,7 +916,9 @@ class TestParallelPrediction:
         X = covariates(rows)
         processes(count)
         parallel = est.predict_ite(model, X)
-        assert processes.counts == [min(count, -(-rows // block))]
+        # P by (CPUs, blocks): one process per block below two per CPU
+        procs = {(2, 1): 1, (2, 3): 3, (2, 4): 2, (3, 1): 1, (3, 3): 3, (3, 4): 4}
+        assert processes.counts == [procs[count, -(-rows // block)]]
         processes(1)
         serial = est.predict_ite(model, X)
         assert processes.counts == [1]

@@ -41,6 +41,40 @@ def test_processes_leave_each_blas_pool_its_cpus(monkeypatch, env, expected):
     assert _workers._processes(3) == expected
 
 
+@pytest.mark.parametrize(
+    "cpus, blas_threads, tasks, expected",
+    [
+        (2, "1", 0, 1),
+        (2, "1", 1, 1),
+        (2, "1", 2, 2),
+        (2, "1", 3, 3),
+        (2, "1", 4, 2),
+        (2, "1", 49, 2),
+        (4, "1", 5, 5),
+        (4, "1", 7, 7),
+        (4, "1", 8, 4),
+        (4, "2", 3, 2),
+        (4, None, 3, 1),  # the BLAS default, one thread per CPU
+    ],
+)
+def test_one_thread_pools_take_one_process_per_task_below_two_per_cpu(
+    monkeypatch, cpus, blas_threads, tasks, expected
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    assert _workers._processes(tasks) == expected
+
+
+def test_three_tasks_on_two_cpus_run_in_three_processes(processes):  # one BLAS thread
+    ran = _map(lambda i: (in_the_caller(), os.getpid()), 3)
+    assert processes.counts == [3]
+    assert [caller for caller, _ in ran] == [True, False, False]
+    assert len({pid for _, pid in ran}) == 3 and ran[0][1] == os.getpid()
+
+
 def test_only_the_outermost_call_forks(processes):  # 2 CPUs, one BLAS thread
     assert _workers._processes(8) == 2
 
@@ -81,11 +115,14 @@ class TestMap:
     """_map(fn, n) runs task i in share i mod P, the caller's share being 0,
     and raises the exception of the lowest failing task."""
 
-    @pytest.mark.parametrize("count, n", [(1, 5), (2, 5), (3, 5), (3, 3), (3, 2)])
-    def test_task_i_runs_in_share_i_mod_p(self, processes, count, n):
+    @pytest.mark.parametrize(
+        "count, n, procs",
+        [(1, 5, 1), (2, 5, 2), (3, 5, 5), (3, 3, 3), (3, 2, 2)],
+        ids=["1-5", "2-5", "3-5", "3-3", "3-2"],
+    )
+    def test_task_i_runs_in_share_i_mod_p(self, processes, count, n, procs):
         processes(count)
         ran = _map(lambda i: (i, os.getpid()), n)
-        procs = min(count, n)  # fewer tasks than processes run in as many shares
         assert processes.counts == [procs]
         assert [i for i, _ in ran] == list(range(n))
         pids = [pid for _, pid in ran]
