@@ -9,13 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateArmError,
-    DegenerateTreatmentError,
-    OverlapError,
-    ShapeError,
-)
+from .data import _require_both_arms
+from .errors import ConfigError, DegenerateArmError, OverlapError, ShapeError
 from .errors import _is_count, _is_finite_number
 
 
@@ -47,9 +42,7 @@ def ols_lr1(data):
     Returns (model, ite) where ite(X) is the constant treatment coefficient
     broadcast over the query points.
     """
-    treated, control = data.arm_counts()
-    if treated == 0 or control == 0:
-        raise DegenerateTreatmentError("both treatment arms are required")
+    _require_both_arms(data, "ols_lr1")
     n, d = data.x.shape
     if n <= d + 2:
         raise ShapeError(f"need n > d+2 samples, got n={n}, d={d}")
@@ -134,9 +127,7 @@ def dml_ate(
     _check_dml_settings' contract raises ConfigError.
     """
     _check_dml_settings(folds, crossfit, ridge_lambda, clamp)
-    treated, control = data.arm_counts()
-    if treated == 0 or control == 0:
-        raise DegenerateTreatmentError("both treatment arms are required")
+    _require_both_arms(data, "dml_ate")
     lo, hi = clamp
     n = len(data)
     X, T, Y = data.x, data.t.astype(float), data.y

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .data import DGP_FAMILIES, _replaced_whole, generate, load_csv, named_dgp, write_csv
+from .data import DGP_FAMILIES, _output_target, _replaced_whole, generate, load_csv, named_dgp
+from .data import write_csv
 from .errors import CdnnError, ConfigError
 from .estimator import VARIANTS, CdnnConfig, fit, load_checkpoint, predict_ite, save_checkpoint
 
@@ -69,13 +70,19 @@ def _given(args, *names):
 
 def _check_out(path):
     """ConfigError unless `path` can be written as a file: its directory
-    exists and it is not itself a directory. Creates nothing, so a bad
+    exists and it is not itself a directory; PermissionError unless what
+    _replaced_whole writes into is writable: the directory of the real path,
+    or the path itself if it is written in place. Creates nothing, so a bad
     --out fails before any work."""
     out = Path(path)
     if out.is_dir():
         raise ConfigError(f"--out {path} is a directory")
     if not out.parent.is_dir():
         raise ConfigError(f"--out {path}: directory {out.parent} does not exist")
+    real, _, in_place = _output_target(path)
+    place, needs = (real, os.W_OK) if in_place else (os.path.dirname(real), os.W_OK | os.X_OK)
+    if not os.access(place, needs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), place)
 
 
 def _check_out_dir(path):

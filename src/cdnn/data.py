@@ -18,6 +18,7 @@ import io
 import math
 import os
 import re
+import stat
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -25,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._workers import _map
-from .errors import ConfigError, SchemaError, SplitError, _check_size, _is_count, _is_finite_number
+from .errors import ConfigError, DegenerateTreatmentError, SchemaError, SplitError
+from .errors import _check_size, _is_count, _is_finite_number
 from .theory import NuisanceOracle
 
 COVARIATE_LAWS = ("standard_normal", "uniform")
@@ -280,6 +282,14 @@ class Dataset:
         )
 
 
+def _require_both_arms(data, context):
+    treated, control = data.arm_counts()
+    if treated == 0 or control == 0:
+        raise DegenerateTreatmentError(
+            f"{context}: both treatment arms are required ({treated} treated, {control} control)"
+        )
+
+
 def concat_datasets(parts):
     parts = list(parts)
     if not parts:
@@ -442,17 +452,30 @@ _SCAN_BYTES = 4096  # read per step while looking for a line end
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
+def _output_target(path):
+    """(real path, st_mode or None, in place) of an output `path`: where
+    _replaced_whole writes it, the mode of what is there now, and whether
+    it is written in place."""
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return path, None, False
+    return path, mode, not stat.S_ISREG(mode)
+
+
 @contextlib.contextmanager
 def _replaced_whole(path, mode="w", **kwargs):
     """open(path, mode, **kwargs) for writing, except that the file appears
     whole or not at all. The block writes a temporary file beside `path`,
     which os.replace puts onto `path` only once the block succeeds; on an
     error it is removed, and `path` keeps its earlier content or stays
-    absent. The file gets the permissions open(path, "w") gives under the
-    umask. A path that exists and is no regular file (/dev/null, a pipe) is
-    written in place: there is no file to replace."""
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    absent. The file gets the permissions open(path, "w") gives: an
+    existing file's mode, or for a new one those of the umask. A path that
+    exists and is no regular file (/dev/null, a pipe) is written in place:
+    there is no file to replace."""
+    path, kept, in_place = _output_target(path)
+    if in_place:
         with open(path, mode, **kwargs) as fh:
             yield fh
         return
@@ -461,6 +484,8 @@ def _replaced_whole(path, mode="w", **kwargs):
     fh = open(temporary, mode.replace("w", "x"), **kwargs)  # "x": a new file, never another's
     try:
         with fh:
+            if kept is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(kept))
             yield fh
         os.replace(temporary, path)
     except BaseException:
@@ -503,18 +528,19 @@ def _parse_float(text, row, column):
 
 
 def _first_non_utf8_row(path):
-    """Row number (header = 0) of the first line that is not valid UTF-8."""
+    """Row number (header = 0) of the first line that is not valid UTF-8,
+    with lines ended as csv and _line_end end them."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as err:
-        return raw.count(b"\n", 0, err.start)
+        return len(_LINE_END.findall(raw, 0, err.start))
     return None
 
 
 def _read_header(reader):
-    """(header, has_gt, d) from the first CSV record; SchemaError if malformed."""
+    """(header, has_gt) from the first CSV record; SchemaError if malformed."""
     try:
         header = next(reader)
     except StopIteration:
@@ -527,7 +553,7 @@ def _read_header(reader):
     expected = [f"x{j}" for j in range(len(x_names))]
     if x_names != expected or not x_names:
         raise SchemaError(f"covariate columns must be x0..x{{d-1}}; got {x_names}", row=0)
-    return header, has_gt, len(x_names)
+    return header, has_gt
 
 
 def _line_end(fh, pos):
@@ -595,7 +621,7 @@ def _columns_at_once(path):
         head = _line_end(fh, 0)
         fh.seek(0)
         try:
-            header, has_gt, _ = _read_header(csv.reader([fh.read(head).decode("utf-8")]))
+            header, has_gt = _read_header(csv.reader([fh.read(head).decode("utf-8")]))
         except (SchemaError, UnicodeDecodeError, csv.Error):
             return None
         start, size = head, os.fstat(fh.fileno()).st_size
@@ -608,13 +634,7 @@ def _columns_at_once(path):
     tables = _map(lambda i: _parse_range(path, *ranges[i], len(header), has_gt), len(ranges))
     if any(table is None for table in tables):
         return None
-
-    def column(index):
-        return np.concatenate([table[:, index] for table in tables])
-
-    x = column(slice(4 if has_gt else 2, None))
-    y1, y0 = (column(2), column(3)) if has_gt else (None, None)
-    return x, column(0).astype(int), column(1), y1, y0
+    return _columns(tables, has_gt)
 
 
 def _columns_by_row(path):
@@ -622,43 +642,43 @@ def _columns_by_row(path):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header, has_gt, d = _read_header(reader)
-            t_rows, y_rows, y1_rows, y0_rows, x_rows = [], [], [], [], []
+            header, has_gt = _read_header(reader)
+            rows = []
             for i, row in enumerate(reader, start=1):
                 if len(row) != len(header):
                     raise SchemaError(f"expected {len(header)} fields, got {len(row)}", row=i)
                 t_val = _parse_float(row[0], i, "t")
                 if t_val not in (0.0, 1.0):
                     raise SchemaError(f"treatment must be 0 or 1, got {row[0]!r}", row=i)
-                y_val = _parse_float(row[1], i, "y")
-                offset = 2
+                values = [t_val, _parse_float(row[1], i, "y")]
                 if has_gt:
-                    y1_val = _parse_float(row[2], i, "y1")
-                    y0_val = _parse_float(row[3], i, "y0")
-                    factual = y1_val if t_val == 1.0 else y0_val
-                    if y_val != factual:
+                    values += [_parse_float(row[2], i, "y1"), _parse_float(row[3], i, "y0")]
+                    if values[1] != values[2 if t_val == 1.0 else 3]:
                         raise SchemaError(
                             "y must equal the potential outcome of the received arm "
                             "(y1/y0 are potential outcomes, not noiseless surfaces)",
                             row=i,
                         )
-                    y1_rows.append(y1_val)
-                    y0_rows.append(y0_val)
-                    offset = 4
-                x_rows.append([_parse_float(row[offset + j], i, f"x{j}") for j in range(d)])
-                t_rows.append(int(t_val))
-                y_rows.append(y_val)
+                # the x columns, by the names _read_header checked
+                values += [_parse_float(row[j], i, header[j]) for j in range(len(values), len(row))]
+                rows.append(values)
     except UnicodeDecodeError:
         raise SchemaError("file is not UTF-8 text", row=_first_non_utf8_row(path)) from None
-    if not t_rows:
+    if not rows:
         raise SchemaError("file has a header but no rows", row=1)
-    return (
-        np.asarray(x_rows, dtype=float),
-        np.asarray(t_rows, dtype=int),
-        np.asarray(y_rows, dtype=float),
-        np.asarray(y1_rows, dtype=float) if has_gt else None,
-        np.asarray(y0_rows, dtype=float) if has_gt else None,
-    )
+    return _columns([np.asarray(rows, dtype=float)], has_gt)
+
+
+def _columns(tables, has_gt):
+    """(x, t, y, y1, y0) of (rows, fields) tables whose fields follow the
+    header, stacked in order: the one column split of both readers."""
+
+    def column(index):
+        return np.concatenate([table[:, index] for table in tables])
+
+    x = column(slice(4 if has_gt else 2, None))
+    y1, y0 = (column(2), column(3)) if has_gt else (None, None)
+    return x, column(0).astype(int), column(1), y1, y0
 
 
 def load_csv(path):

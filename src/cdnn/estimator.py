@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import io
 import json
 import zipfile
 from collections.abc import Sequence
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import nn
 from ._workers import _map
-from .data import Dataset, _replaced_whole, _seed_sequence
-from .errors import CdnnError, ConfigError, DegenerateTreatmentError, IdentityViolationError
+from .data import Dataset, _replaced_whole, _require_both_arms, _seed_sequence
+from .errors import CdnnError, ConfigError, IdentityViolationError
 from .errors import ShapeError, _check_size, _is_count, _is_finite_number
 
 VARIANTS = ("explicit_residual", "freezing")
@@ -140,14 +141,6 @@ def _carve_validation(data, config, rng):
         return data, None
     perm = rng.permutation(n)
     return data.subset(perm[n_val:]), data.subset(perm[:n_val])
-
-
-def _require_both_arms(data, context):
-    treated, control = data.arm_counts()
-    if treated == 0 or control == 0:
-        raise DegenerateTreatmentError(
-            f"{context}: both treatment arms are required ({treated} treated, {control} control)"
-        )
 
 
 @contextlib.contextmanager
@@ -425,10 +418,13 @@ def save_checkpoint(estimator, path):
     meta = {"format": CHECKPOINT_FORMAT, "variant": estimator.variant,
             "config": asdict(estimator.config), "covariate_width": width}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    # np.savez given a file name appends ".npz"; given an open file it writes there
+    # np.savez given a file name appends ".npz"; zipfile seeks back over what
+    # it wrote, which a device such as /dev/null accepts but does not keep
+    archive = io.BytesIO()
+    np.savez(archive, **arrays)
     writes = contextlib.nullcontext(path) if hasattr(path, "write") else _replaced_whole(path, "wb")
     with writes as fh:
-        np.savez(fh, **arrays)
+        fh.write(archive.getbuffer())
     return path
 
 
@@ -493,20 +489,24 @@ def _load_config(cfg):
 
 @contextlib.contextmanager
 def _open_archive(path):
-    """np.load(path) as an open .npz archive; ConfigError if it is not one."""
-    try:
-        blob = np.load(path)
-    except (EOFError, ValueError, zipfile.BadZipFile):
-        # a truncated archive, an empty file or one that is not numpy's at all
-        raise ConfigError(f"malformed checkpoint: {path} is not an .npz archive") from None
-    if not isinstance(blob, np.lib.npyio.NpzFile):
-        raise ConfigError(f"malformed checkpoint: {path} holds one .npy array, not an archive")
-    with blob:
+    """np.load(path) as an open .npz archive; ConfigError if it is not one.
+    A file name is opened here and closed on every exit, also when numpy
+    rejects it; an open binary file stays the caller's."""
+    opens = contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb")
+    with opens as fh:
         try:
-            yield blob
-        except zipfile.BadZipFile as err:
-            # a member that fails its CRC or does not inflate
-            raise ConfigError(f"malformed checkpoint: {err}") from None
+            blob = np.load(fh)
+        except (EOFError, ValueError, zipfile.BadZipFile):
+            # a truncated archive, an empty file or one that is not numpy's at all
+            raise ConfigError(f"malformed checkpoint: {path} is not an .npz archive") from None
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise ConfigError(f"malformed checkpoint: {path} holds one .npy array, not an archive")
+        with blob:
+            try:
+                yield blob
+            except zipfile.BadZipFile as err:
+                # a member that fails its CRC or does not inflate
+                raise ConfigError(f"malformed checkpoint: {err}") from None
 
 
 def load_checkpoint(path):

@@ -270,3 +270,14 @@ class TestDmlAte:
             warnings.simplefilter("ignore")
             ate, _ = dml_ate(ds, crossfit=False)
         assert 1.85 <= ate <= 2.15
+
+
+@pytest.mark.parametrize("arm", [0, 1], ids=["all-control", "all-treated"])
+@pytest.mark.parametrize("estimate", [ols_lr1, dml_ate], ids=["ols_lr1", "dml_ate"])
+def test_one_arm_error_names_the_estimator_and_the_counts(estimate, arm):
+    ds = generate(linear_spec([1.0], 1.0), 50)
+    one_arm = Dataset(ds.x, np.full(len(ds), arm), ds.y)
+    counts = "(50 treated, 0 control)" if arm else "(0 treated, 50 control)"
+    message = f"{estimate.__name__}: both treatment arms are required {counts}"
+    with pytest.raises(DegenerateTreatmentError, match=f"^{re.escape(message)}$"):
+        estimate(one_arm)

@@ -13,7 +13,7 @@ import pytest
 from cdnn import bench, cli
 from cdnn import data as dmod
 from cdnn.cli import main
-from cdnn.data import Dataset, load_csv
+from cdnn.data import Dataset, load_csv, write_csv
 from cdnn.estimator import CdnnConfig, fit, load_checkpoint, save_checkpoint
 
 
@@ -679,6 +679,38 @@ class TestFitAndScore:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["generate", "fit", "score"])
+    @pytest.mark.parametrize("target", ["in-an-unwritable-directory", "dev-null"])
+    def test_out_checks_the_place_it_is_written_into_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, target
+    ):
+        data_path, model_path = tmp_path / "d.csv", tmp_path / "m.npz"
+        assert main(["generate", "--family", "confound-linear", "--n", "50",
+                     "--out", str(data_path)]) == 0
+        assert main(["fit", "--data", str(data_path), "--out", str(model_path),
+                     "--epochs", "1", "--ensemble-size", "1", "--hidden", "4"]) == 0
+        capsys.readouterr()
+        argv = {
+            "generate": ["generate", "--family", "confound-linear", "--n", "50"],
+            "fit": ["fit", "--data", str(data_path), "--epochs", "1", "--ensemble-size", "1",
+                    "--hidden", "4"],
+            "score": ["score", "--model", str(model_path), "--data", str(data_path)],
+        }[command]
+        # a root user passes any permission bits, so access() says no to every
+        # directory; a path written in place needs only itself to be writable
+        monkeypatch.setattr(os, "access", lambda path, mode: not os.path.isdir(path))
+        if target == "dev-null":
+            assert main(argv + ["--out", os.devnull]) == 0
+            return
+        for name in ("generate", "load_csv", "fit", "load_checkpoint", "predict_ite"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"ran {name}"))
+        (tmp_path / "out").mkdir()
+        out = tmp_path / "out" / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        directory = os.path.realpath(tmp_path / "out")
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{directory}'\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_fit_bad_hidden_returns_2(self, tmp_path):
         data_path = tmp_path / "d.csv"
         main(["generate", "--family", "confound-linear", "--n", "50",
@@ -848,6 +880,26 @@ class TestWholeOutputs:
         assert sorted(p.name for p in out.iterdir()) == (
             ["report.csv", "report.md"] if command.startswith("report") else [target]
         )
+
+    @pytest.mark.parametrize("writer", ["write_csv", "save_checkpoint", "score"])
+    def test_a_rewritten_file_keeps_its_mode(self, tmp_path, inputs, writer):
+        target = tmp_path / "out"
+        write = {
+            "write_csv": lambda: write_csv(load_csv(inputs / "d.csv"), target),
+            "save_checkpoint": lambda: save_checkpoint(load_checkpoint(inputs / "m.npz"), target),
+            "score": lambda: main(["score", "--model", str(inputs / "m.npz"),
+                                   "--data", str(inputs / "d.csv"), "--out", str(target)]),
+        }[writer]
+        old_umask = os.umask(0o022)
+        try:
+            write()
+            assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~0o022
+            target.chmod(0o600)
+            write()
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_a_path_that_is_no_regular_file_is_written_in_place(self, tmp_path, inputs):
         pipe = tmp_path / "pipe"

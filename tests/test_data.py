@@ -624,6 +624,15 @@ class TestCsv:
             load_csv(path)
         assert info.value.row == row
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_row_is_counted_at_every_line_end(self, tmp_path, end):
+        # csv ends a line at LF, CRLF or CR, and the row count does too
+        path = tmp_path / "bad.csv"
+        path.write_bytes(end.join([b"t,y,x0", b"0,1,2", b"1,3,4", b"1,\xff,5", b"0,2,6", b""]))
+        with pytest.raises(SchemaError, match="not UTF-8") as info:
+            load_csv(path)
+        assert info.value.row == 3
+
     def test_inconsistent_factual_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,y,y1,y0,x0\n1,3.5,3,1,0.5\n")

@@ -1,5 +1,6 @@
 """Two-stage estimator: suppression, residuals, freezing contract, ensembles."""
 
+import gc
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import multiprocessing
 import os
 import signal
 import sys
+import warnings
 import zipfile
 from dataclasses import asdict, fields, replace
 
@@ -1265,6 +1267,23 @@ class TestCheckpoint:
             np.savez(bad, **arrays)
         with pytest.raises(ConfigError, match="malformed checkpoint"):
             est.load_checkpoint(bad)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda raw: raw[: len(raw) // 2], lambda raw: b"PK\x03\x04" + b"junk" * 16],
+        ids=["truncated-archive", "zip-signature-then-junk"],
+    )
+    def test_a_rejected_archive_leaves_no_file_open(self, tmp_path, rewrite):
+        buffer = io.BytesIO()
+        np.savez(buffer, meta=np.zeros(64, dtype=np.uint8), stage1=np.ones((1, 300)))
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(rewrite(buffer.getvalue()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match="is not an .npz archive"):
+                est.load_checkpoint(bad)
+            gc.collect()  # an unclosed file warns when it is collected
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     @pytest.mark.parametrize(
         "corrupt, reason",
