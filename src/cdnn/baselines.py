@@ -11,14 +11,13 @@ import numpy as np
 
 from .data import _require_both_arms
 from .errors import ConfigError, DegenerateArmError, OverlapError, ShapeError
-from .errors import _is_count, _is_finite_number
+from .errors import _check_seed, _is_count, _is_finite_number
 
 
 @dataclass
 class LinearModel:
     coefficients: np.ndarray
     intercept: float
-    ridge_fallback: bool = False
 
     def predict(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -26,14 +25,14 @@ class LinearModel:
 
 
 def _lstsq_with_fallback(A, y, context):
-    """Least squares with a tiny-ridge fallback when A is rank deficient."""
+    """Least squares with a tiny-ridge fallback, reported by a UserWarning,
+    when A is rank deficient."""
     beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < A.shape[1]:
         warnings.warn(f"{context}: rank-deficient design, ridge fallback (lambda=1e-8)")
         gram = A.T @ A + 1e-8 * np.eye(A.shape[1])
         beta = np.linalg.solve(gram, A.T @ y)
-        return beta, True
-    return beta, False
+    return beta
 
 
 def ols_lr1(data):
@@ -47,8 +46,8 @@ def ols_lr1(data):
     if n <= d + 2:
         raise ShapeError(f"need n > d+2 samples, got n={n}, d={d}")
     A = np.column_stack([np.ones(n), data.x, data.t.astype(float)])
-    beta, fell_back = _lstsq_with_fallback(A, data.y, "ols_lr1")
-    model = LinearModel(beta[1:], float(beta[0]), fell_back)
+    beta = _lstsq_with_fallback(A, data.y, "ols_lr1")
+    model = LinearModel(beta[1:], float(beta[0]))
     tau = float(beta[-1])
 
     def ite(X):
@@ -68,8 +67,8 @@ def ols_lr2(data):
         if n_arm <= d + 2:
             raise DegenerateArmError(f"{name} arm has {n_arm} samples, need > {d + 2}")
         A = np.column_stack([np.ones(n_arm), data.x[idx]])
-        beta, fell_back = _lstsq_with_fallback(A, data.y[idx], f"ols_lr2[{name}]")
-        models[arm] = LinearModel(beta[1:], float(beta[0]), fell_back)
+        beta = _lstsq_with_fallback(A, data.y[idx], f"ols_lr2[{name}]")
+        models[arm] = LinearModel(beta[1:], float(beta[0]))
 
     def ite(X):
         return models[1].predict(X) - models[0].predict(X)
@@ -124,9 +123,11 @@ def dml_ate(
     (set crossfit=False to fit on all rows, the whole-data protocol). Exact
     nuisance callables can be injected through oracle_g / oracle_e,
     bypassing fitting. Returns (ate, stderr); a setting outside
-    _check_dml_settings' contract raises ConfigError.
+    _check_dml_settings' contract, or a seed that is no nonnegative integer,
+    raises ConfigError.
     """
     _check_dml_settings(folds, crossfit, ridge_lambda, clamp)
+    _check_seed(seed)
     _require_both_arms(data, "dml_ate")
     lo, hi = clamp
     n = len(data)

@@ -2,8 +2,8 @@
 numerical verification suites behind the `verify` command.
 
 Reports are deterministic for a fixed seed: per-fit wall-clock times are kept
-on the in-memory report and stderr summaries but left out of emitted files
-unless explicitly requested, so two identical runs write identical bytes.
+on the in-memory report and stderr summaries but never in emitted files, so
+two identical runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .data import (
     split,
 )
 from .errors import CdnnError, ConfigError, InvalidPerturbationError, MetricUnavailableError
-from .errors import _check_size, _is_count
+from .errors import _check_seed, _check_size, _is_count
 from .metrics import ate_error_signed, eps_ate, sqrt_pehe
 from .nn import Network, gradient_check
 from .theory import (
@@ -76,8 +76,7 @@ class ExperimentConfig:
             raise ConfigError("need at least one estimator")
         if not _is_count(self.replications):
             raise ConfigError("replications must be >= 1")
-        if not _is_count(self.seed, least=0):
-            raise ConfigError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
         if (self.dgp is None) == (not self.csv_files):
             raise ConfigError("configure exactly one of dgp or csv input")
         if self.dgp is not None:
@@ -147,13 +146,13 @@ def _split_spec_from(entry):
     if scheme == "custom":
         if "fractions" not in entry:
             raise ConfigError("custom split needs fractions")
-        return SplitSpec.custom(entry["fractions"])
+        return SplitSpec(entry["fractions"])
     if not isinstance(scheme, str) or scheme not in SPLIT_SCHEMES:
         raise ConfigError(f"unknown split scheme {scheme!r}")
     if "fractions" in entry:
         raise ConfigError(f"split scheme {scheme!r} fixes its fractions; "
                           "give fractions with the custom scheme")
-    return SplitSpec(scheme, SPLIT_SCHEMES[scheme])
+    return SplitSpec(SPLIT_SCHEMES[scheme])
 
 
 _JSON_KINDS = {
@@ -320,16 +319,15 @@ class MetricsReport:
             out[name] = entry
         return out
 
-    def to_csv(self, path, include_runtime=False):
+    def to_csv(self, path):
         """One row per (estimator, replication) plus mean/sd aggregate rows;
-        the last column, fit_seconds, only when `include_runtime`."""
+        no wall time, so the bytes depend on the config and seed alone."""
 
         def fmt(v):
             return "" if v is None else format(v, ".17g")
 
         agg = self.aggregates()
-        rows = [["estimator", "replication", "sqrt_pehe", "eps_ate", "ate_error_signed", "status",
-                 "fit_seconds"]]
+        rows = [["estimator", "replication", "sqrt_pehe", "eps_ate", "ate_error_signed", "status"]]
         for r in self.rows:
             rows.append([
                 r.estimator,
@@ -338,7 +336,6 @@ class MetricsReport:
                 fmt(r.eps_ate),
                 fmt(r.ate_error_signed),
                 "ok" if r.ok else f"error: {r.error}",
-                fmt(r.fit_seconds),
             ])
         for name in self.estimator_order:
             a = agg[name]
@@ -350,12 +347,9 @@ class MetricsReport:
                     fmt(a[f"{stat}_eps_ate"]),
                     "",
                     f"n={a['n_ok']}",
-                    fmt(a["mean_fit_seconds"]) if stat == "mean" else "",
                 ])
         with _replaced_whole(path, newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(
-                rows if include_runtime else (row[:-1] for row in rows)
-            )
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         return path
 
     def to_markdown(self):
@@ -429,6 +423,7 @@ class VerifyResult:
 
 def verify_gradients(seed=0, networks=20, tolerance=1e-4):
     """Backprop vs central finite differences over random architectures."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     errors = []
     for k in range(networks):
@@ -458,6 +453,7 @@ def verify_gradients(seed=0, networks=20, tolerance=1e-4):
 
 def verify_lemma(seed=0, oracles=1000, tolerance=1e-12):
     """Residual-decomposition and mixture identities over random oracles."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     worst_h = 0.0
     worst_mix = 0.0
@@ -573,8 +569,7 @@ def verify(kind, seed=0):
     result ends with the suite's wall time."""
     if kind != "all" and kind not in SUITES:
         raise ConfigError(f"unknown verify kind {kind!r}")
-    if not _is_count(seed, least=0):
-        raise ConfigError("seed must be a nonnegative integer")
+    _check_seed(seed)
     results = []
     for k in SUITES if kind == "all" else (kind,):
         t0 = time.perf_counter()

@@ -35,11 +35,6 @@ def _build_parser():
 
     p_bench = sub.add_parser("bench", help="run an experiment config and emit reports")
     p_bench.add_argument("--config", required=True, help="JSON experiment config")
-    p_bench.add_argument(
-        "--include-runtime",
-        action="store_true",
-        help="add per-fit wall time to the CSV (breaks bit-reproducibility)",
-    )
 
     p_verify = sub.add_parser("verify", help="run a numerical verification suite")
     p_verify.add_argument("kind", choices=(*bench.SUITES, "all"))
@@ -123,7 +118,7 @@ def _cmd_bench(args):
     out_dir.mkdir(parents=True, exist_ok=True)  # after the run: an error leaves no output
     csv_path = out_dir / "report.csv"
     md_path = out_dir / "report.md"
-    report.to_csv(csv_path, include_runtime=args.include_runtime)
+    report.to_csv(csv_path)
     with _replaced_whole(md_path, encoding="utf-8") as fh:
         fh.write(report.to_markdown())
     for line in report.summary_lines():

@@ -27,10 +27,9 @@ import numpy as np
 
 from ._workers import _map
 from .errors import ConfigError, DegenerateTreatmentError, SchemaError, SplitError
-from .errors import _check_size, _is_count, _is_finite_number
+from .errors import _check_seed, _check_size, _is_count, _is_finite_number
 from .theory import NuisanceOracle
 
-COVARIATE_LAWS = ("standard_normal", "uniform")
 SPLIT_SCHEMES = {"ihdp_63_27_10": (0.63, 0.27, 0.10), "twins_news_56_24_20": (0.56, 0.24, 0.20)}
 
 # logistic(3.8918) ~ 0.98: overlap bound for logistic propensities on the radius-3 ball
@@ -152,12 +151,11 @@ class DgpSpec:
     """A fully specified data-generating process.
 
     Outcomes follow y = baseline(x) + t * effect(x) + noise, treatment is
-    Bernoulli(propensity(x)), covariates are standardized under the chosen
-    law. The per-unit true effect is effect(x).
+    Bernoulli(propensity(x)), covariates are standard normal. The per-unit
+    true effect is effect(x).
     """
 
     d: int
-    covariate_law: str
     propensity: object
     baseline: object
     effect: object
@@ -167,14 +165,11 @@ class DgpSpec:
     def __post_init__(self):
         if not _is_count(self.d):
             raise ConfigError("covariate dimension must be >= 1")
-        if self.covariate_law not in COVARIATE_LAWS:
-            raise ConfigError(f"unknown covariate law {self.covariate_law!r}")
         if not (_is_finite_number(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigError(
                 f"noise sigma must be finite and nonnegative, got {self.noise_sigma!r}"
             )
-        if not _is_count(self.seed, least=0):
-            raise ConfigError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
         if not _surface_dimension_ok("baseline", self.baseline, self.d):
             raise ConfigError("baseline surface dimension != d")
         if not _surface_dimension_ok("effect", self.effect, self.d):
@@ -186,10 +181,7 @@ class DgpSpec:
         self.propensity.check_overlap()
 
     def draw_covariates(self, n, rng):
-        if self.covariate_law == "standard_normal":
-            return rng.standard_normal((n, self.d))
-        # zero-mean unit-variance uniform
-        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n, self.d))
+        return rng.standard_normal((n, self.d))
 
     def outcome_mean(self, t, X):
         """f(t, x) for scalar t broadcast over the batch."""
@@ -198,6 +190,14 @@ class DgpSpec:
 
 # ---------------------------------------------------------------------------
 # datasets
+
+
+def _floats(name, values):
+    """`values` as a float array; SchemaError naming `name` if not numeric."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # strings, ragged rows, objects
+        raise SchemaError(f"{name} must be numeric") from None
 
 
 @dataclass
@@ -209,7 +209,7 @@ class Dataset:
     bit-exactly); data loaded without a stored effect derives it as the
     float difference. y1, y0 and theta become float vectors of n rows and
     must be finite: a difference that overflows is a SchemaError, not an
-    infinite effect.
+    infinite effect. An array that is not numeric is a SchemaError too.
     """
 
     x: np.ndarray
@@ -218,17 +218,16 @@ class Dataset:
     y1: np.ndarray | None = None
     y0: np.ndarray | None = None
     theta: np.ndarray | None = None
-    provenance: object = None
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        self.x = _floats("covariates x", self.x)
         if self.x.ndim != 2:
             raise SchemaError(f"covariates must be a 2-d (n, d) array, got shape {self.x.shape}")
         t = np.asarray(self.t)
         if not np.all((t == 0) | (t == 1)):
             raise SchemaError("treatment must be 0 or 1 in every row")
         self.t = t.astype(int)
-        self.y = np.asarray(self.y, dtype=float)
+        self.y = _floats("outcome y", self.y)
         n = self.x.shape[0]
         if self.t.shape != (n,) or self.y.shape != (n,):
             raise SchemaError(
@@ -242,7 +241,7 @@ class Dataset:
                     truth = self.y1 - self.y0
             if truth is None:
                 continue
-            truth = np.asarray(truth, dtype=float)
+            truth = _floats(f"ground truth {name}", truth)
             if truth.shape != (n,):
                 raise SchemaError(f"ground truth {name} {truth.shape} must be a vector of {n} rows")
             if not np.isfinite(truth).all():
@@ -278,7 +277,6 @@ class Dataset:
             None if self.y1 is None else self.y1[indices],
             None if self.y0 is None else self.y0[indices],
             None if self.theta is None else self.theta[indices],
-            self.provenance,
         )
 
 
@@ -294,6 +292,11 @@ def concat_datasets(parts):
     parts = list(parts)
     if not parts:
         raise SplitError("no datasets to concatenate")
+    for part in parts:
+        if part.d != parts[0].d:
+            raise SchemaError(
+                f"datasets to concatenate have {parts[0].d} and {part.d} covariates"
+            )
     gt = all(p.has_ground_truth for p in parts)
     return Dataset(
         np.concatenate([p.x for p in parts]),
@@ -302,7 +305,6 @@ def concat_datasets(parts):
         np.concatenate([p.y1 for p in parts]) if gt else None,
         np.concatenate([p.y0 for p in parts]) if gt else None,
         np.concatenate([p.theta for p in parts]) if gt else None,
-        parts[0].provenance,
     )
 
 
@@ -328,7 +330,7 @@ def generate(spec, n):
     theta = spec.effect.values(X) + (noise1 - noise0)
     y1 = y0 + theta
     y = np.where(t == 1, y1, y0)
-    return Dataset(X, t, y, y1, y0, theta, provenance=spec)
+    return Dataset(X, t, y, y1, y0, theta)
 
 
 def oracle_of(spec):
@@ -388,7 +390,6 @@ def oracle_of(spec):
 class SplitSpec:
     """Train/validation/test fractions: three finite numbers > 0 that sum to 1."""
 
-    scheme: str
     fractions: tuple
 
     def __post_init__(self):
@@ -403,15 +404,7 @@ class SplitSpec:
 
     @classmethod
     def ihdp(cls):
-        return cls("ihdp_63_27_10", SPLIT_SCHEMES["ihdp_63_27_10"])
-
-    @classmethod
-    def twins_news(cls):
-        return cls("twins_news_56_24_20", SPLIT_SCHEMES["twins_news_56_24_20"])
-
-    @classmethod
-    def custom(cls, fractions):
-        return cls("custom", fractions)
+        return cls(SPLIT_SCHEMES["ihdp_63_27_10"])
 
     def sizes(self, n):
         """Part sizes under the floor-remainder rule.
@@ -432,6 +425,7 @@ class SplitSpec:
 
 def split(data, spec, seed):
     """Uniform random partition into (train, validation, test)."""
+    _check_seed(seed)
     if len(data) < 3:
         raise SplitError("need at least 3 samples to split")
     n_train, n_val, n_test = spec.sizes(len(data))
@@ -696,7 +690,7 @@ def load_csv(path):
     result, or the same SchemaError with the same message and row.
     """
     x, t, y, y1, y0 = _columns_at_once(path) or _columns_by_row(path)
-    return Dataset(x, t, y, y1, y0, provenance=str(path))
+    return Dataset(x, t, y, y1, y0)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +787,7 @@ def named_dgp(name, d=5, seed=0):
         raise ConfigError(f"unknown DGP family {name!r}")
     propensity, baseline, effect, noise_sigma = _FAMILY_PARTS[name](d)
     baseline = baseline or AffineSurface(1.0, _slopes(d, 1.0, 0.5, -0.5, 0.25))
-    return DgpSpec(d, "standard_normal", propensity, baseline, effect, noise_sigma, seed)
+    return DgpSpec(d, propensity, baseline, effect, noise_sigma, seed)
 
 
 def random_dgp(rng, d=None, noise_sigma=0.5):
@@ -815,7 +809,6 @@ def random_dgp(rng, d=None, noise_sigma=0.5):
         prop = LogisticPropensity(tuple(slopes), float(rng.uniform(-0.5, 0.5)))
     return DgpSpec(
         d=d,
-        covariate_law="standard_normal",
         propensity=prop,
         baseline=random_surface(),
         effect=random_surface(),

@@ -1,5 +1,5 @@
 """Exception types shared across the package, the two number predicates
-that every check of a setting uses, and the check of a size."""
+that every check of a setting uses, and the checks of a seed and a size."""
 
 import math
 import numbers
@@ -82,6 +82,13 @@ def _is_finite_number(value):
                 and math.isfinite(value))
     except OverflowError:  # an integer past the float range
         return False
+
+
+def _check_seed(seed):
+    """ConfigError unless `seed` is a nonnegative integer: the one rule for a
+    seed, checked before it reaches numpy."""
+    if not _is_count(seed, least=0):
+        raise ConfigError("seed must be a nonnegative integer")
 
 
 def _check_size(name, value):

@@ -35,7 +35,7 @@ from . import nn
 from ._workers import _map
 from .data import Dataset, _replaced_whole, _require_both_arms, _seed_sequence
 from .errors import CdnnError, ConfigError, IdentityViolationError
-from .errors import ShapeError, _check_size, _is_count, _is_finite_number
+from .errors import ShapeError, _check_seed, _check_size, _is_count, _is_finite_number
 
 VARIANTS = ("explicit_residual", "freezing")
 CHECKPOINT_FORMAT = 2
@@ -84,8 +84,7 @@ class CdnnConfig:
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         if self.activation not in nn.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if not _is_count(self.seed, least=0):
-            raise ConfigError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -104,9 +103,9 @@ class Stage1Model:
 
 @dataclass
 class Stage2Model:
-    """Treatment-aware model; predicts residuals (explicit_residual) or outcomes (freezing)."""
+    """Treatment-aware model; predicts residuals (explicit_residual) or
+    outcomes (freezing), as its estimator's variant says."""
 
-    variant: str
     network: nn.Network
     training_log: nn.TrainingLog
 
@@ -224,7 +223,7 @@ def fit_stage2_explicit(residuals, config, validation=None, seed_stream=0):
         residuals, validation = _carve_validation(residuals, config, rng)
     net = _fresh_network(config, residuals.d, config.treatment_scale, rng)
     log = _train(net, "explicit_residual", residuals, validation, rng, config)
-    return Stage2Model("explicit_residual", net, log)
+    return Stage2Model(net, log)
 
 
 def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
@@ -257,7 +256,7 @@ def fit_stage2_freezing(stage1, data, config, validation=None, seed_stream=0):
     log = _train(net, "freezing", data, validation, rng, config)
     if not _keeps_stage1(net, stage1.network, "freezing", config):
         raise IdentityViolationError("frozen stage-2 encoder moved away from stage 1's")
-    return Stage2Model("freezing", net, log)
+    return Stage2Model(net, log)
 
 
 def _stage_mask(net, stage, config):
@@ -406,9 +405,9 @@ def save_checkpoint(estimator, path):
 
     Format 2: a meta JSON (format, variant, config, covariate width) and one
     (members, P) theta matrix per stage; the rest follows from the config.
-    `path` is a file name, written exactly as given and whole or not at all,
-    or an open binary file. A model that load_checkpoint would reject raises
-    ConfigError, and nothing is written.
+    `path` is a file name, written exactly as given and whole or not at all.
+    A model that load_checkpoint would reject raises ConfigError, and
+    nothing is written.
     """
     stage1, stage2 = zip(*estimator.members)
     width = stage1[0].network.covariate_width
@@ -422,8 +421,7 @@ def save_checkpoint(estimator, path):
     # it wrote, which a device such as /dev/null accepts but does not keep
     archive = io.BytesIO()
     np.savez(archive, **arrays)
-    writes = contextlib.nullcontext(path) if hasattr(path, "write") else _replaced_whole(path, "wb")
-    with writes as fh:
+    with _replaced_whole(path, "wb") as fh:
         fh.write(archive.getbuffer())
     return path
 
@@ -455,7 +453,7 @@ def _decode(variant, config, width, arrays):
         ):
             if broken:
                 raise ConfigError(f"malformed checkpoint: member {m}: {why}")
-        members.append((s1, Stage2Model(variant, net2, nn.TrainingLog())))
+        members.append((s1, Stage2Model(net2, nn.TrainingLog())))
     return CdnnEstimator(members, variant, config)
 
 
@@ -489,11 +487,9 @@ def _load_config(cfg):
 
 @contextlib.contextmanager
 def _open_archive(path):
-    """np.load(path) as an open .npz archive; ConfigError if it is not one.
-    A file name is opened here and closed on every exit, also when numpy
-    rejects it; an open binary file stays the caller's."""
-    opens = contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb")
-    with opens as fh:
+    """np.load of the file `path` as an open .npz archive; ConfigError if it
+    is not one. The file is closed on every exit, also when numpy rejects it."""
+    with open(path, "rb") as fh:
         try:
             blob = np.load(fh)
         except (EOFError, ValueError, zipfile.BadZipFile):

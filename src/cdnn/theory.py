@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, IdentityViolationError, InvalidPerturbationError
+from .errors import _check_seed, _is_count, _is_finite_number
 
 CONSISTENCY_TOL = 1e-12
 PROPENSITY_GUARD = 1e-3
@@ -63,8 +64,8 @@ class ScoreInput:
     x: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.y):
-            raise ConfigError("non-finite outcome")
+        if not _is_finite_number(self.y):
+            raise ConfigError(f"outcome must be a finite number, got {self.y!r}")
         if self.t not in (0, 1):
             raise ConfigError("treatment must be 0 or 1")
 
@@ -121,10 +122,9 @@ def _check_perturbed_propensity(e0x, delta_ex, taus):
             )
 
 
-def _perturbed_nuisances(oracle, perturbation, x, n_samples, step):
-    """x as floats and (g0, e0, theta0, delta_g, delta_e) at x; checks the inputs."""
-    if n_samples < 10_000:
-        raise ConfigError("need n_samples >= 10000")
+def _perturbed_nuisances(oracle, perturbation, x, step):
+    """x as floats and (g0, e0, theta0, delta_g, delta_e) at x; checks that
+    the perturbed propensity stays in range."""
     x = np.asarray(x, dtype=float)
     e0x, de = oracle.e0(x), perturbation.delta_e(x)
     _check_perturbed_propensity(e0x, de, (-step, step, 1.0))
@@ -134,8 +134,12 @@ def _perturbed_nuisances(oracle, perturbation, x, n_samples, step):
 def _score_derivative(score, oracle, perturbation, x, n_samples, step, seed):
     """(estimate, mc_stderr) of d/dtau E[score(t, y, g0 + tau*dg, e0 + tau*de,
     theta0)] by central difference over n_samples draws at x (common random
-    numbers)."""
-    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, n_samples, step)
+    numbers). ConfigError, before any draw, unless n_samples is an integer
+    >= 10000 and seed a nonnegative integer."""
+    if not _is_count(n_samples, least=10_000):
+        raise ConfigError(f"need an integer n_samples >= 10000, got {n_samples!r}")
+    _check_seed(seed)
+    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, step)
     rng = np.random.default_rng(seed)
     t, y = oracle.sample_observations(x, n_samples, rng)
 
@@ -168,13 +172,14 @@ def gateaux_derivative(
         + (e0 - e_hat) * (E[Y - g0 | x] - theta0 * E[T - e0 | x])
 
     with the conditional expectations taken exactly from the oracle, where
-    they vanish; its stderr is 0.
+    they vanish; its stderr is 0. It draws nothing, so it reads neither
+    n_samples nor seed.
     """
     if method not in ("finite_difference", "analytic"):
         raise ConfigError(f"unknown method {method!r}")
     if method == "finite_difference":
         return _score_derivative(_orthogonal_score, oracle, perturbation, x, n_samples, step, seed)
-    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, n_samples, step)
+    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, step)
     exp_t_resid = oracle.e0(x) - e0x
     exp_y_resid = marginal_outcome(oracle, x) - g0x
     estimate = (-dg + theta0x * de) * exp_t_resid + (-de) * (

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cdnn import bench, nn
-from cdnn.baselines import ols_lr1
+from cdnn.baselines import dml_ate, ols_lr1
 from cdnn.data import (
     DGP_FAMILIES,
     SPLIT_SCHEMES,
@@ -29,8 +29,9 @@ from cdnn.data import (
 )
 from cdnn.cli import main
 from cdnn.errors import ConfigError, SchemaError
+from cdnn.estimator import CdnnConfig
 from cdnn.metrics import eps_ate, sqrt_pehe
-from cdnn.theory import standard_perturbations
+from cdnn.theory import gateaux_derivative, non_orthogonal_control, standard_perturbations
 
 
 def numpy_exp_is_simd():
@@ -132,6 +133,31 @@ class TestConfig:
     def test_a_seed_or_size_of_the_wrong_type_is_a_config_error(self, call, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             call()
+
+    # entry point -> a call of it with `seed`
+    SEEDED = {
+        "split": lambda seed: split(generate(named_dgp("confound-linear"), 30), SplitSpec.ihdp(),
+                                    seed),
+        "dml_ate": lambda seed: dml_ate(generate(named_dgp("confound-linear"), 30), seed=seed),
+        "gateaux_derivative": lambda seed: gateaux_derivative(
+            oracle_of(named_dgp("confound-hetero")), standard_perturbations(5)[0], np.zeros(5),
+            seed=seed),
+        "non_orthogonal_control": lambda seed: non_orthogonal_control(
+            oracle_of(named_dgp("confound-hetero")), standard_perturbations(5)[0], np.zeros(5),
+            seed=seed),
+        "verify_gradients": lambda seed: bench.verify_gradients(seed=seed, networks=1),
+        "verify_lemma": lambda seed: bench.verify_lemma(seed=seed, oracles=1),
+        "CdnnConfig": lambda seed: CdnnConfig(seed=seed),
+        "DgpSpec": lambda seed: named_dgp("confound-linear", seed=seed),
+        "ExperimentConfig": lambda seed: experiment(seed=seed),
+        "verify": lambda seed: bench.verify("lemma", seed=seed),
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"], ids=["negative", "float", "bool", "str"])
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_every_entry_point_applies_the_one_seed_rule(self, entry, seed):
+        with pytest.raises(ConfigError, match="^seed must be a nonnegative integer$"):
+            self.SEEDED[entry](seed)
 
     def test_absent_keys_are_not_passed(self, monkeypatch):
         # named_dgp and ExperimentConfig apply their own defaults
@@ -266,7 +292,7 @@ def test_every_table_name_resolves_and_runs(key, value):
     if key == "dgp":
         assert cfg.dgp == named_dgp(value["family"])
     elif key == "split":
-        assert cfg.split == SplitSpec(value["scheme"], SPLIT_SCHEMES[value["scheme"]])
+        assert cfg.split == SplitSpec(SPLIT_SCHEMES[value["scheme"]])
     else:
         assert [spec.name for spec in cfg.estimators] == [value[0]["name"]]
     report = bench.run(cfg)
@@ -364,13 +390,11 @@ class TestReport:
             assert float(mean_row["sqrt_pehe"]) == arr.mean()
             assert float(sd_row["sqrt_pehe"]) == arr.std(ddof=1 if len(arr) > 1 else 0)
 
-    def test_runtime_column_only_on_request(self, tmp_path):
+    def test_report_csv_holds_no_wall_time(self, tmp_path):
         report = bench.run(quick_config())
-        p1, p2 = tmp_path / "plain.csv", tmp_path / "rt.csv"
-        report.to_csv(p1)
-        report.to_csv(p2, include_runtime=True)
-        assert "fit_seconds" not in p1.read_text().splitlines()[0]
-        assert "fit_seconds" in p2.read_text().splitlines()[0]
+        path = report.to_csv(tmp_path / "report.csv")
+        header = "estimator,replication,sqrt_pehe,eps_ate,ate_error_signed,status"
+        assert path.read_text().splitlines()[0] == header
 
     def test_markdown_precision_rule(self):
         report = bench.MetricsReport(

@@ -29,6 +29,7 @@ from cdnn.data import (
     ReplicationSet,
     SigmoidSurface,
     SplitSpec,
+    concat_datasets,
     generate,
     load_csv,
     named_dgp,
@@ -86,7 +87,7 @@ def reference_oracle_of(spec):
 
 def reference_load(path):
     """load_csv through the row-by-row reader alone."""
-    return Dataset(*dmod._columns_by_row(path), provenance=str(path))
+    return Dataset(*dmod._columns_by_row(path))
 
 
 def outcome(loader, path):
@@ -97,13 +98,12 @@ def outcome(loader, path):
         return type(err), str(err), err.row
     fields = ("x", "t", "y", "y1", "y0", "theta")
     arrays = [getattr(ds, f) for f in fields]
-    return ds.provenance, [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def constant_effect_spec(theta=2.0, sigma=0.0, seed=0, d=2, p=0.5):
     return DgpSpec(
         d=d,
-        covariate_law="standard_normal",
         propensity=ConstantPropensity(p),
         baseline=AffineSurface(1.0, tuple([0.5] * d)),
         effect=AffineSurface(theta, tuple([0.0] * d)),
@@ -143,20 +143,6 @@ class TestGenerate:
         three_sigma = 3.0 * np.sqrt(0.65 * 0.35 / k)
         assert 0.6 - three_sigma <= frac <= 0.7 + three_sigma
 
-    def test_uniform_law_is_standardized(self):
-        spec = DgpSpec(
-            d=3,
-            covariate_law="uniform",
-            propensity=ConstantPropensity(0.5),
-            baseline=AffineSurface(0.0, (1.0, 0.0, 0.0)),
-            effect=AffineSurface(1.0, (0.0, 0.0, 0.0)),
-            noise_sigma=0.0,
-            seed=4,
-        )
-        ds = generate(spec, 200_000)
-        assert np.max(np.abs(ds.x.mean(axis=0))) < 0.02
-        assert np.max(np.abs(ds.x.std(axis=0) - 1.0)) < 0.02
-
     def test_oracle_data_agreement_in_bins(self):
         # sample mean of y in a covariate bin tracks bin-averaged g0
         spec = named_dgp("confound-linear", seed=6)
@@ -175,7 +161,6 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             DgpSpec(
                 d=2,
-                covariate_law="standard_normal",
                 propensity=LogisticPropensity((5.0, 0.0)),  # leaves (0.02, 0.98)
                 baseline=AffineSurface(0.0, (0.0, 0.0)),
                 effect=AffineSurface(0.0, (0.0, 0.0)),
@@ -198,7 +183,6 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=f"^logistic propensity {name} must be finite"):
             DgpSpec(
                 d=2,
-                covariate_law="standard_normal",
                 propensity=LogisticPropensity(slopes, offset),
                 baseline=AffineSurface(0.0, (0.0, 0.0)),
                 effect=AffineSurface(0.0, (0.0, 0.0)),
@@ -225,7 +209,7 @@ class TestGenerate:
     def test_a_surface_setting_that_is_not_a_finite_number_is_named(self, setting, value):
         parts, name = self.SURFACE_SETTINGS[setting]
         flat = AffineSurface(0.0, (0.0, 0.0))
-        spec = {"d": 2, "covariate_law": "standard_normal", "propensity": ConstantPropensity(0.5),
+        spec = {"d": 2, "propensity": ConstantPropensity(0.5),
                 "baseline": flat, "effect": flat, "noise_sigma": 0.0, "seed": 0}
         with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
             DgpSpec(**{**spec, **parts(value)})
@@ -242,7 +226,7 @@ class TestGenerate:
     )
     def test_a_propensity_setting_that_is_not_a_number_is_named(self, propensity, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            DgpSpec(2, "standard_normal", propensity, AffineSurface(0.0, (0.0, 0.0)),
+            DgpSpec(2, propensity, AffineSurface(0.0, (0.0, 0.0)),
                     AffineSurface(0.0, (0.0, 0.0)), 0.0, 0)
 
     @pytest.mark.parametrize(
@@ -259,7 +243,7 @@ class TestGenerate:
     )
     def test_slopes_that_are_no_sequence_are_named(self, part, message):
         flat = AffineSurface(0.0, (0.0, 0.0))
-        spec = {"d": 2, "covariate_law": "standard_normal", "propensity": ConstantPropensity(0.5),
+        spec = {"d": 2, "propensity": ConstantPropensity(0.5),
                 "baseline": flat, "effect": flat, "noise_sigma": 0.0, "seed": 0}
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             DgpSpec(**{**spec, **part})
@@ -267,7 +251,7 @@ class TestGenerate:
     def test_finite_settings_beyond_the_sum_of_the_float_range_pass(self):
         # the one fsum overflows, and the settings checked by name are finite
         huge = AffineSurface(1e308, (1e308, 1e308))
-        DgpSpec(2, "standard_normal", ConstantPropensity(0.5), huge, huge, 0.0, 0)
+        DgpSpec(2, ConstantPropensity(0.5), huge, huge, 0.0, 0)
 
 
 def _generated_digest(spec, n):
@@ -362,7 +346,6 @@ class TestOracleOf:
         # f(0,x)=a, effect=c, e0=p  ->  g0 = a + p*c
         spec = DgpSpec(
             d=1,
-            covariate_law="standard_normal",
             propensity=ConstantPropensity(0.3),
             baseline=AffineSurface(1.5, (0.0,)),
             effect=AffineSurface(2.0, (0.0,)),
@@ -478,7 +461,7 @@ class TestSplit:
 
     def test_disjoint_and_exhaustive(self):
         ds = generate(constant_effect_spec(sigma=1.0), 501)
-        train, val, test = split(ds, SplitSpec.twins_news(), seed=3)
+        train, val, test = split(ds, SplitSpec((0.56, 0.24, 0.20)), seed=3)
         ys = np.concatenate([train.y, val.y, test.y])
         assert len(ys) == 501
         assert np.array_equal(np.sort(ys), np.sort(ds.y))
@@ -498,9 +481,9 @@ class TestSplit:
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(SplitError):
-            SplitSpec.custom((0.5, 0.4, 0.2))
+            SplitSpec((0.5, 0.4, 0.2))
         with pytest.raises(SplitError):
-            SplitSpec.custom((0.9, 0.1, -0.0))
+            SplitSpec((0.9, 0.1, -0.0))
 
     @pytest.mark.parametrize(
         "fractions",
@@ -510,10 +493,10 @@ class TestSplit:
     )
     def test_non_finite_or_non_numeric_fractions_rejected(self, fractions):
         with pytest.raises(SplitError, match="must be three finite numbers > 0"):
-            SplitSpec.custom(fractions)
+            SplitSpec(fractions)
 
     def test_fractions_are_stored_as_given_in_a_tuple(self):
-        assert SplitSpec.custom([0.5, 0.25, 0.25]).fractions == (0.5, 0.25, 0.25)
+        assert SplitSpec([0.5, 0.25, 0.25]).fractions == (0.5, 0.25, 0.25)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -524,7 +507,7 @@ class TestSplit:
         # exact integer arithmetic: validation floor(f_val*n), test the
         # complement of floor((f_train+f_val)*n), train the rest
         k_train, k_val = k
-        spec = SplitSpec.custom((k_train / 100, k_val / 100, (100 - k_train - k_val) / 100))
+        spec = SplitSpec((k_train / 100, k_val / 100, (100 - k_train - k_val) / 100))
         n_val = n * k_val // 100
         n_test = n - n * (k_train + k_val) // 100
         expected = (n - n_val - n_test, n_val, n_test)
@@ -542,7 +525,7 @@ class TestSplit:
     )
     def test_any_fractions_sum_to_n(self, n, f_train, f_val):
         assume(f_train + f_val < 1.0 - 1e-6)
-        spec = SplitSpec.custom((f_train, f_val, 1.0 - f_train - f_val))
+        spec = SplitSpec((f_train, f_val, 1.0 - f_train - f_val))
         shares = [f * n for f in spec.fractions]
         try:
             sizes = spec.sizes(n)
@@ -983,6 +966,25 @@ class TestDatasetValidation:
         path.write_text("t,y,y1,y0,x0\n1,1e308,1e308,-1e308,0\n")
         with pytest.raises(SchemaError, match="ground truth theta must be finite"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "arrays, name",
+        [((np.zeros((2, 1)), [0, 1], ["a", "b"]), "outcome y"),
+         ((np.array([["a"], ["b"]]), [0, 1], [0.0, 1.0]), "covariates x"),
+         (([[0.0, 1.0], [2.0]], [0, 1], [0.0, 1.0]), "covariates x"),
+         ((np.zeros((2, 1)), [0, 1], [0.0, 1.0], ["a", 1.0], [0.0, 0.0]), "ground truth y1"),
+         ((np.zeros((2, 1)), [0, 1], [0.0, 1.0], None, None, [{}, 1.0]), "ground truth theta")],
+        ids=["string-outcome", "string-covariates", "ragged-covariates", "string-y1",
+             "object-theta"],
+    )
+    def test_an_array_that_is_not_numeric_is_named(self, arrays, name):
+        with pytest.raises(SchemaError, match=f"^{name} must be numeric$"):
+            Dataset(*arrays)
+
+    def test_concatenating_other_widths_names_both(self):
+        one, two = (Dataset(np.zeros((2, d)), [0, 1], [0.0, 1.0]) for d in (1, 2))
+        with pytest.raises(SchemaError, match="^datasets to concatenate have 1 and 2 covariates$"):
+            concat_datasets([one, two])
 
 
 class TestReplications:

@@ -5,7 +5,6 @@ whole."""
 
 import contextlib
 import csv
-import io
 import json
 import os
 import tempfile
@@ -26,13 +25,11 @@ TINY_CDNN = {"epochs": 1, "hidden_widths": [2]}
 
 
 @pytest.fixture(scope="module")
-def model_bytes():
+def model_bytes(tmp_path_factory):
     """A checkpoint on two covariates, as bytes."""
     est = fit(generate(named_dgp("confound-linear", d=2), 40), "freezing",
               CdnnConfig(epochs=1, hidden_widths=(2,), ensemble_size=1))
-    archive = io.BytesIO()
-    save_checkpoint(est, archive)
-    return archive.getvalue()
+    return save_checkpoint(est, tmp_path_factory.mktemp("model") / "model.npz").read_bytes()
 
 
 @contextlib.contextmanager

@@ -172,6 +172,18 @@ class TestGateauxDerivative:
         with pytest.raises(ConfigError):
             gateaux_derivative(self.oracle, constant_perturbation(1.0), X0, n_samples=100)
 
+    @pytest.mark.parametrize("n_samples", [100_000.0, "a", True], ids=["float", "str", "bool"])
+    def test_a_sample_count_that_is_no_integer_is_a_config_error(self, n_samples):
+        with pytest.raises(ConfigError, match="^need an integer n_samples >= 10000, got "):
+            gateaux_derivative(self.oracle, constant_perturbation(1.0), X0, n_samples=n_samples)
+
+    def test_analytic_form_reads_no_sample_count(self):
+        # it draws nothing, so a count too small for the finite difference is no error
+        pert = constant_perturbation(1.0)
+        assert gateaux_derivative(self.oracle, pert, X0, n_samples=100, method="analytic") == (
+            gateaux_derivative(self.oracle, pert, X0, method="analytic")
+        )
+
 
 class TestNonOrthogonalControl:
     def test_constant_shift_gives_minus_c_times_propensity(self):
@@ -210,3 +222,8 @@ class TestOracleValidation:
             ScoreInput(y=float("inf"), t=1, x=X0)
         with pytest.raises(ConfigError):
             ScoreInput(y=0.0, t=2, x=X0)
+
+    @pytest.mark.parametrize("y", ["a", None, [1.0]], ids=["string", "none", "list"])
+    def test_an_outcome_that_is_no_number_is_a_config_error(self, y):
+        with pytest.raises(ConfigError, match="^outcome must be a finite number, got "):
+            ScoreInput(y, 0, X0)
