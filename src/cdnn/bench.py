@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import estimator as est_mod
+from . import theory
 from ._workers import _map
 from .baselines import _check_dml_settings, dml_ate, ols_lr1, ols_lr2
 from .data import (
@@ -414,6 +415,14 @@ def run(config):
 # verification suites
 
 
+# each suite is a function of its seed: it reads these and theory's constants when it runs
+GRADIENT_NETWORKS = 20
+GRADIENT_TOL = 1e-4
+LEMMA_ORACLES = 1000
+ORTHOGONALITY_POINTS = 20
+ORTHOGONALITY_PASS_FRACTION = 0.95
+
+
 @dataclass
 class VerifyResult:
     kind: str
@@ -421,12 +430,13 @@ class VerifyResult:
     lines: list = field(default_factory=list)
 
 
-def verify_gradients(seed=0, networks=20, tolerance=1e-4):
-    """Backprop vs central finite differences over random architectures."""
+def verify_gradients(seed=0):
+    """Backprop vs central finite differences over GRADIENT_NETWORKS random
+    architectures; passes when the worst relative error is <= GRADIENT_TOL."""
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     errors = []
-    for k in range(networks):
+    for k in range(GRADIENT_NETWORKS):
         d = int(rng.integers(2, 6))
         depth = int(rng.integers(1, 4))
         hidden = tuple(int(rng.integers(3, 11)) for _ in range(depth))
@@ -443,31 +453,33 @@ def verify_gradients(seed=0, networks=20, tolerance=1e-4):
         errors.append(gradient_check(net, (X, T, Y)))
     # np.max, not max: a NaN error must reach the verdict and fail it
     worst = float(np.max(errors, initial=0.0))
-    passed = worst <= tolerance
+    passed = worst <= GRADIENT_TOL
     lines = [
-        f"networks checked: {networks} (architectures, activations, concat wiring varied)",
-        f"max relative gradient error: {worst:.3e} (tolerance {tolerance:.0e})",
+        f"networks checked: {GRADIENT_NETWORKS} "
+        "(architectures, activations, concat wiring varied)",
+        f"max relative gradient error: {worst:.3e} (tolerance {GRADIENT_TOL:.0e})",
     ]
     return VerifyResult("gradients", passed, lines)
 
 
-def verify_lemma(seed=0, oracles=1000, tolerance=1e-12):
-    """Residual-decomposition and mixture identities over random oracles."""
+def verify_lemma(seed=0):
+    """Residual-decomposition and mixture identities over LEMMA_ORACLES random
+    oracles, each to theory.CONSISTENCY_TOL."""
     _check_seed(seed)
+    tolerance = theory.CONSISTENCY_TOL
     rng = np.random.default_rng(seed)
-    worst_h = 0.0
-    worst_mix = 0.0
-    for _ in range(oracles):
+    worst_h = worst_mix = 0.0
+    for _ in range(LEMMA_ORACLES):
         spec = random_dgp(rng)
         oracle = oracle_of(spec)
         x = rng.standard_normal(spec.d)
         t = int(rng.integers(0, 2))
-        direct, factored = residualized_h(oracle, t, x, tol=tolerance)
+        direct, factored = residualized_h(oracle, t, x)
         worst_h = max(worst_h, abs(direct - factored))
         worst_mix = max(worst_mix, abs(marginal_outcome(oracle, x) - oracle.g0(x)))
     passed = worst_h <= tolerance and worst_mix <= tolerance
     lines = [
-        f"oracles checked: {oracles}",
+        f"oracles checked: {LEMMA_ORACLES}",
         f"max |h_direct - theta*(t-e)|: {worst_h:.3e} (tolerance {tolerance:.0e})",
         f"max |mixture - g0|: {worst_mix:.3e} (tolerance {tolerance:.0e})",
     ]
@@ -503,33 +515,30 @@ def _probe_points(oracle, directions, rng, n_x, d):
     return xs
 
 
-def verify_orthogonality(seed=0, n_x=20, n_samples=100_000, min_pass_fraction=0.95):
+def verify_orthogonality(seed=0):
     """Gateaux-derivative checks of the orthogonal score and its negative
-    control at Monte-Carlo scale."""
+    control at ORTHOGONALITY_POINTS points x 10 directions, theory.MC_SAMPLES
+    draws each; passes when at least ORTHOGONALITY_PASS_FRACTION of the
+    probes lie within 3 stderr of 0."""
     spec = named_dgp("confound-hetero", seed=seed)
     oracle = oracle_of(spec)
     directions = standard_perturbations(spec.d)
+    n_x, n_samples = ORTHOGONALITY_POINTS, theory.MC_SAMPLES
     xs = _probe_points(oracle, directions, np.random.default_rng(seed), n_x, spec.d)
 
-    within = 0
-    total = 0
+    within = probe = 0
     analytic_all_zero = True
-    probe = 0
     for x in xs:
         for pert in directions:
             probe += 1
             estimate, stderr = gateaux_derivative(
                 oracle, pert, x, n_samples=n_samples, seed=_derived_seed(seed, probe)
             )
-            total += 1
-            if abs(estimate) <= 3.0 * stderr:
-                within += 1
-            analytic, _ = gateaux_derivative(oracle, pert, x, method="analytic")
-            if analytic != 0.0:
-                analytic_all_zero = False
+            within += abs(estimate) <= 3.0 * stderr
+            analytic_all_zero &= gateaux_derivative(oracle, pert, x, method="analytic")[0] == 0.0
+    total = probe
 
-    controls_checked = 0
-    controls_rejected = 0
+    controls_checked = controls_rejected = 0
     for pert in directions:
         is_const, c = _is_constant_g_direction(pert, xs[:3])
         if not (is_const and abs(c) >= 0.5):
@@ -540,21 +549,16 @@ def verify_orthogonality(seed=0, n_x=20, n_samples=100_000, min_pass_fraction=0.
                 oracle, pert, x, n_samples=n_samples, seed=_derived_seed(seed, probe)
             )
             controls_checked += 1
-            if abs(estimate) > 3.0 * stderr:
-                controls_rejected += 1
+            controls_rejected += abs(estimate) > 3.0 * stderr
 
     frac = within / total
-    passed = (
-        frac >= min_pass_fraction
-        and analytic_all_zero
-        and controls_checked > 0
-        and controls_rejected == controls_checked
-    )
+    passed = (frac >= ORTHOGONALITY_PASS_FRACTION and analytic_all_zero
+              and 0 < controls_checked == controls_rejected)
     lines = [
         f"finite-difference probes: {total} ({n_x} points x {len(directions)} directions, "
         f"{n_samples} samples each)",
         f"within 3 MC stderr of 0: {within}/{total} ({100 * frac:.1f}%, need >= "
-        f"{100 * min_pass_fraction:.0f}%)",
+        f"{100 * ORTHOGONALITY_PASS_FRACTION:.0f}%)",
         f"analytic closed form exactly 0 on all probes: {analytic_all_zero}",
         f"negative control rejected 0 at 3 sigma: {controls_rejected}/{controls_checked}",
     ]

@@ -790,9 +790,9 @@ def named_dgp(name, d=5, seed=0):
     return DgpSpec(d, propensity, baseline, effect, noise_sigma, seed)
 
 
-def random_dgp(rng, d=None, noise_sigma=0.5):
-    """A random well-posed DGP; used by the identity verification suites."""
-    d = int(rng.integers(1, 5)) if d is None else d
+def random_dgp(rng):
+    """A random well-posed DGP, 1-4 covariates and noise sigma 0.5, for verify_lemma."""
+    d = int(rng.integers(1, 5))
 
     def random_surface():
         kind = rng.integers(0, 2)
@@ -812,6 +812,6 @@ def random_dgp(rng, d=None, noise_sigma=0.5):
         propensity=prop,
         baseline=random_surface(),
         effect=random_surface(),
-        noise_sigma=noise_sigma,
+        noise_sigma=0.5,
         seed=int(rng.integers(0, 2**31)),
     )

@@ -65,6 +65,7 @@ ACTIVATIONS = ("swish", "identity")
 # gradient_check forward, or one activation matrix of a prediction block;
 # probing ran as fast with 8 MiB chunks but raised peak memory more
 _BLOCK_BYTES = 1 << 20
+_PROBE_STEP = 1e-5  # the h by which each gradient_check probe moves one parameter
 
 
 def _logistic(z, out=None):
@@ -566,7 +567,7 @@ def _update(net, grad, opt, held):
     net.version += 1
 
 
-def gradient_check(net, batch, step_size=1e-5):
+def gradient_check(net, batch):
     """Worst relative error between backprop and central finite differences.
 
     batch is (X, T, targets); the checked scalar is the batch MSE. Every
@@ -574,7 +575,7 @@ def gradient_check(net, batch, step_size=1e-5):
     near-zero gradients are compared on an absolute scale. A non-finite error
     anywhere makes the result NaN, so a check against a tolerance fails.
 
-    Probe j moves theta[j] alone by +-step_size. The probes run as two stacked
+    Probe j moves theta[j] alone by +-_PROBE_STEP. The probes run as two stacked
     forwards, all +h rows and all -h rows, in chunks that keep the stacked
     parameters and activations under _BLOCK_BYTES. A probe's loss
     depends only on its own row, so the result is bitwise that of probing one
@@ -595,14 +596,14 @@ def gradient_check(net, batch, step_size=1e-5):
     for start in range(0, theta.size, chunk):
         cols = np.arange(start, min(start + chunk, theta.size))
         # x + (-h) is x - h exactly, so both stacks match the one-probe loop
-        for losses, h in ((lp, step_size), (lm, -step_size)):
+        for losses, h in ((lp, _PROBE_STEP), (lm, -_PROBE_STEP)):
             probes = np.tile(theta, (cols.size, 1))
             probes[np.arange(cols.size), cols] = theta[cols] + h
             with np.errstate(over="ignore"):
                 preds = _forward(net, net.views(probes), X, T, keep_cache=False)[0]
             diff = preds - targets
             losses[cols] = np.add.reduce(diff * diff, axis=-1) / n
-    fd = (lp - lm) / (2.0 * step_size)
+    fd = (lp - lm) / (2.0 * _PROBE_STEP)
     err = np.abs(grad - fd) / np.maximum(np.abs(grad) + np.abs(fd), 1e-2)
     return float(err.max())
 
@@ -639,17 +640,18 @@ def fit_network(
 
     Every input is checked once, before epoch 0: X is (n, covariate_width)
     with n >= 1, T and Y hold n values, the validation triple likewise, all
-    finite; mask fits net; the learning rate is a finite number > 0, epochs
-    and patience are integers >= 0 and batch_size one >= 1. A failed check
-    raises ShapeError naming the array or setting, with net untouched. The
-    loop then builds the input [X | T] once and permutes it once per epoch,
-    and each minibatch runs the kernels behind the public per-minibatch
-    functions directly: `_forward` (Network.forward_batch), `_mse` (mse_loss),
-    `_backward` (backward) into one gradient vector, and `_update` (step),
-    with the frozen entries read once per fit. The validation pass after each
-    epoch runs `_predict`, the blocked predictor, into activation buffers
-    allocated once per fit. Overflow warnings are silenced for the whole loop;
-    a non-finite loss or gradient still raises TrainingDivergenceError.
+    finite; mask fits net; rng is a numpy Generator; the learning rate is a
+    finite number > 0, epochs and patience are integers >= 0 and batch_size
+    one >= 1. A failed check raises ShapeError naming the array or setting,
+    with net untouched. The loop then builds the input [X | T] once and
+    permutes it once per epoch, and each minibatch runs the kernels behind the
+    public per-minibatch functions directly: `_forward`
+    (Network.forward_batch), `_mse` (mse_loss), `_backward` (backward) into
+    one gradient vector, and `_update` (step), with the frozen entries read
+    once per fit. The validation pass after each epoch runs `_predict`, the
+    blocked predictor, into activation buffers allocated once per fit.
+    Overflow warnings are silenced for the whole loop; a non-finite loss or
+    gradient still raises TrainingDivergenceError.
     """
     U, Y = _fit_arrays(net, (X, T, Y), ("X", "T", "Y"))
     if validation is not None:
@@ -660,6 +662,8 @@ def fit_network(
                                ("patience", patience, 0)):
         if not _is_count(value, least):
             raise ShapeError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise ShapeError(f"rng must be a numpy Generator, got {rng!r}")
     opt = OptimizerState.create(net, learning_rate)
     held = _hold(net, mask, opt)
     grad = np.empty_like(net.theta)

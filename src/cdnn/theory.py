@@ -29,6 +29,8 @@ from .errors import _check_seed, _is_count, _is_finite_number
 
 CONSISTENCY_TOL = 1e-12
 PROPENSITY_GUARD = 1e-3
+MC_SAMPLES = 100_000  # draws per finite-difference probe unless a caller says otherwise
+GATEAUX_STEP = 1e-4  # perturbation scale of the central difference
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,13 @@ def marginal_outcome(oracle, x):
     return e * oracle.f(1, x) + (1.0 - e) * oracle.f(0, x)
 
 
-def residualized_h(oracle, t, x, tol=CONSISTENCY_TOL):
-    """h(t,x) computed both ways, as (direct, factored); raises if they disagree.
-
-    direct: f(t,x) - g0(x). factored: theta0(x) * (t - e0(x)).
-    """
+def residualized_h(oracle, t, x):
+    """h(t,x) computed both ways, as (direct, factored); raises if they differ
+    by more than CONSISTENCY_TOL. direct: f(t,x) - g0(x). factored:
+    theta0(x) * (t - e0(x))."""
     direct = oracle.f(t, x) - oracle.g0(x)
     factored = oracle.theta0(x) * (t - oracle.e0(x))
-    if abs(direct - factored) > tol:
+    if abs(direct - factored) > CONSISTENCY_TOL:
         raise IdentityViolationError(
             f"residual decomposition violated at t={t}: {direct!r} vs {factored!r}"
         )
@@ -112,61 +113,51 @@ def score_psi(w, theta, g, e):
     return _orthogonal_score(w.t, w.y, g, e, theta)
 
 
-def _check_perturbed_propensity(e0x, delta_ex, taus):
-    for tau in taus:
-        e_tau = e0x + tau * delta_ex
+def _perturbed_nuisances(oracle, perturbation, x):
+    """x as floats and (g0, e0, theta0, delta_g, delta_e) at x; checks that
+    the perturbed propensity stays in range at +-GATEAUX_STEP and at 1."""
+    x = np.asarray(x, dtype=float)
+    e0x, de = oracle.e0(x), perturbation.delta_e(x)
+    for tau in (-GATEAUX_STEP, GATEAUX_STEP, 1.0):
+        e_tau = e0x + tau * de
         if not PROPENSITY_GUARD <= e_tau <= 1.0 - PROPENSITY_GUARD:
             raise InvalidPerturbationError(
                 f"perturbed propensity {e_tau:.6f} leaves "
                 f"[{PROPENSITY_GUARD}, {1 - PROPENSITY_GUARD}] at tau={tau}"
             )
-
-
-def _perturbed_nuisances(oracle, perturbation, x, step):
-    """x as floats and (g0, e0, theta0, delta_g, delta_e) at x; checks that
-    the perturbed propensity stays in range."""
-    x = np.asarray(x, dtype=float)
-    e0x, de = oracle.e0(x), perturbation.delta_e(x)
-    _check_perturbed_propensity(e0x, de, (-step, step, 1.0))
     return x, oracle.g0(x), e0x, oracle.theta0(x), perturbation.delta_g(x), de
 
 
-def _score_derivative(score, oracle, perturbation, x, n_samples, step, seed):
+def _score_derivative(score, oracle, perturbation, x, n_samples, seed):
     """(estimate, mc_stderr) of d/dtau E[score(t, y, g0 + tau*dg, e0 + tau*de,
-    theta0)] by central difference over n_samples draws at x (common random
-    numbers). ConfigError, before any draw, unless n_samples is an integer
-    >= 10000 and seed a nonnegative integer."""
+    theta0)] by central difference with step GATEAUX_STEP over n_samples
+    draws at x (common random numbers). ConfigError, before any draw, unless
+    n_samples is an integer >= 10000 and seed a nonnegative integer."""
     if not _is_count(n_samples, least=10_000):
         raise ConfigError(f"need an integer n_samples >= 10000, got {n_samples!r}")
     _check_seed(seed)
-    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, step)
+    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x)
     rng = np.random.default_rng(seed)
     t, y = oracle.sample_observations(x, n_samples, rng)
 
     def psi_at(tau):
         return score(t, y, g0x + tau * dg, e0x + tau * de, theta0x)
 
-    per_sample = (psi_at(step) - psi_at(-step)) / (2.0 * step)
+    per_sample = (psi_at(GATEAUX_STEP) - psi_at(-GATEAUX_STEP)) / (2.0 * GATEAUX_STEP)
     estimate = float(np.mean(per_sample))
     stderr = float(np.std(per_sample, ddof=1) / np.sqrt(n_samples))
     return estimate, stderr
 
 
 def gateaux_derivative(
-    oracle,
-    perturbation,
-    x,
-    n_samples=100_000,
-    method="finite_difference",
-    step=1e-4,
-    seed=0,
+    oracle, perturbation, x, n_samples=MC_SAMPLES, method="finite_difference", seed=0
 ):
     """Directional derivative of the conditional mean score at the truth.
 
     Returns (estimate, mc_stderr). The finite_difference method draws
     n_samples observations at x once (common random numbers) and central-
     differences the Monte-Carlo mean of the score over the perturbation
-    scale. The analytic method evaluates the closed form
+    scale, with step GATEAUX_STEP. The analytic method evaluates the closed form
 
         (g0 - g_hat + theta0*(e_hat - e0)) * E[T - e0 | x]
         + (e0 - e_hat) * (E[Y - g0 | x] - theta0 * E[T - e0 | x])
@@ -178,8 +169,8 @@ def gateaux_derivative(
     if method not in ("finite_difference", "analytic"):
         raise ConfigError(f"unknown method {method!r}")
     if method == "finite_difference":
-        return _score_derivative(_orthogonal_score, oracle, perturbation, x, n_samples, step, seed)
-    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x, step)
+        return _score_derivative(_orthogonal_score, oracle, perturbation, x, n_samples, seed)
+    x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x)
     exp_t_resid = oracle.e0(x) - e0x
     exp_y_resid = marginal_outcome(oracle, x) - g0x
     estimate = (-dg + theta0x * de) * exp_t_resid + (-de) * (
@@ -188,7 +179,7 @@ def gateaux_derivative(
     return estimate + 0.0, 0.0  # +0.0 normalizes a signed zero
 
 
-def non_orthogonal_control(oracle, perturbation, x, n_samples=100_000, step=1e-4, seed=0):
+def non_orthogonal_control(oracle, perturbation, x, n_samples=MC_SAMPLES, seed=0):
     """Same machinery applied to the naive score (y - g - theta*t) * t.
 
     That score is first-order sensitive to outcome-model perturbations: for a
@@ -197,7 +188,7 @@ def non_orthogonal_control(oracle, perturbation, x, n_samples=100_000, step=1e-4
     """
     return _score_derivative(
         lambda t, y, g, e, theta: (y - g - theta * t) * t,
-        oracle, perturbation, x, n_samples, step, seed,
+        oracle, perturbation, x, n_samples, seed,
     )
 
 

@@ -39,7 +39,7 @@ def report(num, ok, text):
 class TestCriterion1Gradients:
     def test_gradient_correctness(self):
         t0 = time.perf_counter()
-        result = bench.verify_gradients(seed=SEED, networks=20, tolerance=1e-4)
+        result = bench.verify_gradients(seed=SEED)
         elapsed = time.perf_counter() - t0
         ok = result.passed and elapsed < 5.0
         report(1, ok, f"{result.lines[1]}; runtime {elapsed:.2f}s < 5s")
@@ -48,7 +48,7 @@ class TestCriterion1Gradients:
 class TestCriterion2LemmaIdentity:
     def test_thousand_oracles(self):
         t0 = time.perf_counter()
-        result = bench.verify_lemma(seed=SEED, oracles=1000, tolerance=1e-12)
+        result = bench.verify_lemma(seed=SEED)
         elapsed = time.perf_counter() - t0
         ok = result.passed and elapsed < 1.0
         report(2, ok, f"{result.lines[1]}; {result.lines[2]}; runtime {elapsed:.2f}s < 1s")
@@ -57,7 +57,7 @@ class TestCriterion2LemmaIdentity:
 class TestCriterion3Orthogonality:
     def test_gateaux_suite(self):
         t0 = time.perf_counter()
-        result = bench.verify_orthogonality(seed=SEED, n_x=20, n_samples=100_000)
+        result = bench.verify_orthogonality(seed=SEED)
         elapsed = time.perf_counter() - t0
         ok = result.passed and elapsed < 120.0
         report(

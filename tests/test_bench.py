@@ -1,6 +1,7 @@
 """Experiment runner, report emission, verification suites."""
 
 import csv
+import inspect
 import json
 import math
 import multiprocessing
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdnn import bench, nn
+from cdnn import bench, nn, theory
 from cdnn.baselines import dml_ate, ols_lr1
 from cdnn.data import (
     DGP_FAMILIES,
@@ -145,8 +146,8 @@ class TestConfig:
         "non_orthogonal_control": lambda seed: non_orthogonal_control(
             oracle_of(named_dgp("confound-hetero")), standard_perturbations(5)[0], np.zeros(5),
             seed=seed),
-        "verify_gradients": lambda seed: bench.verify_gradients(seed=seed, networks=1),
-        "verify_lemma": lambda seed: bench.verify_lemma(seed=seed, oracles=1),
+        "verify_gradients": bench.verify_gradients,
+        "verify_lemma": bench.verify_lemma,
         "CdnnConfig": lambda seed: CdnnConfig(seed=seed),
         "DgpSpec": lambda seed: named_dgp("confound-linear", seed=seed),
         "ExperimentConfig": lambda seed: experiment(seed=seed),
@@ -458,17 +459,24 @@ class TestVerify:
         assert float(results[1].lines[1][len("elapsed: "):-1]) >= 0.05
         assert bench.verify("lemma")[0].lines[-1].startswith("elapsed: ")
 
-    def test_a_suite_called_directly_is_not_timed(self):
-        results = [bench.verify_gradients(networks=2), bench.verify_lemma(oracles=20),
-                   bench.verify_orthogonality(n_x=2, n_samples=10_000)]
+    def test_a_suite_called_directly_is_not_timed(self, monkeypatch):
+        monkeypatch.setattr(bench, "GRADIENT_NETWORKS", 2)
+        monkeypatch.setattr(bench, "LEMMA_ORACLES", 20)
+        monkeypatch.setattr(bench, "ORTHOGONALITY_POINTS", 2)
+        monkeypatch.setattr(theory, "MC_SAMPLES", 10_000)
+        results = [bench.verify_gradients(), bench.verify_lemma(), bench.verify_orthogonality()]
         assert [line for r in results for line in r.lines if line.startswith("elapsed")] == []
 
-    def test_all_returns_three_results(self):
+    def test_all_returns_three_results(self, monkeypatch):
         # smaller orthogonality settings keep this test quick
-        results = bench.verify("gradients") + [
-            bench.verify_orthogonality(n_x=2, n_samples=20_000)
-        ]
+        monkeypatch.setattr(bench, "ORTHOGONALITY_POINTS", 2)
+        monkeypatch.setattr(theory, "MC_SAMPLES", 20_000)
+        results = bench.verify("gradients") + [bench.verify_orthogonality()]
         assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("kind", bench.SUITES)
+    def test_a_suite_is_a_function_of_its_seed_alone(self, kind):
+        assert str(inspect.signature(getattr(bench, f"verify_{kind}"))) == "(seed=0)"
 
 
 class TestVerifyGradients:
@@ -501,7 +509,8 @@ class TestVerifyGradients:
             return grad
 
         monkeypatch.setattr(nn, "backward", broken)
-        result = bench.verify_gradients(seed=0, networks=3)
+        monkeypatch.setattr(bench, "GRADIENT_NETWORKS", 3)
+        result = bench.verify_gradients(seed=0)
         assert not result.passed
         assert result.lines[1].startswith("max relative gradient error: nan")
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from cdnn import bench
 from cdnn import data as dmod
 from cdnn.baselines import dml_ate
 from cdnn.bench import verify_lemma
@@ -416,8 +417,9 @@ def surface_calls(monkeypatch):
 
 
 class TestOracleEvaluationCount:
-    def test_lemma_suite_evaluates_each_surface_once_per_oracle(self, surface_calls):
-        assert verify_lemma(seed=0, oracles=50).passed
+    def test_lemma_suite_evaluates_each_surface_once_per_oracle(self, surface_calls, monkeypatch):
+        monkeypatch.setattr(bench, "LEMMA_ORACLES", 50)
+        assert verify_lemma(seed=0).passed
         per_surface = {}
         for surface in surface_calls:
             per_surface[id(surface)] = per_surface.get(id(surface), 0) + 1

@@ -982,8 +982,8 @@ class TestFitRejectsBadInput:
         before = net.theta.copy()
         with pytest.raises(ShapeError) as info:
             nn.fit_network(
-                net, nn.FreezeMask.none(net), X, T, Y, rng=np.random.default_rng(0),
-                **{"epochs": 3, **kwargs},
+                net, nn.FreezeMask.none(net), X, T, Y,
+                **{"rng": np.random.default_rng(0), "epochs": 3, **kwargs},
             )
         assert net.theta.tobytes() == before.tobytes()
         return str(info.value)
@@ -1050,6 +1050,11 @@ class TestFitRejectsBadInput:
         assert message == f"learning rate must be a finite number > 0, got {lr!r}"
         with pytest.raises(ShapeError, match="^learning rate must be a finite number > 0"):
             nn.OptimizerState.create(nn.Network.build(2, (4,), rng=1), lr)
+
+    @pytest.mark.parametrize("rng", [None, 7], ids=["none", "int"])
+    def test_rng_that_is_no_generator(self, rng):
+        message = self._fit(*self._data(), rng=rng)
+        assert message == f"rng must be a numpy Generator, got {rng!r}"
 
     def test_counts_of_numpy_types_and_zero_epochs_or_patience_pass(self):
         X, T, Y = self._data()

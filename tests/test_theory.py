@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cdnn import theory
 from cdnn.data import named_dgp, oracle_of, random_dgp
 from cdnn.errors import ConfigError, IdentityViolationError, InvalidPerturbationError
 from cdnn.theory import (
@@ -155,12 +156,13 @@ class TestGateauxDerivative:
             )
             assert abs(estimate) <= 3.0 * stderr
 
-    def test_step_size_insensitivity(self):
+    def test_step_size_insensitivity(self, monkeypatch):
         # central differencing is exact for the quadratic-in-tau score, so
         # the estimate barely moves across two orders of magnitude of step
         pert = constant_perturbation(1.0, 0.05)
-        est1, _ = gateaux_derivative(self.oracle, pert, X0, step=1e-4, seed=0)
-        est2, _ = gateaux_derivative(self.oracle, pert, X0, step=1e-2, seed=0)
+        est1, _ = gateaux_derivative(self.oracle, pert, X0, seed=0)  # step 1e-4
+        monkeypatch.setattr(theory, "GATEAUX_STEP", 1e-2)
+        est2, _ = gateaux_derivative(self.oracle, pert, X0, seed=0)
         assert est1 == pytest.approx(est2, abs=1e-8)
 
     def test_perturbation_leaving_unit_interval_rejected(self):
