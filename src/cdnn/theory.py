@@ -25,11 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, IdentityViolationError, InvalidPerturbationError
-from .errors import _check_seed, _is_count, _is_finite_number
+from .errors import _check_seed, _is_finite_number
 
 CONSISTENCY_TOL = 1e-12
 PROPENSITY_GUARD = 1e-3
-MC_SAMPLES = 100_000  # draws per finite-difference probe unless a caller says otherwise
+MC_SAMPLES = 100_000  # draws per finite-difference probe
 GATEAUX_STEP = 1e-4  # perturbation scale of the central difference
 
 
@@ -128,14 +128,13 @@ def _perturbed_nuisances(oracle, perturbation, x):
     return x, oracle.g0(x), e0x, oracle.theta0(x), perturbation.delta_g(x), de
 
 
-def _score_derivative(score, oracle, perturbation, x, n_samples, seed):
+def _score_derivative(score, oracle, perturbation, x, seed):
     """(estimate, mc_stderr) of d/dtau E[score(t, y, g0 + tau*dg, e0 + tau*de,
-    theta0)] by central difference with step GATEAUX_STEP over n_samples
+    theta0)] by central difference with step GATEAUX_STEP over MC_SAMPLES
     draws at x (common random numbers). ConfigError, before any draw, unless
-    n_samples is an integer >= 10000 and seed a nonnegative integer."""
-    if not _is_count(n_samples, least=10_000):
-        raise ConfigError(f"need an integer n_samples >= 10000, got {n_samples!r}")
+    seed is a nonnegative integer."""
     _check_seed(seed)
+    n_samples = MC_SAMPLES
     x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x)
     rng = np.random.default_rng(seed)
     t, y = oracle.sample_observations(x, n_samples, rng)
@@ -149,13 +148,11 @@ def _score_derivative(score, oracle, perturbation, x, n_samples, seed):
     return estimate, stderr
 
 
-def gateaux_derivative(
-    oracle, perturbation, x, n_samples=MC_SAMPLES, method="finite_difference", seed=0
-):
+def gateaux_derivative(oracle, perturbation, x, method="finite_difference", seed=0):
     """Directional derivative of the conditional mean score at the truth.
 
     Returns (estimate, mc_stderr). The finite_difference method draws
-    n_samples observations at x once (common random numbers) and central-
+    MC_SAMPLES observations at x once (common random numbers) and central-
     differences the Monte-Carlo mean of the score over the perturbation
     scale, with step GATEAUX_STEP. The analytic method evaluates the closed form
 
@@ -163,13 +160,12 @@ def gateaux_derivative(
         + (e0 - e_hat) * (E[Y - g0 | x] - theta0 * E[T - e0 | x])
 
     with the conditional expectations taken exactly from the oracle, where
-    they vanish; its stderr is 0. It draws nothing, so it reads neither
-    n_samples nor seed.
+    they vanish; its stderr is 0. It draws nothing, so it reads no seed.
     """
     if method not in ("finite_difference", "analytic"):
         raise ConfigError(f"unknown method {method!r}")
     if method == "finite_difference":
-        return _score_derivative(_orthogonal_score, oracle, perturbation, x, n_samples, seed)
+        return _score_derivative(_orthogonal_score, oracle, perturbation, x, seed)
     x, g0x, e0x, theta0x, dg, de = _perturbed_nuisances(oracle, perturbation, x)
     exp_t_resid = oracle.e0(x) - e0x
     exp_y_resid = marginal_outcome(oracle, x) - g0x
@@ -179,7 +175,7 @@ def gateaux_derivative(
     return estimate + 0.0, 0.0  # +0.0 normalizes a signed zero
 
 
-def non_orthogonal_control(oracle, perturbation, x, n_samples=MC_SAMPLES, seed=0):
+def non_orthogonal_control(oracle, perturbation, x, seed=0):
     """Same machinery applied to the naive score (y - g - theta*t) * t.
 
     That score is first-order sensitive to outcome-model perturbations: for a
@@ -188,7 +184,7 @@ def non_orthogonal_control(oracle, perturbation, x, n_samples=MC_SAMPLES, seed=0
     """
     return _score_derivative(
         lambda t, y, g, e, theta: (y - g - theta * t) * t,
-        oracle, perturbation, x, n_samples, seed,
+        oracle, perturbation, x, seed,
     )
 
 
