@@ -2,7 +2,8 @@
 
 The same experiment is expressible as a JSON config for the command line
 (`cdnn bench --config ...`); here the config dict is built inline. Fits are
-kept small so the demo finishes in about a minute.
+kept small: on a 2-vCPU Xeon with OPENBLAS_NUM_THREADS=1 the demo ran in
+1.6-2.2 s, and in 2.7-2.8 s under `taskset -c 0`.
 """
 
 from cdnn import bench

@@ -12,6 +12,7 @@ import numpy as np
 from .data import _require_both_arms
 from .errors import ConfigError, DegenerateArmError, OverlapError, ShapeError
 from .errors import _check_seed, _is_count, _is_finite_number
+from .theory import _orthogonal_score
 
 
 @dataclass
@@ -122,7 +123,8 @@ def dml_ate(
     cross-fit over `folds` folds, one row each when folds exceed the rows
     (set crossfit=False to fit on all rows, the whole-data protocol). Exact
     nuisance callables can be injected through oracle_g / oracle_e,
-    bypassing fitting. Returns (ate, stderr); a setting outside
+    bypassing fitting. Returns (ate, stderr), the stderr from the paper's
+    orthogonal score at ate (`theory._orthogonal_score`); a setting outside
     _check_dml_settings' contract, or a seed that is no nonnegative integer,
     raises ConfigError.
     """
@@ -159,11 +161,10 @@ def dml_ate(
         ehat = np.clip(ehat, lo, hi)
 
     t_resid = T - ehat
-    y_resid = Y - ghat
     denom = float(np.sum(t_resid * t_resid))
     if denom < 1e-8:
         raise OverlapError("treatment residual variance is numerically zero")
-    ate = float(np.sum(t_resid * y_resid) / denom)
-    psi = (y_resid - ate * t_resid) * t_resid
+    ate = float(np.sum(t_resid * (Y - ghat)) / denom)
+    psi = _orthogonal_score(T, Y, ghat, ehat, ate)
     stderr = float(np.sqrt(np.sum(psi * psi)) / denom)
     return ate, stderr

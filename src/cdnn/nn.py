@@ -31,11 +31,12 @@ several blocks from one unblocked forward over it; the same code, input and
 parameters give the same bits. Prediction checks covariates once.
 
 Each step of training has one body: `_forward`, `_mse`, `_backward` and
-`_update`. The public `Network.forward_batch`, `mse_loss`, `backward` and
-`step` check their arguments and run these bodies. `fit_network`, the
-training loop of every stage fit, checks its inputs once before epoch 0 and
-then runs the bodies directly on each minibatch, with the input [x | t]
-built once per fit, one gradient vector, and the frozen entries read once.
+`_update`, with one input form, the matrix [x | t] that `_inputs` builds.
+The public `Network.forward_batch`, `mse_loss`, `backward` and `step`
+check their arguments and run these bodies. `fit_network`, the training
+loop of every stage fit, checks its inputs once before epoch 0 and then
+runs the bodies directly on each minibatch, with the input [x | t] built
+once per fit, one gradient vector, and the frozen entries read once.
 Its validation pass after each epoch is a forward without a cache into
 activation buffers allocated once per fit. The update runs plain ufuncs
 over the whole flat vector and then writes back the frozen entries, so a
@@ -265,22 +266,20 @@ class Network:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, X, T, keep_cache=True):
-        """Run the network on a batch.
+    def forward_batch(self, X, T):
+        """Run the network on a batch, keeping the cache that `backward` reads.
 
         X: (n, covariate_width) finite covariates, n >= 1 (one vector is one
-        row), T: (n,). Returns (predictions (n,), cache). With keep_cache=False
-        the cache, most of the memory of a large batch, is None and the batch
-        runs through the blocked `_predict`.
+        row), T: (n,). Returns (predictions (n,), cache), from one unblocked
+        `_forward` over [X | T]. A forward without a cache, which prediction
+        and the validation loss run, is the blocked `_predict`.
         """
         X = _covariates(self, X)
         T = np.asarray(T, dtype=float).reshape(-1)
         if T.shape[0] != X.shape[0]:
             raise ShapeError("covariate and treatment batch sizes differ")
-        if not keep_cache:
-            return _predict(self, _inputs(X, T)), None
         with np.errstate(over="ignore"):
-            return _forward(self, self.params, X, T, True)
+            return _forward(self, self.params, _inputs(X, T), True)
 
     @property
     def block_rows(self):
@@ -293,10 +292,10 @@ class Network:
 _FRESH = (None, None, None)  # no workspace: every activation is a fresh array
 
 
-def _forward(net, params, X, T, keep_cache, work=None):
-    """The one forward body of `net`, on checked arrays X (n, d) and T (n,).
+def _forward(net, params, U, keep_cache, work=None):
+    """The one forward body of `net`, on checked raw input rows U = [x | t],
+    shaped (n, d + 1), as `_inputs` builds them.
 
-    With T None, X is already the raw input [x | t], shaped (n, d + 1).
     params are net.views(theta), or net.views of an (S, P) stack of parameter
     vectors: then every activation gains a leading S axis, the stack shares
     the raw input and the predictions are (S, n). Row s of a stacked run is
@@ -309,18 +308,17 @@ def _forward(net, params, X, T, keep_cache, work=None):
     the call (see `_logistic`); entering it (~2 us) costs more than a whole
     layer of a small network.
     """
-    u = X if T is None else _inputs(X, T)
-    a = u
+    a = U
     stacked = params[0].ndim == 3
     if stacked and net.concat_inputs:
         # a real copy per network, not a broadcast view: concatenating a view
         # can give a strided result whose matmul rounds differently
-        u = np.tile(u, (len(params[0]), 1, 1))
+        U = np.tile(U, (len(params[0]), 1, 1))
     inputs, preacts, sigmoids = [], [], []
     for i, spec in enumerate(net.layers):
         cat, lin, sig = work[i] if work else _FRESH
         if i > 0 and net.concat_inputs:
-            a = np.concatenate([a, u], axis=-1, out=cat)
+            a = np.concatenate([a, U], axis=-1, out=cat)
         z = np.matmul(a, params[2 * i], out=lin)
         b = params[2 * i + 1]
         # a stacked bias (S, out) broadcasts over rows as (S, 1, out); the
@@ -374,7 +372,7 @@ def _predict(net, U, work=None):
         for start in range(0, n, rows):
             block = slice(start, start + rows)
             space = work[min(rows, n - start)] if work else None
-            out[block] = _forward(net, net.params, U[block], None, False, space)[0]
+            out[block] = _forward(net, net.params, U[block], False, space)[0]
     return out
 
 
@@ -575,21 +573,20 @@ def gradient_check(net, batch):
     near-zero gradients are compared on an absolute scale. A non-finite error
     anywhere makes the result NaN, so a check against a tolerance fails.
 
-    Probe j moves theta[j] alone by +-_PROBE_STEP. The probes run as two stacked
-    forwards, all +h rows and all -h rows, in chunks that keep the stacked
-    parameters and activations under _BLOCK_BYTES. A probe's loss
-    depends only on its own row, so the result is bitwise that of probing one
-    parameter at a time.
+    Probe j moves theta[j] alone by +-_PROBE_STEP. The probes run as two
+    stacked forwards over the input [X | T] of the cached forward, all +h
+    rows and all -h rows, in chunks that keep the stacked parameters and
+    activations under _BLOCK_BYTES. A probe's loss depends only on its own
+    row, so the result is bitwise that of probing one parameter at a time.
     """
     X, T, targets = batch
     preds, cache = net.forward_batch(X, T)
     _, dpred = mse_loss(preds, targets)
     grad = backward(net, cache, dpred)
 
-    X = np.asarray(X, dtype=float)
-    T = np.asarray(T, dtype=float).reshape(-1)
+    U = cache.inputs[0]
     targets = np.asarray(targets, dtype=float).reshape(-1)
-    theta, n = net.theta, X.shape[0]
+    theta, n = net.theta, U.shape[0]
     widest = max(s.input_width + 3 * s.output_width for s in net.layers)
     chunk = max(1, _BLOCK_BYTES // (8 * (theta.size + n * widest)))
     lp, lm = np.empty(theta.size), np.empty(theta.size)
@@ -600,7 +597,7 @@ def gradient_check(net, batch):
             probes = np.tile(theta, (cols.size, 1))
             probes[np.arange(cols.size), cols] = theta[cols] + h
             with np.errstate(over="ignore"):
-                preds = _forward(net, net.views(probes), X, T, keep_cache=False)[0]
+                preds = _forward(net, net.views(probes), U, False)[0]
             diff = preds - targets
             losses[cols] = np.add.reduce(diff * diff, axis=-1) / n
     fd = (lp - lm) / (2.0 * _PROBE_STEP)
@@ -626,17 +623,18 @@ def fit_network(
     Y,
     *,
     rng,
-    learning_rate=1e-3,
-    epochs=300,
-    batch_size=64,
-    patience=25,
+    learning_rate,
+    epochs,
+    batch_size,
+    patience,
     validation=None,
 ):
     """Mini-batch training loop with optional early stopping.
 
     validation is (X_val, T_val, Y_val) or None. With validation present the
     loop stops after `patience` epochs without improvement and restores the
-    best parameters seen. Returns a TrainingLog.
+    best parameters seen. Returns a TrainingLog. The training settings have
+    no defaults here: the stage fits pass `CdnnConfig`'s.
 
     Every input is checked once, before epoch 0: X is (n, covariate_width)
     with n >= 1, T and Y hold n values, the validation triple likewise, all
@@ -681,7 +679,7 @@ def fit_network(
             epoch_losses = []
             for start in range(0, n, batch_size):
                 batch = slice(start, start + batch_size)
-                preds, cache = _forward(net, params, Ue[batch], None, True)
+                preds, cache = _forward(net, params, Ue[batch], True)
                 loss, dpred = _mse(preds, Ye[batch])
                 if not math.isfinite(loss):
                     raise TrainingDivergenceError(

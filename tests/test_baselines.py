@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdnn import baselines
+from cdnn import baselines, theory
 from cdnn.baselines import dml_ate, ols_lr1, ols_lr2
 from cdnn.data import (
     AffineSurface,
@@ -258,6 +258,29 @@ class TestDmlAte:
         ate, stderr = dml_ate(ds, folds=folds, seed=3)
         assert (ate.hex(), stderr.hex()) == (expected[0].hex(), expected[1].hex())
         assert len(fits) == 400  # two nuisance fits for each of the 200 one-row folds
+
+    @pytest.mark.parametrize("nuisances", ["oracle", "whole-data"])
+    def test_stderr_is_that_of_the_orthogonal_score(self, nuisances):
+        # stderr = sqrt(sum psi^2) / sum (t - e)^2, psi the score of theory at the estimate
+        spec = named_dgp("confound-hetero", seed=29)
+        ds = generate(spec, 1000)
+        T = ds.t.astype(float)
+        if nuisances == "oracle":
+            oracle = oracle_of(spec)
+            ghat = np.array([oracle.g0(x) for x in ds.x])
+            ehat = np.array([oracle.e0(x) for x in ds.x])
+            ate, stderr = dml_ate(ds, oracle_g=oracle.g0, oracle_e=oracle.e0)
+        else:
+            ghat = baselines._ridge_fit(ds.x, ds.y, 1e-3).predict(ds.x)
+            ehat = baselines._ridge_fit(ds.x, T, 1e-3).predict(ds.x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a linear propensity fit is clamped
+                ate, stderr = dml_ate(ds, crossfit=False)
+        ehat = np.clip(ehat, 0.01, 0.99)
+        t_resid = T - ehat
+        denom = float(np.sum(t_resid * t_resid))
+        psi = theory._orthogonal_score(T, ds.y, ghat, ehat, ate)
+        assert stderr.hex() == float(np.sqrt(np.sum(psi * psi)) / denom).hex()
 
     def test_no_crossfit_mode(self):
         ds = generate(named_dgp("confound-linear", seed=51), 4000)

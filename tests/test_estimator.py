@@ -27,10 +27,13 @@ from cdnn.data import (
     Dataset,
     DgpSpec,
     LogisticPropensity,
+    SplitSpec,
     _derived_seed,
+    concat_datasets,
     generate,
     named_dgp,
     oracle_of,
+    split,
 )
 from cdnn.errors import (
     ConfigError,
@@ -1096,6 +1099,55 @@ class TestSquaredLossEquivalence:
 
         for ga, gb in zip(grads_sum, grads_res):
             assert np.max(np.abs(ga - gb)) <= 1e-10
+
+
+class TestStage1ErrorIsSecondOrder:
+    """The paper's claim on the fitted estimator: stage 2 keeps local Neyman
+    orthogonality, so an error in stage 1's outcome model moves the effect
+    estimate only at second order.
+
+    Stage 1 trains on y + tau * delta(x), with delta along the propensity's
+    logit direction, at tau = -TAU and +TAU; each stage 2 trains on the
+    observed y with the same seeds, as member 0 of `fit` does. A slope is the
+    central difference in tau of the test-set mean effect. The control, the
+    arm-mean difference of y - g_tau(x), moves at first order. Over seeds
+    0-49 with one member, |slope| ran 0.18-0.62 for the control, 0-0.12 for
+    freezing and 0-0.18 for explicit_residual; the medians of two
+    consecutive seeds never put a variant above 0.41 of the control's.
+    """
+
+    TAU = 0.25
+    FRACTION = 0.5  # of the control's median |slope|
+
+    @staticmethod
+    def _shifted(data, tau):
+        return Dataset(data.x, data.t, data.y + tau * (0.6 * data.x[:, 0] + 0.3 * data.x[:, 1]))
+
+    def _slopes(self, seed):
+        """|slope| of the control, freezing and explicit_residual."""
+        data = generate(named_dgp("confound-hetero", seed=seed), 2000)
+        train, val, test = split(data, SplitSpec.ihdp(), seed=seed)
+        config = est.CdnnConfig(seed=seed, ensemble_size=1)
+        pool = concat_datasets([train, val])
+        part, held = est._carve_validation(pool, config, est._member_rng(config, 0, 0))
+        arm = test.t == 1
+        at = []
+        for tau in (-self.TAU, self.TAU):
+            stage1 = est.fit_stage1(self._shifted(part, tau), config, self._shifted(held, tau))
+            freezing = est.fit_stage2_freezing(stage1, part, config, held)
+            explicit = est.fit_stage2_explicit(
+                est.compute_residuals(stage1, part), config, est.compute_residuals(stage1, held)
+            )
+            r = test.y - stage1.predict(test.x)
+            at.append([np.mean(r[arm]) - np.mean(r[~arm]),
+                       np.mean(freezing.ite(test.x)), np.mean(explicit.ite(test.x))])
+        return np.abs(np.subtract(at[1], at[0])) / (2 * self.TAU)
+
+    def test_a_stage1_shift_moves_each_variant_at_second_order(self):
+        control, freezing, explicit = np.median([self._slopes(seed) for seed in (0, 1)], axis=0)
+        assert control > 0.15  # the shift moves a first-order estimate
+        assert freezing < self.FRACTION * control
+        assert explicit < self.FRACTION * control
 
 
 def checkpoint_bytes(model):

@@ -32,6 +32,14 @@ def forward(net, x, t):
     return float(preds[0]), cache
 
 
+def training(**changes):
+    """fit_network's four training settings, at CdnnConfig's defaults unless
+    changed."""
+    config = est.CdnnConfig()
+    names = ("learning_rate", "epochs", "batch_size", "patience")
+    return {**{name: getattr(config, name) for name in names}, **changes}
+
+
 def all_frozen(net):
     return nn.FreezeMask(net, np.ones(net.theta.size, dtype=bool))
 
@@ -127,7 +135,7 @@ class TestLogistic:
         preds, cache = net.forward_batch(X, T)
         assert min(z.min() for z in cache.preacts) < -709.0
         assert np.isfinite(preds).all()
-        bare, _ = net.forward_batch(X, T, keep_cache=False)
+        bare = nn._predict(net, nn._inputs(X, T))
         assert bare.tobytes() == preds.tobytes()
 
 
@@ -177,18 +185,27 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward_batch(np.zeros((2, 3)), np.zeros(3))
 
-    @pytest.mark.parametrize("keep_cache", [True, False])
-    def test_the_covariate_check_of_prediction(self, keep_cache):
+    @pytest.mark.parametrize("path", ["forward_batch", "Stage2Model.predict"])
+    def test_the_covariate_check_of_prediction(self, path):
         net = nn.Network.build(3, (4,), rng=0)
+        predict = {
+            "forward_batch": lambda X, T: net.forward_batch(X, T)[0],
+            "Stage2Model.predict": est.Stage2Model(net, nn.TrainingLog()).predict,
+        }[path]
         X = np.zeros((5, 3))
         X[2, 1] = np.nan
         with pytest.raises(ShapeError, match="row 2 is not$"):
-            net.forward_batch(X, np.zeros(5), keep_cache=keep_cache)
+            predict(X, np.zeros(5))
         with pytest.raises(ShapeError, match="^empty batch$"):
-            net.forward_batch(X[:0], np.zeros(0), keep_cache=keep_cache)
-        vector, _ = net.forward_batch(np.ones(3), [1.0], keep_cache=keep_cache)
-        row, _ = net.forward_batch(np.ones((1, 3)), [1.0], keep_cache=keep_cache)
+            predict(X[:0], np.zeros(0))
+        vector = predict(np.ones(3), [1.0])
+        row = predict(np.ones((1, 3)), [1.0])
         assert vector.tobytes() == row.tobytes()
+
+    def test_forward_batch_has_no_mode_without_a_cache(self):
+        net = nn.Network.build(3, (4,), rng=0)
+        with pytest.raises(TypeError):
+            net.forward_batch(np.zeros((2, 3)), np.zeros(2), keep_cache=False)
 
     @pytest.mark.parametrize(
         "activation, concat", [("swish", False), ("swish", True), ("identity", False)]
@@ -201,8 +218,8 @@ class TestForward:
         X = rng.standard_normal((500, 3))
         T = rng.integers(0, 2, 500).astype(float)
         cached, cache = net.forward_batch(X, T)
-        bare, none = net.forward_batch(X, T, keep_cache=False)
-        assert cache is not None and none is None
+        bare = nn._predict(net, nn._inputs(X, T))
+        assert cache is not None
         assert cached.dtype == bare.dtype and cached.tobytes() == bare.tobytes()
 
     def test_zero_treatment_edges_make_treatment_irrelevant(self):
@@ -414,9 +431,9 @@ def reference_gradient_check(net, batch, step_size=1e-5):
     for j in range(theta.size):
         orig = theta[j]
         theta[j] = orig + step_size
-        lp, _ = nn.mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
+        lp, _ = nn.mse_loss(nn._predict(net, nn._inputs(X, T)), targets)
         theta[j] = orig - step_size
-        lm, _ = nn.mse_loss(net.forward_batch(X, T, keep_cache=False)[0], targets)
+        lm, _ = nn.mse_loss(nn._predict(net, nn._inputs(X, T)), targets)
         theta[j] = orig
         fd = (lp - lm) / (2.0 * step_size)
         err = abs(grad[j] - fd) / max(abs(grad[j]) + abs(fd), 1e-2)
@@ -458,11 +475,11 @@ class TestStackedProbes:
         )
         thetas = net.theta + rng.standard_normal((stack, net.theta.size))
         X, T, _ = _random_batch(rng, n, d)
-        stacked, _ = nn._forward(net, net.views(thetas), X, T, keep_cache)
+        stacked, _ = nn._forward(net, net.views(thetas), nn._inputs(X, T), keep_cache)
         assert stacked.shape == (stack, n)
         for s in range(stack):
             net.set_params(thetas[s])
-            single, _ = net.forward_batch(X, T, keep_cache=False)
+            single = nn._predict(net, nn._inputs(X, T))
             assert stacked[s].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
@@ -486,10 +503,10 @@ class TestStackedProbes:
         stacks = []
         forward = nn._forward
 
-        def spy(net, params, X, T, keep_cache, work=None):
+        def spy(net, params, U, keep_cache, work=None):
             if params[0].ndim == 3:
                 stacks.append(params[0].shape[0])
-            return forward(net, params, X, T, keep_cache, work)
+            return forward(net, params, U, keep_cache, work)
 
         monkeypatch.setattr(nn, "_forward", spy)
         assert nn.gradient_check(net, batch) == reference_gradient_check(net, batch)
@@ -514,10 +531,9 @@ class TestStackedProbes:
 
 def _block_forwards(net, X, T):
     """The no-cache prediction as one _forward per block_rows slice."""
-    rows = net.block_rows
+    rows, U = net.block_rows, nn._inputs(X, T)
     parts = [
-        nn._forward(net, net.params, X[k : k + rows], T[k : k + rows], False)[0]
-        for k in range(0, X.shape[0], rows)
+        nn._forward(net, net.params, U[k : k + rows], False)[0] for k in range(0, len(U), rows)
     ]
     return np.concatenate(parts)
 
@@ -526,9 +542,9 @@ def _spy_forward_rows(monkeypatch):
     """Record the row count of every _forward call."""
     rows, forward = [], nn._forward
 
-    def spy(net, params, X, T, keep_cache, work=None):
-        rows.append(X.shape[0])
-        return forward(net, params, X, T, keep_cache, work)
+    def spy(net, params, U, keep_cache, work=None):
+        rows.append(U.shape[0])
+        return forward(net, params, U, keep_cache, work)
 
     monkeypatch.setattr(nn, "_forward", spy)
     return rows
@@ -558,11 +574,11 @@ class TestRowBlocks:
         assert rows % 16 == 0
         n = data.draw(st.integers(1, 3 * rows), label="n")
         X, T, _ = _random_batch(rng, n, d)
-        preds, cache = net.forward_batch(X, T, keep_cache=False)
-        assert cache is None and preds.shape == (n,)
+        preds = nn._predict(net, nn._inputs(X, T))
+        assert preds.shape == (n,)
         assert preds.tobytes() == _block_forwards(net, X, T).tobytes()
         if n <= rows:
-            once, _ = nn._forward(net, net.params, X, T, False)
+            once, _ = nn._forward(net, net.params, nn._inputs(X, T), False)
             assert preds.tobytes() == once.tobytes()
 
     def test_block_holds_about_the_byte_budget(self):
@@ -582,7 +598,7 @@ class TestRowBlocks:
         X, T, _ = _random_batch(rng, n, 5)
         expected = _block_forwards(net, X, T)
         rows = _spy_forward_rows(monkeypatch)
-        preds, _ = net.forward_batch(X, T, keep_cache=False)
+        preds = nn._predict(net, nn._inputs(X, T))
         assert preds.tobytes() == expected.tobytes()
         assert len(rows) == calls and sum(rows) == n
         assert all(r == net.block_rows for r in rows[:-1])
@@ -736,7 +752,7 @@ class TestFitNetwork:
             net = nn.Network.build(2, (8,), rng=3, treatment_scale=0.01)
             nn.fit_network(
                 net, nn.FreezeMask.none(net), X, T, Y,
-                rng=np.random.default_rng(7), epochs=20,
+                rng=np.random.default_rng(7), **training(epochs=20),
             )
             results.append(net.theta.copy())
         for a, b in zip(*results):
@@ -748,7 +764,7 @@ class TestFitNetwork:
         net = nn.Network.build(2, (8,), rng=3, treatment_scale=0.01)
         log = nn.fit_network(
             net, nn.FreezeMask.none(net), X, T, Y,
-            rng=np.random.default_rng(7), epochs=200, patience=10,
+            rng=np.random.default_rng(7), **training(epochs=200, patience=10),
             validation=(Xv, Tv, Yv),
         )
         assert log.best_epoch >= 0
@@ -763,7 +779,7 @@ class TestFitNetwork:
             # finite inputs whose forward overflows: the loss is inf
             nn.fit_network(
                 net, nn.FreezeMask.none(net), X * 1e200, T, Y,
-                rng=np.random.default_rng(7), epochs=50,
+                rng=np.random.default_rng(7), **training(epochs=50),
             )
         assert info.value.epoch is not None
 
@@ -776,10 +792,10 @@ def reference_fit_network(
     Y,
     *,
     rng,
-    learning_rate=1e-3,
-    epochs=300,
-    batch_size=64,
-    patience=25,
+    learning_rate,
+    epochs,
+    batch_size,
+    patience,
     validation=None,
 ):
     """The training loop that nn.fit_network replaced, kept as its oracle: it
@@ -821,7 +837,7 @@ def reference_fit_network(
 
             if validation is not None:
                 Xv, Tv, Yv = validation
-                vpred, _ = net.forward_batch(Xv, Tv, keep_cache=False)
+                vpred = nn._predict(net, nn._inputs(Xv, Tv))
                 vmse, _ = nn.mse_loss(vpred, Yv)
                 log.val_mse.append(vmse)
                 if vmse < best:
@@ -872,7 +888,7 @@ def _assert_fits_match(d, hidden, n, n_val, mask_kind, seed, *, activation="swis
         try:
             outcome = fit(
                 model, _fit_mask(model, mask_kind), X, T, Y,
-                rng=np.random.default_rng(seed + 1), validation=validation, **kwargs,
+                rng=np.random.default_rng(seed + 1), validation=validation, **training(**kwargs),
             )
         except TrainingDivergenceError as err:
             outcome = (type(err), str(err), err.epoch, err.step)
@@ -943,7 +959,7 @@ class TestFitMatchesReference:
                 # finite inputs whose forward overflows: the loss is inf
                 fit(
                     net, nn.FreezeMask.none(net), X * 1e200, T, Y, rng=np.random.default_rng(7),
-                    epochs=50,
+                    **training(epochs=50),
                 )
             errors.append((type(info.value), str(info.value), info.value.epoch, info.value.step))
         assert errors[0] == errors[1]
@@ -983,7 +999,7 @@ class TestFitRejectsBadInput:
         with pytest.raises(ShapeError) as info:
             nn.fit_network(
                 net, nn.FreezeMask.none(net), X, T, Y,
-                **{"rng": np.random.default_rng(0), "epochs": 3, **kwargs},
+                **{"rng": np.random.default_rng(0), **training(epochs=3), **kwargs},
             )
         assert net.theta.tobytes() == before.tobytes()
         return str(info.value)
@@ -1055,6 +1071,18 @@ class TestFitRejectsBadInput:
     def test_rng_that_is_no_generator(self, rng):
         message = self._fit(*self._data(), rng=rng)
         assert message == f"rng must be a numpy Generator, got {rng!r}"
+
+    @pytest.mark.parametrize("setting", ["learning_rate", "epochs", "batch_size", "patience"])
+    def test_each_training_setting_is_required(self, setting):
+        X, T, Y = self._data()
+        net = nn.Network.build(2, (4,), rng=1, treatment_scale=0.1)
+        settings_but_one = training(epochs=3)
+        del settings_but_one[setting]
+        with pytest.raises(TypeError, match=setting):
+            nn.fit_network(
+                net, nn.FreezeMask.none(net), X, T, Y, rng=np.random.default_rng(0),
+                **settings_but_one,
+            )
 
     def test_counts_of_numpy_types_and_zero_epochs_or_patience_pass(self):
         X, T, Y = self._data()
