@@ -40,8 +40,9 @@ print(f"residual mean {np.mean(residuals.y):+.4f} "
 print()
 
 # ---- stage 2, both variants ------------------------------------------------
+models = {}
 for variant in ("freezing", "explicit_residual"):
-    model = cdnn.fit(pool, variant, cdnn.CdnnConfig(seed=5))
+    model = models[variant] = cdnn.fit(pool, variant, cdnn.CdnnConfig(seed=5))
     pred = cdnn.predict_ite(model, test.x)
     truth_fn = np.array([oracle.theta0(x) for x in test.x])
     print(f"{variant:17s}: sqrt_pehe {cdnn.sqrt_pehe(pred, test.theta):.3f}, "
@@ -49,8 +50,7 @@ for variant in ("freezing", "explicit_residual"):
           f"corr with true effect {np.corrcoef(pred, truth_fn)[0, 1]:.3f}")
 
 # the freezing variant reuses the stage-1 encoding bitwise
-model = cdnn.fit(pool, "freezing", cdnn.CdnnConfig(seed=5))
-s1, s2 = model.members[0]
+s1, s2 = models["freezing"].members[0]
 d = s1.network.covariate_width
 print()
 print("freezing contract: stage-2 covariate matrix identical to stage-1's ->",

@@ -160,14 +160,14 @@ def _cmd_score(args):
 
 def _cmd_fit(args):
     _check_out(args.out)
-    data = load_csv(args.data)
     settings = _given(args, "seed", "epochs", "ensemble_size", "validation_fraction")
     if args.hidden is not None:
         try:
             settings["hidden_widths"] = tuple(int(w) for w in args.hidden.split(","))
         except ValueError:
             raise ConfigError(f"bad --hidden value {args.hidden!r}") from None
-    config = CdnnConfig(**settings)
+    config = CdnnConfig(**settings)  # a bad setting fails here, before the data is read
+    data = load_csv(args.data)
     est = fit(data, args.variant, config)
     save_checkpoint(est, args.out)
     print(f"trained {args.variant} ensemble ({config.ensemble_size} members) -> {args.out}")

@@ -57,17 +57,13 @@ class OverlapError(CdnnError, ValueError):
     """Treatment assignment is (near-)deterministic; residual variance vanished."""
 
 
-class MetricUnavailableError(CdnnError, ValueError):
-    """A metric needs per-sample ground truth that the dataset does not carry."""
-
-
 class InvalidPerturbationError(CdnnError, ValueError):
     """A nuisance perturbation pushes the propensity outside (0, 1)."""
 
 
 class IdentityViolationError(CdnnError, RuntimeError):
-    """An exact identity or contract failed: a broken oracle, or stage-1
-    treatment edges that moved away from 0."""
+    """A fitted model broke a stage contract: stage-1 treatment edges that
+    moved away from 0, or a frozen stage-2 entry that is not stage 1's."""
 
 
 def _is_count(value, least=1):

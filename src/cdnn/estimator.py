@@ -8,10 +8,10 @@ treatment in one of two ways:
 * explicit_residual: a freshly initialized network regresses the stage-1
   residual y - g(x) on (x, t);
 * freezing: the stage-1 network is reused with the weights and biases of
-  every layer below freeze_depth frozen (by default the first layer, the
-  covariate encoding; never the output layer), deeper layers warm-started,
-  and every treatment edge re-drawn small-random and trainable; it regresses
-  the observed outcome y.
+  the layers below max(1, min(freeze_depth, n_layers - 1)) frozen (by
+  default the first layer, the covariate encoding; with no hidden layer, the
+  output layer), deeper layers warm-started, and every treatment edge
+  re-drawn small-random and trainable; it regresses the observed outcome y.
 
 Either way the per-unit effect is the stage-2 prediction difference between
 t=1 and t=0, averaged over an ensemble of members trained on separate

@@ -24,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, IdentityViolationError, InvalidPerturbationError
+from .errors import ConfigError, InvalidPerturbationError
 from .errors import _check_seed, _is_finite_number
 
-CONSISTENCY_TOL = 1e-12
 PROPENSITY_GUARD = 1e-3
 MC_SAMPLES = 100_000  # draws per finite-difference probe
 GATEAUX_STEP = 1e-4  # perturbation scale of the central difference
@@ -88,15 +87,11 @@ def marginal_outcome(oracle, x):
 
 
 def residualized_h(oracle, t, x):
-    """h(t,x) computed both ways, as (direct, factored); raises if they differ
-    by more than CONSISTENCY_TOL. direct: f(t,x) - g0(x). factored:
-    theta0(x) * (t - e0(x))."""
+    """h(t,x) computed both ways, as (direct, factored): direct is
+    f(t,x) - g0(x), factored is theta0(x) * (t - e0(x)). Judges nothing:
+    bench.verify_lemma weighs their gap against its bar."""
     direct = oracle.f(t, x) - oracle.g0(x)
     factored = oracle.theta0(x) * (t - oracle.e0(x))
-    if abs(direct - factored) > CONSISTENCY_TOL:
-        raise IdentityViolationError(
-            f"residual decomposition violated at t={t}: {direct!r} vs {factored!r}"
-        )
     return direct, factored
 
 

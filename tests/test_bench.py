@@ -18,6 +18,7 @@ from cdnn.baselines import dml_ate, ols_lr1
 from cdnn.data import (
     DGP_FAMILIES,
     SPLIT_SCHEMES,
+    Dataset,
     ReplicationSet,
     SplitSpec,
     _derived_seed,
@@ -306,6 +307,43 @@ def write_replication_csvs(tmp_path, count):
     return {"csv": str(tmp_path / "r*.csv")}
 
 
+class TestNoGroundTruth:
+    """A replication whose evaluation rows carry no ground truth reports one
+    error row per estimator and fits nothing."""
+
+    def test_every_row_is_the_error_and_no_estimator_runs(
+        self, tmp_path, capsys, monkeypatch, processes
+    ):
+        processes(1)  # every replication in this process, where the spies count
+        for i in range(2):
+            data = generate(named_dgp("confound-hetero", seed=i), 300)
+            write_csv(Dataset(data.x, data.t, data.y), tmp_path / f"r{i}.csv")
+        calls = []
+        for name, (check, fit_predict) in bench._ESTIMATORS.items():
+            def spy(*args, _name=name, _fit_predict=fit_predict, **kwargs):
+                calls.append(_name)
+                return _fit_predict(*args, **kwargs)
+
+            monkeypatch.setitem(bench._ESTIMATORS, name, (check, spy))
+        cfg = {"dgp": {"csv": str(tmp_path / "r*.csv")}, "estimators": ALL_FIVE,
+               "output": str(tmp_path / "out")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(tmp_path / "config.json")]) == 1
+        assert calls == []
+        names = [e if isinstance(e, str) else e["name"] for e in ALL_FIVE]
+        lines = ["estimator,replication,sqrt_pehe,eps_ate,ate_error_signed,status"]
+        error = "error: dataset carries no ground-truth potential outcomes"
+        lines += [f"{name},{i},,,,{error}" for i in range(2) for name in names]
+        lines += [f"{name},{stat},,,,n=0" for name in names for stat in ("mean", "sd")]
+        assert (tmp_path / "out" / "report.csv").read_text() == "\n".join(lines) + "\n"
+        assert (tmp_path / "out" / "report.md").read_text().endswith(
+            "".join(f"| {name} | failed | failed | 0 (2 failed) |\n" for name in names)
+        )
+        assert capsys.readouterr().err.endswith(
+            f"estimators with no successful replication: {', '.join(names)}\n"
+        )
+
+
 class TestParallelReplications:
     """bench.run() runs its replications in forked workers, with bitwise the
     serial reports, and raises the serial run's exception."""
@@ -527,6 +565,32 @@ class TestVerifyLemma:
             f"max |h_direct - theta*(t-e)|: {self.GOLDEN_H[seed]} (tolerance 1e-12)",
             "max |mixture - g0|: 0.000e+00 (tolerance 1e-12)",
         ]
+
+    @staticmethod
+    def break_g0(monkeypatch, g0):
+        """Every oracle the suite draws gets g0 = g0(its own g0 at x)."""
+
+        def broken_oracle_of(spec):
+            oracle = oracle_of(spec)
+            return replace(oracle, g0=lambda x: g0(oracle.g0(x)))
+
+        monkeypatch.setattr(bench, "oracle_of", broken_oracle_of)
+
+    @pytest.mark.parametrize("g0, gap", [(lambda v: v + 1.0, "1.000e+00"),
+                                         (lambda v: math.nan, "nan")], ids=["off-by-1", "nan"])
+    def test_a_broken_identity_fails_the_suite(self, monkeypatch, g0, gap):
+        self.break_g0(monkeypatch, g0)
+        result = bench.verify_lemma(seed=0)
+        assert not result.passed
+        assert result.lines[1:3] == [
+            f"max |h_direct - theta*(t-e)|: {gap} (tolerance 1e-12)",
+            f"max |mixture - g0|: {gap} (tolerance 1e-12)",
+        ]
+
+    def test_a_broken_identity_exits_1(self, monkeypatch, capsys):
+        self.break_g0(monkeypatch, lambda v: v + 1.0)
+        assert main(["verify", "lemma"]) == 1
+        assert capsys.readouterr().out.startswith("[FAIL] verify lemma\n")
 
 
 class TestOrthogonalityProbePoints:

@@ -718,6 +718,20 @@ class TestFitAndScore:
         assert main(["fit", "--data", str(data_path), "--out", str(tmp_path / "m.npz"),
                      "--hidden", "sixty-four"]) == 2
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
+        (["--hidden", "8,x"], "bad --hidden value '8,x'"),
+    ], ids=["zero-epochs", "bad-hidden"])
+    def test_fit_setting_is_checked_before_the_data_is_read(
+        self, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        monkeypatch.setattr(cli, "load_csv", lambda *a: pytest.fail("read the data"))
+        model_path = tmp_path / "m.npz"
+        argv = ["fit", "--data", str(tmp_path / "missing.csv"), "--out", str(model_path)]
+        assert main(argv + setting) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model_path.exists()
+
 
 class _Spied(Exception):
     pass

@@ -5,7 +5,7 @@ import pytest
 
 from cdnn import theory
 from cdnn.data import named_dgp, oracle_of, random_dgp
-from cdnn.errors import ConfigError, IdentityViolationError, InvalidPerturbationError
+from cdnn.errors import ConfigError, InvalidPerturbationError
 from cdnn.theory import (
     NuisanceOracle,
     ScoreInput,
@@ -89,15 +89,15 @@ class TestResidualizedH:
             direct, factored = residualized_h(oracle, t, x)
             assert abs(direct - factored) <= 1e-12
 
-    def test_broken_oracle_is_detected(self):
+    def test_an_inconsistent_oracle_gives_both_forms(self):
         broken = NuisanceOracle(
             g0=lambda x: 0.5,
             e0=lambda x: 0.5,
             theta0=lambda x: 2.0,  # inconsistent: f(1,x) - f(0,x) is 1
             f=lambda t, x: float(t),
         )
-        with pytest.raises(IdentityViolationError):
-            residualized_h(broken, 1, X0)
+        # computed, not judged: bench.verify_lemma weighs the gap
+        assert residualized_h(broken, 1, X0) == (0.5, 1.0)
 
 
 class TestScorePsi:
